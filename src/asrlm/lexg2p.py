@@ -57,9 +57,6 @@ class Lexicon:
     def words(self) -> set[str]:
         return set(self.entries)
 
-    def pronunciation_count(self) -> int:
-        return sum(len(p) for p in self.entries.values())
-
 
 def _dedup(prons) -> tuple[tuple[str, ...], ...]:
     seen: dict[tuple[str, ...], None] = {}

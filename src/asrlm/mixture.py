@@ -7,7 +7,14 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from asrlm.ngramcore.evaluate import PerplexityReport, iter_positions, score_positions
-from asrlm.ngramcore.model import BOS_LOG10_PROB, BackoffLM, Entry, NGram, rebuild_backoffs
+from asrlm.ngramcore.model import (
+    BOS_LOG10_PROB,
+    BackoffLM,
+    Entry,
+    NGram,
+    memoized_log_prob,
+    rebuild_backoffs,
+)
 from asrlm.textcorpus import BOS, Corpus
 
 WEIGHT_FILE_TOLERANCE = 1e-6
@@ -156,10 +163,11 @@ def interpolate_static(
     """Merge components into one back-off model.
 
     The merged model stores the union of the component n-gram sets; each
-    stored n-gram carries the exact mixture probability (components evaluated
-    through their own back-off recursion) and back-off weights are recomputed
-    so every context normalizes. A single component with weight 1 is returned
-    unchanged, which keeps the degenerate merge bit-exact.
+    stored n-gram carries the exact mixture probability (each component's
+    value, stored or backed off, taken from its own `memoized_log_prob`) and
+    back-off weights are recomputed so every context normalizes. A single
+    component with weight 1 is returned unchanged, which keeps the degenerate
+    merge bit-exact.
     """
     lambdas = weights.lambdas if isinstance(weights, InterpolationWeights) else tuple(weights)
     if len(lambdas) != len(lms):
@@ -179,6 +187,7 @@ def interpolate_static(
         clone.metadata.update(merged_meta)
         return clone
 
+    values = [memoized_log_prob(lm) for lm in lms]
     tables: dict[int, dict[NGram, Entry]] = {}
     for k in range(1, order + 1):
         union: dict[NGram, None] = {}
@@ -190,10 +199,7 @@ def interpolate_static(
             if gram == (BOS,):
                 tk[gram] = (BOS_LOG10_PROB, None)
                 continue
-            mix = sum(
-                lam * 10.0 ** lm.log_prob(gram[-1], gram[:-1])
-                for lam, lm in zip(lambdas, lms)
-            )
+            mix = sum(lam * 10.0 ** value(gram) for lam, value in zip(lambdas, values))
             tk[gram] = (math.log10(mix), None)
         tables[k] = tk
     merged = BackoffLM(order=order, tables=tables, vocab=lms[0].vocab, metadata=merged_meta)

@@ -8,6 +8,7 @@ field is omitted at the highest order and for n-grams ending in `</s>`.
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 from asrlm.ngramcore.model import BackoffLM, Entry, NGram
@@ -72,7 +73,7 @@ def read_arpa(path: str | Path) -> BackoffLM:
                     raise ArpaError(path, lineno, f"bad count line {line!r}") from exc
                 continue
             state = "sections"
-        if state == "sections" and line.startswith("\\") and line.endswith("-grams:"):
+        if state in ("sections", "entries") and line.startswith("\\") and line.endswith("-grams:"):
             try:
                 current_k = int(line[1:-len("-grams:")])
             except ValueError as exc:
@@ -85,17 +86,6 @@ def read_arpa(path: str | Path) -> BackoffLM:
         if state == "entries":
             if not line.strip():
                 continue
-            if line.startswith("\\") and line.endswith("-grams:"):
-                state = "sections"
-                try:
-                    current_k = int(line[1:-len("-grams:")])
-                except ValueError as exc:
-                    raise ArpaError(path, lineno, f"bad section header {line!r}") from exc
-                if current_k not in declared:
-                    raise ArpaError(path, lineno, f"section {current_k} not declared in header")
-                tables[current_k] = {}
-                state = "entries"
-                continue
             if line.strip() == "\\end\\":
                 state = "done"
                 continue
@@ -106,6 +96,8 @@ def read_arpa(path: str | Path) -> BackoffLM:
                 logp = float(fields[0])
             except ValueError as exc:
                 raise ArpaError(path, lineno, f"bad log-probability {fields[0]!r}") from exc
+            if not math.isfinite(logp) or logp > 0.0:
+                raise ArpaError(path, lineno, f"log-probability {fields[0]!r} is not a finite value <= 0")
             gram = tuple(fields[1].split(" "))
             if len(gram) != current_k or any(not w for w in gram):
                 raise ArpaError(path, lineno, f"expected a {current_k}-gram, got {fields[1]!r}")
@@ -115,6 +107,8 @@ def read_arpa(path: str | Path) -> BackoffLM:
                     bow = float(fields[2])
                 except ValueError as exc:
                     raise ArpaError(path, lineno, f"bad back-off weight {fields[2]!r}") from exc
+                if not math.isfinite(bow):
+                    raise ArpaError(path, lineno, f"back-off weight {fields[2]!r} is not finite")
             if gram in tables[current_k]:
                 raise ArpaError(path, lineno, f"duplicate n-gram {fields[1]!r}")
             tables[current_k][gram] = (logp, bow)

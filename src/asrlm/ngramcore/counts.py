@@ -26,12 +26,6 @@ class NGramCountTable:
     vocab: Vocabulary
     corpus_id: str = ""
 
-    def count(self, gram: NGram) -> int:
-        return self.counts.get(len(gram), {}).get(gram, 0)
-
-    def total_ngrams(self, k: int) -> int:
-        return len(self.counts.get(k, {}))
-
 
 def count_ngrams(corpus: Corpus, order: int, vocab: Vocabulary) -> NGramCountTable:
     if order < 1:

@@ -67,9 +67,19 @@ def score_positions(position_log10_probs, oov_flags, sentences: int, oov_policy:
 
 def perplexity(lm: BackoffLM, corpus: Corpus, oov_policy: str = "exclude") -> PerplexityReport:
     """Corpus perplexity. `exclude` skips OOV positions (counting them);
-    `as_unk` scores them as `<unk>`."""
+    `as_unk` scores them as `<unk>`.
+
+    A model without a `</s>` unigram (or, under `as_unk`, a `<unk>` unigram)
+    cannot score every position; that raises ValueError naming its source.
+    """
     if len(corpus) == 0:
         raise ValueError(f"corpus {corpus.id!r} is empty")
+    needed = (EOS, UNK) if oov_policy == "as_unk" else (EOS,)
+    missing = [w for w in needed if (w,) not in lm.ngrams(1)]
+    if missing:
+        source = lm.metadata.get("source", "model")
+        raise ValueError(f"{source}: no unigram entry for {', '.join(missing)}; "
+                         f"cannot score under oov_policy {oov_policy!r}")
     logps = []
     flags = []
     for history, token, is_oov in iter_positions(corpus, lm.vocab):

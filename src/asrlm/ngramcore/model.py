@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import partial
 
-from asrlm.textcorpus import BOS, EOS, Vocabulary
+from asrlm.textcorpus import Vocabulary
 
 NGram = tuple[str, ...]
 # Stored per n-gram: (log10 probability, log10 back-off weight or None).
@@ -39,10 +41,6 @@ class BackoffLM:
     def total_ngrams(self) -> int:
         return sum(len(t) for t in self.tables.values())
 
-    def stored_log_prob(self, gram: NGram) -> float | None:
-        entry = self.tables.get(len(gram), {}).get(gram)
-        return entry[0] if entry is not None else None
-
     def stored_backoff(self, gram: NGram) -> float:
         entry = self.tables.get(len(gram), {}).get(gram)
         if entry is None or entry[1] is None:
@@ -55,20 +53,21 @@ class BackoffLM:
         Unknown words (in `word` or `history`) are mapped to `<unk>` first;
         the history is truncated to the model order.
         """
-        w = self.vocab.map_token(word)
-        hist = tuple(self.vocab.map_token(t) for t in history)
-        if self.order > 1:
-            hist = hist[-(self.order - 1):]
-        else:
-            hist = ()
+        map_token = self.vocab.map_token
+        w = map_token(word)
+        n = self.order - 1
+        hist = tuple(map(map_token, history[-n:])) if n > 0 else ()
+        tables = self.tables
         acc = 0.0
         while True:
-            entry = self.tables.get(len(hist) + 1, {}).get(hist + (w,))
+            entry = tables.get(len(hist) + 1, {}).get(hist + (w,))
             if entry is not None:
                 return acc + entry[0]
             if not hist:
                 raise KeyError(f"no unigram entry for {w!r}")
-            acc += self.stored_backoff(hist)
+            ctx = tables.get(len(hist), {}).get(hist)
+            if ctx is not None and ctx[1] is not None:
+                acc += ctx[1]
             hist = hist[1:]
 
     def clone(self) -> "BackoffLM":
@@ -80,20 +79,41 @@ class BackoffLM:
         )
 
 
-def sequence_log_prob(lm: BackoffLM, tokens, bos_substitute: bool = True) -> float:
-    """log10 of the joint probability of a token sequence via the chain rule.
+def memoized_log_prob(lm: BackoffLM) -> Callable[[NGram], float]:
+    """Return `value(gram)` = log10 p(gram[-1] | gram[:-1]) for a gram of length <= order.
 
-    Used as the history marginal in pruning. When the sequence starts with
-    `<s>`, its dummy unigram probability is replaced by p(`</s>`), the usual
-    convention that keeps sentence-initial contexts at a realistic weight.
+    The gram must be in-vocabulary: no token is mapped to `<unk>`. A stored
+    gram yields its stored value; any other yields bow(gram[:-1]) +
+    value(gram[1:]), memoized, so a batch of n-grams costs O(1) each.
+    Stored values are one dict lookup away and are not memoized, nor are
+    top-order values, which no longer gram backs off to. The memo lives as
+    long as the returned function, so each merge, rebuild or prune call makes
+    its own and frees it on return. It stays valid while back-off weights
+    change only for contexts longer than every gram evaluated so far.
     """
-    total = 0.0
-    for i, tok in enumerate(tokens):
-        if i == 0 and tok == BOS and bos_substitute:
-            total += lm.log_prob(EOS)
-        else:
-            total += lm.log_prob(tok, tokens[:i])
-    return total
+    tables = [{}] + [lm.tables.get(k, {}) for k in range(1, lm.order + 1)]
+    return partial(_memoized_value, tables, {})
+
+
+def _memoized_value(tables: list[dict[NGram, Entry]], memo: dict[NGram, float], gram: NGram) -> float:
+    # A module-level function, not a closure: a closure that calls itself is
+    # a reference cycle, and its memo would outlive the call until the next
+    # full garbage collection.
+    n = len(gram)
+    entry = tables[n].get(gram)
+    if entry is not None:
+        return entry[0]
+    backed_off = memo.get(gram)
+    if backed_off is None:
+        if n == 1:
+            raise KeyError(f"no unigram entry for {gram[0]!r}")
+        ctx = tables[n - 1].get(gram[:-1])
+        backed_off = _memoized_value(tables, memo, gram[1:])
+        if ctx is not None and ctx[1] is not None:
+            backed_off = ctx[1] + backed_off
+        if n < len(tables) - 1:  # a top-order value is never the suffix of a longer gram
+            memo[gram] = backed_off
+    return backed_off
 
 
 def context_probability_sums(lm: BackoffLM):
@@ -109,10 +129,11 @@ def context_probability_sums(lm: BackoffLM):
         for gram in lm.tables.get(k, {}):
             seen.setdefault(gram[:-1])
         contexts.extend(seen.keys())
+    value = memoized_log_prob(lm)
     for ctx in contexts:
         total = 0.0
         for w in predicted:
-            total += 10.0 ** lm.log_prob(w, ctx)
+            total += 10.0 ** value(ctx + (w,))
         yield ctx, total
 
 
@@ -121,15 +142,17 @@ def rebuild_backoffs(lm: BackoffLM) -> None:
 
     For a context h with stored continuations W: bow(h) = (1 - sum_{w in W}
     p(w|h)) / (1 - sum_{w in W} p(w|h minus first word)), the lower-order
-    probabilities evaluated through the model's own recursion. Contexts with
-    no stored continuation lose their back-off weight. Processed from short
-    contexts to long ones so lower-order weights are final before they are
-    referenced.
+    probabilities taken from `memoized_log_prob`. Contexts with no stored
+    continuation lose their back-off weight. Processed from short contexts to
+    long ones, so the lower-order weights a value reads are final before it
+    is computed, and no memoized value goes stale.
     """
+    value = memoized_log_prob(lm)
     for ctx_len in range(1, lm.order):
         ctx_table = lm.tables.get(ctx_len, {})
+        gram_table = lm.tables.get(ctx_len + 1, {})
         children: dict[NGram, list[NGram]] = {}
-        for gram in lm.tables.get(ctx_len + 1, {}):
+        for gram in gram_table:
             children.setdefault(gram[:-1], []).append(gram)
         for ctx, entry in ctx_table.items():
             grams = children.get(ctx)
@@ -140,8 +163,8 @@ def rebuild_backoffs(lm: BackoffLM) -> None:
             stored_sum = 0.0
             lower_sum = 0.0
             for gram in grams:
-                stored_sum += 10.0 ** lm.tables[ctx_len + 1][gram][0]
-                lower_sum += 10.0 ** lm.log_prob(gram[-1], gram[1:-1])
+                stored_sum += 10.0 ** gram_table[gram][0]
+                lower_sum += 10.0 ** value(gram[1:])
             num = 1.0 - stored_sum
             den = 1.0 - lower_sum
             if num <= 0.0 or den <= 0.0:

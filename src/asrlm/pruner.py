@@ -13,7 +13,8 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from asrlm.ngramcore.model import BackoffLM, rebuild_backoffs, sequence_log_prob
+from asrlm.ngramcore.model import BackoffLM, NGram, memoized_log_prob, rebuild_backoffs
+from asrlm.textcorpus import BOS, EOS
 
 
 @dataclass(frozen=True)
@@ -35,6 +36,31 @@ class PruneReport:
         return "\n".join(lines) + "\n"
 
 
+def _log_marginals(value, histories):
+    """Yield (history, log10 p(history)) by the chain rule for sorted, distinct
+    histories of one length.
+
+    Sorted histories that share a prefix are adjacent, so each reuses the
+    partial sums of the previous one up to their common prefix. A leading
+    `<s>` takes p(`</s>`), the usual convention that keeps sentence-initial
+    contexts at a realistic weight.
+    """
+    sums: list[float] = []  # sums[i] = log10 p(previous[:i + 1])
+    previous: NGram = ()
+    for history in histories:
+        common = 0
+        while common < len(sums) and history[common] == previous[common]:
+            common += 1
+        del sums[common:]
+        for i in range(common, len(history)):
+            if i == 0:
+                sums.append(value((EOS,) if history[0] == BOS else history[:1]))
+            else:
+                sums.append(sums[-1] + value(history[:i + 1]))
+        previous = history
+        yield history, sums[-1]
+
+
 def prune_entropy(lm: BackoffLM, theta: float) -> tuple[BackoffLM, PruneReport]:
     """Remove n-grams of order >= 2 whose relative perplexity increase is < theta.
 
@@ -54,6 +80,7 @@ def prune_entropy(lm: BackoffLM, theta: float) -> tuple[BackoffLM, PruneReport]:
         )
 
     pruned = lm.clone()
+    value = memoized_log_prob(lm)
     removed_by_order: dict[int, int] = {k: 0 for k in size_before}
     for k in range(lm.order, 1, -1):
         # Deltas come from the original model: removals at higher orders do
@@ -64,17 +91,17 @@ def prune_entropy(lm: BackoffLM, theta: float) -> tuple[BackoffLM, PruneReport]:
         for gram in table:
             siblings.setdefault(gram[:-1], []).append(gram)
         to_remove = []
-        for history in sorted(siblings):
+        for history, log_marginal in _log_marginals(value, sorted(siblings)):
             log_bow = lm.stored_backoff(history)
             num = 1.0
             den = 1.0
             cached_lower = {}
             for gram in siblings[history]:
                 num -= 10.0 ** table[gram][0]
-                lower = lm.log_prob(gram[-1], gram[1:-1])
+                lower = value(gram[1:])
                 cached_lower[gram] = lower
                 den -= 10.0 ** lower
-            h_marginal = 10.0 ** sequence_log_prob(lm, history)
+            h_marginal = 10.0 ** log_marginal
             for gram in siblings[history]:
                 if gram in protected:
                     continue

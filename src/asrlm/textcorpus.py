@@ -87,10 +87,6 @@ def save_corpus(corpus: Corpus, path: str | Path) -> None:
     Path(path).write_text(text, encoding="utf-8")
 
 
-def corpus_from_sentences(corpus_id: str, sentences) -> Corpus:
-    return Corpus(id=corpus_id, sentences=tuple(tuple(s) for s in sentences))
-
-
 def concatenate(corpus_id: str, corpora: list[Corpus]) -> Corpus:
     sents = []
     for c in corpora:

@@ -81,6 +81,23 @@ def test_malformed_entry_reports_line_number(tmp_path):
         read_arpa(p)
 
 
+@pytest.mark.parametrize("entry, message", [
+    ("nan\ta\t-0.2", "log-probability 'nan'"),
+    ("-inf\ta\t-0.2", "log-probability '-inf'"),
+    ("0.5\ta\t-0.2", "log-probability '0.5'"),
+    ("-0.3\ta\tnan", "back-off weight 'nan'"),
+    ("-0.3\ta\tinf", "back-off weight 'inf'"),
+])
+def test_non_finite_or_positive_values_report_line_number(tmp_path, entry, message):
+    p = tmp_path / "bad.arpa"
+    p.write_text(
+        f"\\data\\\nngram 1=2\n\n\\1-grams:\n-0.4\t</s>\n{entry}\n\n\\end\\\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(ArpaError, match=f":6: {message}"):
+        read_arpa(p)
+
+
 def test_backoff_omitted_for_eos_and_top_order(tmp_path):
     lm = train_on(corpus_of("a b a\nb a"), 2)
     p = tmp_path / "m.arpa"

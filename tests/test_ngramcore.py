@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from asrlm.mixture import interpolate_static
 from asrlm.ngramcore import (
     BackoffLM,
     DiscountSet,
@@ -14,7 +15,9 @@ from asrlm.ngramcore import (
     perplexity,
     train_mkn,
 )
+from asrlm.ngramcore.model import memoized_log_prob
 from asrlm.ngramcore.smoothing import closed_form_discounts
+from asrlm.pruner import prune_entropy
 from asrlm.textcorpus import BOS, EOS, UNK, Vocabulary, build_vocabulary
 from tests.conftest import corpus_of, random_corpus, train_on
 from tests.reference import BruteForceMKN
@@ -260,3 +263,34 @@ def test_stored_values_are_sane():
                 assert math.isfinite(logp) or gram == (BOS,)
                 if bow is not None:
                     assert math.isfinite(bow)
+
+
+@pytest.fixture(scope="module")
+def seeded_models():
+    rng = random.Random(23)
+    corpora = [random_corpus(rng, max_sentences=40, max_vocab=12, corpus_id=f"c{i}") for i in range(3)]
+    vocab = build_vocabulary(corpora)
+    lms = [train_on(corpus, 4, vocab) for corpus in corpora]
+    merged = interpolate_static(lms, [0.5, 0.3, 0.2])
+    pruned, report = prune_entropy(merged, 1e-3)
+    assert sum(report.removed_by_order.values()) > 0
+    return {"trained": lms[0], "merged": merged, "pruned": pruned}
+
+
+@pytest.mark.parametrize("kind", ["trained", "merged", "pruned"])
+def test_memoized_log_prob_matches_log_prob(seeded_models, kind):
+    lm = seeded_models[kind]
+    value = memoized_log_prob(lm)
+    contexts = {()}
+    for k in range(1, lm.order + 1):
+        for gram in lm.tables[k]:
+            assert abs(value(gram) - lm.log_prob(gram[-1], gram[:-1])) <= 1e-12, gram
+            if k < lm.order:
+                contexts.add(gram)
+    backed_off = 0
+    for ctx in sorted(contexts):
+        for w in lm.vocab.predicted_words():
+            gram = ctx + (w,)
+            backed_off += gram not in lm.tables[len(gram)]
+            assert abs(value(gram) - lm.log_prob(w, ctx)) <= 1e-12, gram
+    assert backed_off > 0

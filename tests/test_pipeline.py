@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -209,3 +210,35 @@ def test_fixture_paths_resolve():
     config = parse_config(FIXTURES / "pipeline.cfg")
     assert len(config.corpora) == 4
     assert config.mapping
+
+
+# SHA-256s of the fixture pipeline's merged and pruned models and prune
+# report. Any change to merge, back-off or pruning arithmetic that moves a
+# byte of these artifacts fails here.
+PINNED_LM_ARTIFACTS = {
+    "lm.combined.arpa": "dd3a9096e30ecc70c54b4e3dee1e671fc8ef1ed8f4bd1cdc146a6fb097f7fe07",
+    "lm.pruned.arpa": "e34d967d506732d5c5828af2dca84478ae406eabc51c46238b6fdf8e4ac2c4e5",
+    "prune_report.txt": "1d8f2f31341188c0a2dd3dc7e21b3d2f0179de11378be90733e740f015e06cec",
+}
+
+
+def test_fixture_lm_artifacts_match_pinned_hashes(tmp_path, monkeypatch):
+    monkeypatch.chdir(FIXTURES.parent)
+    run_lm_pipeline(parse_config(FIXTURES / "pipeline.cfg", [f"out_dir={tmp_path}"]))
+    for name, digest in PINNED_LM_ARTIFACTS.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+
+@pytest.mark.parametrize("unigrams, policy, missing", [
+    ("-0.3\ta\n-0.3\t</s>\n", "as_unk", "<unk>"),
+    ("-0.3\ta\n-0.3\tb\n", "exclude", "</s>"),
+])
+def test_cli_ppl_reports_missing_unigram(tmp_path, capsys, unigrams, policy, missing):
+    model = tmp_path / "closed.arpa"
+    model.write_text(f"\\data\\\nngram 1=2\n\n\\1-grams:\n{unigrams}\n\\end\\\n",
+                     encoding="utf-8")
+    corpus = write_corpus(tmp_path / "eval.txt", "a b\na\n")
+    code = main(["lm", "ppl", "--lm", str(model), "--corpus", corpus, "--oov-policy", policy])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {model}: no unigram entry for {missing}")
