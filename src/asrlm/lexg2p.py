@@ -9,6 +9,7 @@ sequences; decoding is a beam search over segmentations.
 
 from __future__ import annotations
 
+import heapq
 import json
 import logging
 import math
@@ -152,6 +153,13 @@ class JointSequenceModel:
     the expected counts, backing off to shorter graphone histories and
     finally to a uniform distribution over the inventory plus the end marker,
     so every graphone sequence over the inventory has positive probability.
+
+    `__post_init__` derives a per-context back-off table for each order,
+    context -> (count total, gamma), where gamma is the discounted mass over
+    the total. It holds only contexts with a positive total; any other
+    context passes the lower-order value through unchanged. It also indexes
+    graphone ids by grapheme side and freezes the set of letters the
+    inventory covers.
     """
 
     order: int
@@ -166,20 +174,22 @@ class JointSequenceModel:
     training_report: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self._denoms: dict[int, dict[tuple[int, ...], float]] = {}
-        self._gamma_num: dict[int, dict[tuple[int, ...], float]] = {}
-        for k, table in self.counts.items():
+        self._contexts: dict[int, dict[tuple[int, ...], tuple[float, float]]] = {}
+        for k in range(1, self.order + 1):
             denoms: dict[tuple[int, ...], float] = {}
             gnum: dict[tuple[int, ...], float] = {}
-            for gram, c in table.items():
+            for gram, c in self.counts.get(k, {}).items():
                 ctx = gram[:-1]
                 denoms[ctx] = denoms.get(ctx, 0.0) + c
                 gnum[ctx] = gnum.get(ctx, 0.0) + min(self.discount, c)
-            self._denoms[k] = denoms
-            self._gamma_num[k] = gnum
-
-    def seen_letters(self) -> set[str]:
-        return {ch for g in self.graphones for ch in g.graphemes}
+            self._contexts[k] = {
+                ctx: (denom, gnum[ctx] / denom) for ctx, denom in denoms.items() if denom > 0.0
+            }
+        self._uniform = 1.0 / (len(self.graphones) + 1)
+        self.by_grapheme: dict[str, list[int]] = {}
+        for gid, g in enumerate(self.graphones):
+            self.by_grapheme.setdefault(g.graphemes, []).append(gid)
+        self.letters = frozenset(ch for g in self.graphones for ch in g.graphemes)
 
     def start_history(self) -> tuple[int, ...]:
         return (BOS_ID,) * (self.order - 1)
@@ -192,26 +202,31 @@ class JointSequenceModel:
     def cond_prob(self, gid: int, history: tuple[int, ...]) -> float:
         """p(graphone or EOS | history) with absolute-discount back-off."""
         ctx = history[-(self.order - 1):] if self.order > 1 else ()
-        return self._cond(gid, ctx)
+        return self._cond_list(ctx, (gid,), {})[0]
 
-    def _cond(self, gid: int, ctx: tuple[int, ...]) -> float:
-        if len(ctx) + 1 > self.order:
-            ctx = ctx[1:]
+    def _cond_list(self, ctx: tuple[int, ...], gids, memo: dict) -> list[float]:
+        """p(gid | ctx) for every gid in `gids`, built from the lower order up.
+
+        `memo` maps each context suffix already evaluated to its list, so it
+        may only be shared between calls that pass the same `gids`.
+        """
+        probs = memo.get(ctx)
+        if probs is not None:
+            return probs
         k = len(ctx) + 1
-        lower = (
-            1.0 / (len(self.graphones) + 1)
-            if k == 1
-            else self._cond(gid, ctx[1:])
-        )
-        table = self.counts.get(k)
-        if not table:
-            return lower
-        denom = self._denoms[k].get(ctx, 0.0)
-        if denom <= 0.0:
-            return lower
-        c = table.get(ctx + (gid,), 0.0)
-        gamma = self._gamma_num[k][ctx] / denom
-        return max(c - self.discount, 0.0) / denom + gamma * lower
+        lower = self._cond_list(ctx[1:], gids, memo) if k > 1 else [self._uniform] * len(gids)
+        stats = self._contexts[k].get(ctx)
+        if stats is None:
+            probs = lower
+        else:
+            denom, gamma = stats
+            table = self.counts[k]
+            d = self.discount
+            probs = []
+            for gid, low in zip(gids, lower):
+                probs.append(max(table.get(ctx + (gid,), 0.0) - d, 0.0) / denom + gamma * low)
+        memo[ctx] = probs
+        return probs
 
     def cond_log10(self, gid: int, history: tuple[int, ...]) -> float:
         return math.log10(self.cond_prob(gid, history))
@@ -333,7 +348,7 @@ def train_g2p(
     entry_list = []
     skipped = []
     inventory: dict[Graphone, None] = {}
-    lattices = []
+    piece_edges = []
     for word in sorted(lexicon.entries):
         for pron in lexicon.entries[word]:
             lattice = _segmentation_lattice(
@@ -343,7 +358,7 @@ def train_g2p(
                 skipped.append((word, pron, "no segmentation within size limits"))
                 continue
             entry_list.append((word, pron))
-            lattices.append(lattice)
+            piece_edges.append(lattice[1])
             for moves in lattice[1].values():
                 for (graphemes, phonemes), _ in moves:
                     inventory.setdefault(Graphone(graphemes, phonemes))
@@ -353,6 +368,12 @@ def train_g2p(
         raise ValueError("no lexicon entry can be segmented within the size limits")
     graphones = tuple(sorted(inventory, key=lambda g: (g.graphemes, g.phonemes)))
     gid_of = {g: i for i, g in enumerate(graphones)}
+    # Per entry, the lattice edges with graphone ids: cell -> [(gid, target cell)].
+    lattices = [
+        {cell: [(gid_of[Graphone(*piece)], tgt) for piece, tgt in moves]
+         for cell, moves in edges.items()}
+        for edges in piece_edges
+    ]
     hist0 = (BOS_ID,) * (order - 1)
 
     def run_e_step(params):
@@ -361,7 +382,7 @@ def train_g2p(
             k: {} for k in range(1, order + 1)
         }
         total_ll = 0.0
-        for (word, pron), (cells, edges) in zip(entry_list, lattices):
+        for (word, pron), edges in zip(entry_list, lattices):
             end = (len(word), len(pron))
             # Discover states ((i, j), history) reachable under positive
             # transition probabilities. Sorting states by (cell, history) is
@@ -375,8 +396,7 @@ def train_g2p(
                 state = states[idx]
                 idx += 1
                 cell, hist = state
-                for piece, tgt in edges.get(cell, ()):
-                    gid = gid_of[Graphone(*piece)]
+                for gid, tgt in edges.get(cell, ()):
                     p = params.prob(gid, hist)
                     if p <= 0.0:
                         continue
@@ -484,12 +504,9 @@ def apply_g2p(model: JointSequenceModel, word: str, beam: int = 100, n_best: int
         raise G2PError("empty word")
     if beam < 1:
         raise ValueError("beam must be >= 1")
-    unseen = sorted(set(word) - model.seen_letters())
+    unseen = sorted(set(word) - model.letters)
     if unseen:
         raise G2PError(f"letters never seen in any graphone: {unseen}")
-    by_grapheme: dict[str, list[int]] = {}
-    for gid, g in enumerate(model.graphones):
-        by_grapheme.setdefault(g.graphemes, []).append(gid)
     # Hypotheses per consumed-letter count: (phones, history) -> score.
     levels: list[dict[tuple[tuple[str, ...], tuple[int, ...]], float]] = [
         {} for _ in range(len(word) + 1)
@@ -501,23 +518,34 @@ def apply_g2p(model: JointSequenceModel, word: str, beam: int = 100, n_best: int
         if not hyps:
             continue
         if len(hyps) > beam:
-            kept = sorted(hyps.items(), key=lambda kv: (-kv[1], kv[0][0], kv[0][1]))[:beam]
-            hyps = dict(kept)
+            hyps = dict(heapq.nsmallest(
+                beam, hyps.items(), key=lambda kv: (-kv[1], kv[0][0], kv[0][1])))
             levels[i] = hyps
         if i == len(word):
             break
+        by_history: dict[tuple[int, ...], list[tuple[tuple[str, ...], float]]] = {}
         for (phones, hist), score in hyps.items():
-            for lg in range(model.min_letters or 1, max_letters + 1):
-                piece = word[i : i + lg]
-                if len(piece) < lg:
-                    break
-                for gid in by_grapheme.get(piece, ()):
-                    g = model.graphones[gid]
-                    nscore = score + model.cond_log10(gid, hist)
-                    nkey = (phones + g.phonemes, model.shift(hist, gid))
-                    lvl = levels[i + lg]
-                    if nkey not in lvl or nscore > lvl[nkey]:
-                        lvl[nkey] = nscore
+            by_history.setdefault(hist, []).append((phones, score))
+        for lg in range(model.min_letters or 1, max_letters + 1):
+            piece = word[i : i + lg]
+            if len(piece) < lg:
+                break
+            gids = model.by_grapheme.get(piece)
+            if not gids:
+                continue
+            lvl = levels[i + lg]
+            memo: dict = {}
+            for hist, members in by_history.items():
+                successors = [
+                    (model.graphones[gid].phonemes, model.shift(hist, gid), math.log10(p))
+                    for gid, p in zip(gids, model._cond_list(hist, gids, memo))
+                ]
+                for phones, score in members:
+                    for phonemes, nhist, logp in successors:
+                        nscore = score + logp
+                        nkey = (phones + phonemes, nhist)
+                        if nkey not in lvl or nscore > lvl[nkey]:
+                            lvl[nkey] = nscore
     best: dict[tuple[str, ...], float] = {}
     for (phones, hist), score in levels[len(word)].items():
         total = score + model.cond_log10(EOS_ID, hist)
@@ -593,25 +621,55 @@ def save_g2p_model(model: JointSequenceModel, path: str | Path) -> None:
         "log10_likelihood_trace": list(model.log10_likelihood_trace),
         "training_report": model.training_report,
     }
-    Path(path).write_text(json.dumps(payload, indent=1, sort_keys=True), encoding="utf-8")
+    Path(path).write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")
+
+
+_MODEL_KEYS = ("order", "max_letters", "max_phones", "min_letters", "min_phones", "discount",
+               "graphones", "counts", "log10_likelihood_trace", "training_report")
 
 
 def load_g2p_model(path: str | Path) -> JointSequenceModel:
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    if payload.get("format") != "graphone-ngram-v1":
+    """Read a model written by `save_g2p_model`.
+
+    Raises ValueError naming the path for a file that is not such a model,
+    lacks a field, or has malformed counts, a non-finite or negative count,
+    a discount outside (0, 1] or an order below 1.
+    """
+    try:
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: not a graphone model file: {exc}") from exc
+    if not isinstance(payload, dict) or payload.get("format") != "graphone-ngram-v1":
         raise ValueError(f"{path}: not a graphone model file")
+    missing = [key for key in _MODEL_KEYS if key not in payload]
+    if missing:
+        raise ValueError(f"{path}: model file lacks {', '.join(missing)}")
+    discount, order = payload["discount"], payload["order"]
+    if not isinstance(discount, (int, float)) or not 0.0 < discount <= 1.0:
+        raise ValueError(f"{path}: discount {discount!r} is outside (0, 1]")
+    if not isinstance(order, int) or order < 1:
+        raise ValueError(f"{path}: order {order!r} is not an integer >= 1")
+    try:
+        counts = {
+            int(k): {tuple(gram): c for gram, c in table}
+            for k, table in payload["counts"].items()
+        }
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: malformed counts: {exc}") from exc
+    for k, table in counts.items():
+        for gram, c in table.items():
+            if not isinstance(c, (int, float)) or not math.isfinite(c) or c < 0.0:
+                raise ValueError(f"{path}: count {c!r} of {k}-gram {list(gram)} "
+                                 "is not a finite number >= 0")
     return JointSequenceModel(
-        order=payload["order"],
+        order=order,
         max_letters=payload["max_letters"],
         max_phones=payload["max_phones"],
         min_letters=payload["min_letters"],
         min_phones=payload["min_phones"],
         graphones=tuple(Graphone(g, tuple(ph)) for g, ph in payload["graphones"]),
-        counts={
-            int(k): {tuple(gram): c for gram, c in table}
-            for k, table in payload["counts"].items()
-        },
-        discount=payload["discount"],
+        counts=counts,
+        discount=discount,
         log10_likelihood_trace=tuple(payload["log10_likelihood_trace"]),
         training_report=payload["training_report"],
     )

@@ -6,7 +6,12 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from asrlm.ngramcore.evaluate import PerplexityReport, iter_positions, score_positions
+from asrlm.ngramcore.evaluate import (
+    PerplexityReport,
+    iter_positions,
+    require_unigrams,
+    score_positions,
+)
 from asrlm.ngramcore.model import (
     BOS_LOG10_PROB,
     BackoffLM,
@@ -15,7 +20,7 @@ from asrlm.ngramcore.model import (
     memoized_log_prob,
     rebuild_backoffs,
 )
-from asrlm.textcorpus import BOS, Corpus
+from asrlm.textcorpus import BOS, EOS, UNK, Corpus
 
 WEIGHT_FILE_TOLERANCE = 1e-6
 
@@ -57,6 +62,15 @@ def _check_components(lms: list[BackoffLM], minimum: int = 2) -> None:
     for lm in lms[1:]:
         if set(lm.vocab.words) != set(first.words):
             raise ValueError("component models must share one vocabulary")
+    _check_reserved_unigrams(lms)
+
+
+def _check_reserved_unigrams(lms: list[BackoffLM]) -> None:
+    # Every vocabulary holds `<unk>` and `</s>`, but an ARPA file need not hold
+    # their unigrams. Mixing scores OOV words as `<unk>` in every component, and
+    # merging needs each component's value for every unigram of the union.
+    for lm in lms:
+        require_unigrams(lm, (EOS, UNK), "as a mixture component")
 
 
 def _position_probability_matrix(lms: list[BackoffLM], corpus: Corpus):
@@ -129,6 +143,7 @@ def em_weights(
 
 
 def mixture_log_prob(lms: list[BackoffLM], lambdas, word: str, history=()) -> float:
+    _check_reserved_unigrams(lms)
     mix = sum(lam * 10.0 ** lm.log_prob(word, history) for lam, lm in zip(lambdas, lms))
     return math.log10(mix)
 

@@ -80,6 +80,8 @@ def read_arpa(path: str | Path) -> BackoffLM:
                 raise ArpaError(path, lineno, f"bad section header {line!r}") from exc
             if current_k not in declared:
                 raise ArpaError(path, lineno, f"section {current_k} not declared in header")
+            if current_k in tables:
+                raise ArpaError(path, lineno, f"repeated section header {line!r}")
             tables[current_k] = {}
             state = "entries"
             continue

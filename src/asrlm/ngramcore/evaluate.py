@@ -65,6 +65,17 @@ def score_positions(position_log10_probs, oov_flags, sentences: int, oov_policy:
     )
 
 
+def require_unigrams(lm: BackoffLM, words, purpose: str) -> None:
+    """Raise ValueError naming the model's source when one of `words` has no
+    unigram, so scoring fails before its first position, not with a KeyError
+    inside `log_prob`."""
+    missing = [w for w in words if (w,) not in lm.ngrams(1)]
+    if missing:
+        source = lm.metadata.get("source", "model")
+        raise ValueError(f"{source}: no unigram entry for {', '.join(missing)}; "
+                         f"cannot score {purpose}")
+
+
 def perplexity(lm: BackoffLM, corpus: Corpus, oov_policy: str = "exclude") -> PerplexityReport:
     """Corpus perplexity. `exclude` skips OOV positions (counting them);
     `as_unk` scores them as `<unk>`.
@@ -74,12 +85,8 @@ def perplexity(lm: BackoffLM, corpus: Corpus, oov_policy: str = "exclude") -> Pe
     """
     if len(corpus) == 0:
         raise ValueError(f"corpus {corpus.id!r} is empty")
-    needed = (EOS, UNK) if oov_policy == "as_unk" else (EOS,)
-    missing = [w for w in needed if (w,) not in lm.ngrams(1)]
-    if missing:
-        source = lm.metadata.get("source", "model")
-        raise ValueError(f"{source}: no unigram entry for {', '.join(missing)}; "
-                         f"cannot score under oov_policy {oov_policy!r}")
+    require_unigrams(lm, (EOS, UNK) if oov_policy == "as_unk" else (EOS,),
+                     f"under oov_policy {oov_policy!r}")
     logps = []
     flags = []
     for history, token, is_oov in iter_positions(corpus, lm.vocab):

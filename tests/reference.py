@@ -118,6 +118,27 @@ def brute_edit_distance(ref, hyp):
     return prev[-1]
 
 
+def graphone_cond_prob(model, gid, history):
+    """p(gid | history) under interpolated absolute discounting, recomputed
+    from the model's expected counts by the defining recursion: at each
+    order, max(c - D, 0) / total + (back-off mass / total) * lower order, down
+    to a uniform distribution over the inventory plus the end marker."""
+    history = tuple(history)[-(model.order - 1):] if model.order > 1 else ()
+
+    def prob(ctx):
+        lower = prob(ctx[1:]) if ctx else 1.0 / (len(model.graphones) + 1)
+        table = model.counts.get(len(ctx) + 1, {})
+        in_ctx = [c for gram, c in table.items() if gram[:-1] == ctx]
+        total = sum(in_ctx)
+        if total <= 0.0:
+            return lower
+        mass = sum(min(model.discount, c) for c in in_ctx)
+        c = table.get(ctx + (gid,), 0.0)
+        return max(c - model.discount, 0.0) / total + mass / total * lower
+
+    return prob(history)
+
+
 def exhaustive_g2p(model, word):
     """Enumerate every graphone segmentation of `word`, score it with the
     model's own conditionals, and rank distinct pronunciations by their best

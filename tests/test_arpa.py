@@ -71,6 +71,19 @@ def test_missing_end_marker(tmp_path):
         read_arpa(p)
 
 
+def test_repeated_section_header_reports_line_number(tmp_path):
+    # The second unigram section alone matches the declared count; it must
+    # not silently replace the first.
+    p = tmp_path / "bad.arpa"
+    p.write_text(
+        "\\data\\\nngram 1=2\n\n\\1-grams:\n-0.3\ta\n\n"
+        "\\1-grams:\n-0.3\t</s>\n-0.4\tb\n\n\\end\\\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(ArpaError, match=r":7: repeated section header '\\\\1-grams:'"):
+        read_arpa(p)
+
+
 def test_malformed_entry_reports_line_number(tmp_path):
     p = tmp_path / "bad.arpa"
     p.write_text(

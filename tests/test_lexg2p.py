@@ -1,3 +1,4 @@
+import json
 import math
 import random
 
@@ -19,7 +20,7 @@ from asrlm.lexg2p import (
     save_lexicon,
     train_g2p,
 )
-from tests.reference import exhaustive_g2p
+from tests.reference import exhaustive_g2p, graphone_cond_prob
 
 
 def identity_lexicon(words):
@@ -143,14 +144,39 @@ def test_zero_iterations_returns_uniform_normalized_model():
 def test_model_conditionals_normalize_after_training():
     rng = random.Random(17)
     lex = random_lexicon(rng, n_words=8)
-    model = train_g2p(lex, order=2, em_iters=4)
-    n = len(model.graphones)
-    histories = [model.start_history()] + [
-        model.shift(model.start_history(), g) for g in range(min(n, 5))
-    ]
-    for hist in histories:
-        total = sum(model.cond_prob(g, hist) for g in range(n)) + model.cond_prob(-2, hist)
-        assert total == pytest.approx(1.0, abs=1e-9)
+    for order in (2, 3):
+        model = train_g2p(lex, order=order, em_iters=4)
+        n = len(model.graphones)
+        histories = [model.start_history()] + [
+            model.shift(model.start_history(), g) for g in range(min(n, 5))
+        ]
+        # Every seen top-order context, and unseen ones that back off.
+        histories += sorted({gram[:-1] for gram in model.counts[order]})
+        histories += [
+            model.shift(model.shift(model.start_history(), g), g) for g in range(min(n, 5))
+        ]
+        for hist in histories:
+            total = sum(model.cond_prob(g, hist) for g in range(n)) + model.cond_prob(-2, hist)
+            assert total == pytest.approx(1.0, abs=1e-9)
+
+
+def test_cond_prob_matches_reference_recursion():
+    rng = random.Random(29)
+    lex = random_lexicon(rng, n_words=8)
+    for order in (1, 2, 3):
+        model = train_g2p(lex, order=order, em_iters=3)
+        n = len(model.graphones)
+        # Every seen context at each order, padded to a full history, plus
+        # histories whose top-order context is unseen.
+        histories = {
+            model.start_history()[: order - len(gram)] + gram[:-1]
+            for table in model.counts.values() for gram in table
+        }
+        histories |= {model.shift(model.shift(model.start_history(), g), g) for g in range(n)}
+        for hist in sorted(histories):
+            for gid in list(range(n)) + [-2]:
+                assert model.cond_prob(gid, hist) == pytest.approx(
+                    graphone_cond_prob(model, gid, hist), rel=1e-12), (hist, gid)
 
 
 def test_unsegmentable_entries_reported_and_skipped():
@@ -199,6 +225,17 @@ def test_beam_matches_exhaustive_search():
             assert beam_out[0][0] == exact[0][0], f"word {word!r}"
             assert beam_out[0][1] == pytest.approx(exact[0][1], abs=1e-9)
     assert checked_small
+
+
+def test_beam_matches_exhaustive_search_at_order_3():
+    # Two history levels to back off over, and two-letter graphones.
+    rng = random.Random(31)
+    lex = random_lexicon(rng, n_words=10, alphabet="abc", phones=("P", "Q"))
+    model = train_g2p(lex, order=3, max_letters=2, max_phones=2, em_iters=3)
+    for word in sorted({w for w in lex.entries if len(w) <= 5}):
+        # Both sides add the same log10 conditionals in path order, so the
+        # n-best lists agree exactly.
+        assert apply_g2p(model, word, beam=100000, n_best=3) == exhaustive_g2p(model, word)[:3]
 
 
 def test_beam_scores_are_log10_of_sequence_probability():
@@ -251,6 +288,37 @@ def test_model_json_round_trip(tmp_path):
     assert again.log10_likelihood_trace == model.log10_likelihood_trace
     word = sorted(lex.entries)[0]
     assert apply_g2p(again, word, beam=50) == apply_g2p(model, word, beam=50)
+
+
+def _set_count(order, value):
+    def edit(payload):
+        payload["counts"][str(order)][0][1] = value
+    return edit
+
+
+@pytest.mark.parametrize("edit, message", [
+    pytest.param(lambda payload: payload.pop("counts"), "model file lacks counts", id="no-counts"),
+    pytest.param(_set_count(1, float("nan")), "count nan of 1-gram", id="nan-count"),
+    pytest.param(_set_count(2, float("inf")), "count inf of 2-gram", id="inf-count"),
+    pytest.param(_set_count(2, -0.5), "count -0.5 of 2-gram", id="negative-count"),
+    pytest.param(lambda payload: payload.update(discount=0.0), "discount 0.0 is outside",
+                 id="zero-discount"),
+    pytest.param(lambda payload: payload.update(discount=1.5), "discount 1.5 is outside",
+                 id="large-discount"),
+    pytest.param(lambda payload: payload.update(counts={"1": [[[0]]]}), "malformed counts",
+                 id="malformed-counts"),
+])
+def test_load_g2p_model_rejects_bad_files(tmp_path, edit, message):
+    model = train_g2p(identity_lexicon(["ab", "ba"]), order=2, max_letters=1,
+                      max_phones=1, em_iters=2)
+    p = tmp_path / "g2p.json"
+    save_g2p_model(model, p)
+    payload = json.loads(p.read_text(encoding="utf-8"))
+    edit(payload)
+    p.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(ValueError) as exc:
+        load_g2p_model(p)
+    assert str(exc.value).startswith(f"{p}: {message}")
 
 
 def test_train_g2p_validation():

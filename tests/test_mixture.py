@@ -174,3 +174,14 @@ def test_interpolation_weights_invariants():
         InterpolationWeights(lm_ids=("a",), lambdas=(0.5,), dev_log10_likelihood=0.0)
     with pytest.raises(ValueError):
         InterpolationWeights(lm_ids=("a", "b"), lambdas=(-0.1, 1.1), dev_log10_likelihood=0.0)
+
+
+def test_mixture_log_prob_reports_missing_unk_unigram():
+    vocab = Vocabulary(["a", "b"])
+    probs = {"a": 0.5, "b": 0.3, EOS: 0.1, UNK: 0.1}
+    closed = unigram_lm(probs, vocab, "closed")
+    del closed.tables[1][(UNK,)]
+    closed.metadata["source"] = "closed.arpa"
+    lms = [unigram_lm(probs, vocab, "open"), closed]
+    with pytest.raises(ValueError, match="^closed.arpa: no unigram entry for <unk>"):
+        mixture_log_prob(lms, [0.5, 0.5], "a")

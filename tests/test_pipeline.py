@@ -6,7 +6,13 @@ import pytest
 
 from asrlm.cli import main
 from asrlm.ngramcore import read_arpa
-from asrlm.pipeline import PipelineConfig, PipelineError, parse_config, run_lm_pipeline
+from asrlm.pipeline import (
+    PipelineConfig,
+    PipelineError,
+    parse_config,
+    run_lexicon_pipeline,
+    run_lm_pipeline,
+)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -229,6 +235,37 @@ def test_fixture_lm_artifacts_match_pinned_hashes(tmp_path, monkeypatch):
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
 
+# SHA-256s of the fixture pipeline's lexica, and of its G2P model's payload
+# re-serialized with sorted keys and no indentation, so the pin holds the
+# model's values and not the file's whitespace.
+PINNED_LEXICON_ARTIFACTS = {
+    "training_lexicon.tsv": "6a4fa6df635d2e89ba4f1752fbf98ff2dd11d58be9129f791778ade8ed4a0894",
+    "recognition_lexicon.tsv": "5eec6df24ce31168e082273d01b6ea96b1a73eb16966232f5b098b9e00c95063",
+    "g2p_model.json": "ff61a3127ec2a79390d67b1c0881b52daa7380b47559c7dca6a98c976165dc66",
+}
+
+
+def test_fixture_lexicon_artifacts_match_pinned_hashes(tmp_path, monkeypatch):
+    monkeypatch.chdir(FIXTURES.parent)
+    run_lexicon_pipeline(parse_config(FIXTURES / "pipeline.cfg", [f"out_dir={tmp_path}"]))
+    for name, digest in PINNED_LEXICON_ARTIFACTS.items():
+        data = (tmp_path / name).read_bytes()
+        if name.endswith(".json"):
+            data = json.dumps(json.loads(data), sort_keys=True).encode("utf-8")
+        assert hashlib.sha256(data).hexdigest() == digest, name
+
+
+def test_cli_g2p_apply_reports_bad_model(tmp_path, capsys):
+    model = tmp_path / "g2p.json"
+    model.write_text('{"format": "graphone-ngram-v1", "order": 2}', encoding="utf-8")
+    words = tmp_path / "words.txt"
+    words.write_text("ab\n", encoding="utf-8")
+    assert main(["g2p", "apply", "--model", str(model), "--words", str(words)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {model}: model file lacks max_letters, ")
+    assert "counts" in err
+
+
 @pytest.mark.parametrize("unigrams, policy, missing", [
     ("-0.3\ta\n-0.3\t</s>\n", "as_unk", "<unk>"),
     ("-0.3\ta\n-0.3\tb\n", "exclude", "</s>"),
@@ -242,3 +279,26 @@ def test_cli_ppl_reports_missing_unigram(tmp_path, capsys, unigrams, policy, mis
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {model}: no unigram entry for {missing}")
+
+
+@pytest.mark.parametrize("command", ["em", "ppl", "merge"])
+def test_cli_mix_reports_missing_unk_unigram(tmp_path, capsys, command):
+    models = []
+    for name in ("one", "two"):
+        model = tmp_path / f"{name}.arpa"
+        model.write_text("\\data\\\nngram 1=3\n\n\\1-grams:\n-0.3\ta\n-0.5\tb\n-0.4\t</s>\n"
+                         "\n\\end\\\n", encoding="utf-8")
+        models.append(str(model))
+    corpus = write_corpus(tmp_path / "dev.txt", "a b\na z\n")
+    weights = tmp_path / "weights.tsv"
+    weights.write_text(f"{models[0]}\t0.5\n{models[1]}\t0.5\n", encoding="utf-8")
+    if command == "em":
+        argv = ["mix", "em", "--lms", *models, "--dev", corpus, "--out", str(weights)]
+    elif command == "ppl":
+        argv = ["mix", "ppl", "--lms", *models, "--weights", str(weights), "--corpus", corpus]
+    else:
+        argv = ["mix", "merge", "--lms", *models, "--weights", str(weights),
+                "--out", str(tmp_path / "merged.arpa")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {models[0]}: no unigram entry for <unk>")
