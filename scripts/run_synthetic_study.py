@@ -10,7 +10,6 @@ is deterministic; rerunning prints identical numbers.
 from __future__ import annotations
 
 import sys
-import warnings
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -39,12 +38,10 @@ def main() -> None:
     print(f"vocabulary: {len(vocab)} words; "
           f"dev OOV {100 * oov_rate(vocab, dev):.2f}%, test OOV {100 * oov_rate(vocab, test):.2f}%")
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        lms = [
-            train_mkn(counts, estimate_discounts(counts))
-            for counts in (count_ngrams(c, ORDER, vocab) for c in corpora)
-        ]
+    lms = [
+        train_mkn(counts, estimate_discounts(counts))
+        for counts in (count_ngrams(c, ORDER, vocab) for c in corpora)
+    ]
     print(f"\nper-corpus {ORDER}-gram dev/test perplexity:")
     for corpus, lm in zip(corpora, lms):
         print(f"  {corpus.id:<10} dev {perplexity(lm, dev).ppl:8.2f}   "

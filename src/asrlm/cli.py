@@ -26,7 +26,9 @@ from asrlm.ngramcore import (
 )
 from asrlm.pipeline import PipelineError, parse_config, run_dialect_pipeline, run_lexicon_pipeline, run_lm_pipeline
 from asrlm.pruner import prune_entropy
-from asrlm.textcorpus import Vocabulary, build_vocabulary, load_corpus, save_corpus, word_frequencies
+from asrlm.textcorpus import (
+    Vocabulary, build_vocabulary, load_corpus, save_corpus, word_frequencies, write_text_atomic,
+)
 
 
 def _load(args, path, corpus_id=None):
@@ -44,11 +46,6 @@ def _vocab_for(args, corpora):
     return build_vocabulary(corpora, min_count=args.min_count, max_size=args.max_size)
 
 
-def _train(args, corpus, vocab):
-    counts = count_ngrams(corpus, args.order, vocab)
-    return train_mkn(counts, estimate_discounts(counts))
-
-
 def cmd_corpus_stats(args) -> int:
     for path in args.paths:
         corpus = _load(args, path)
@@ -63,10 +60,10 @@ def cmd_lm_count(args) -> int:
     corpus = _load(args, args.corpus)
     vocab = _vocab_for(args, [corpus])
     table = count_ngrams(corpus, args.order, vocab)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        for k in range(1, table.order + 1):
-            for gram in sorted(table.counts[k]):
-                fh.write(f"{k}\t{' '.join(gram)}\t{table.counts[k][gram]}\n")
+    write_text_atomic(args.out, "".join(
+        f"{k}\t{' '.join(gram)}\t{table.counts[k][gram]}\n"
+        for k in range(1, table.order + 1) for gram in sorted(table.counts[k])
+    ))
     print(f"wrote counts for orders 1..{table.order} to {args.out}")
     return 0
 
@@ -74,7 +71,8 @@ def cmd_lm_count(args) -> int:
 def cmd_lm_train(args) -> int:
     corpus = _load(args, args.corpus)
     vocab = _vocab_for(args, [corpus])
-    lm = _train(args, corpus, vocab)
+    counts = count_ngrams(corpus, args.order, vocab)
+    lm = train_mkn(counts, estimate_discounts(counts))
     write_arpa(lm, args.out)
     sizes = " ".join(f"{k}:{n}" for k, n in sorted(lm.size_by_order().items()))
     print(f"trained {args.order}-gram on {corpus.id} ({sizes}) -> {args.out}")
@@ -133,7 +131,7 @@ def cmd_prune(args) -> int:
     write_arpa(pruned, args.out)
     text = report.format()
     if args.report:
-        Path(args.report).write_text(text, encoding="utf-8")
+        write_text_atomic(args.report, text)
     print(text, end="")
     return 0
 
@@ -237,7 +235,7 @@ def cmd_score(args, character_level: bool) -> int:
     report = scorer.cer(refs, hyps) if character_level else scorer.wer(refs, hyps)
     text = scorer.format_report(report, "cer" if character_level else "wer")
     if args.report:
-        Path(args.report).write_text(text, encoding="utf-8")
+        write_text_atomic(args.report, text)
     print(text, end="")
     return 0
 
@@ -246,14 +244,15 @@ def cmd_pipeline_run(args) -> int:
     config = parse_config(args.config, overrides=args.set or [])
     if args.out_dir:
         config = dataclasses.replace(config, out_dir=args.out_dir)
-    artifacts = run_lm_pipeline(config)
+    out_dir = Path(config.out_dir)
+    paths = list(run_lm_pipeline(config).values())
     if config.seed_lexicon:
-        sub = dataclasses.replace(config, out_dir=str(Path(config.out_dir) / "lexicon"))
-        artifacts |= run_lexicon_pipeline(sub)
+        sub = dataclasses.replace(config, out_dir=str(out_dir / "lexicon"))
+        paths += run_lexicon_pipeline(sub).values()
     if config.mapping:
-        sub = dataclasses.replace(config, out_dir=str(Path(config.out_dir) / "dialect"))
-        artifacts |= run_dialect_pipeline(sub)
-    for name in sorted(artifacts):
+        sub = dataclasses.replace(config, out_dir=str(out_dir / "dialect"))
+        paths += run_dialect_pipeline(sub).values()
+    for name in sorted(path.relative_to(out_dir).as_posix() for path in paths):
         print(f"artifact {name}")
     print(f"pipeline complete: {config.out_dir}")
     return 0

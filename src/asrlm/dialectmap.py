@@ -2,14 +2,15 @@
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from asrlm.mixture import em_weights, perplexity_mixture
 from asrlm.ngramcore import count_ngrams, estimate_discounts, perplexity, train_mkn
 from asrlm.ngramcore.evaluate import PerplexityReport
-from asrlm.textcorpus import Corpus, Vocabulary, build_vocabulary, word_frequencies
+from asrlm.textcorpus import (
+    Corpus, Vocabulary, build_vocabulary, concatenate, word_frequencies, write_text_atomic,
+)
 
 
 class MappingError(ValueError):
@@ -62,7 +63,7 @@ def save_mapping(table: MappingTable, path: str | Path) -> None:
         note = table.notes.get(src)
         suffix = f"\t{note}" if note else ""
         lines.append(f"{src}\t{table.pairs[src]}{suffix}\n")
-    Path(path).write_text("".join(lines), encoding="utf-8")
+    write_text_atomic(path, "".join(lines))
 
 
 def select_candidates(
@@ -105,24 +106,14 @@ class DialectEvalConfig:
 
 def _train_and_score(train_corpora: list[Corpus], dev: Corpus, cfg: DialectEvalConfig) -> PerplexityReport:
     vocab = build_vocabulary(train_corpora, min_count=cfg.min_count, max_size=cfg.max_size)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        lms = [
-            train_mkn(counts, estimate_discounts(counts))
-            for counts in (count_ngrams(c, cfg.order, vocab) for c in train_corpora)
-        ]
-    if len(lms) == 1 or not cfg.interpolate:
-        if len(lms) > 1:
-            merged_corpus = Corpus(
-                id="all", sentences=tuple(s for c in train_corpora for s in c.sentences)
-            )
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                counts = count_ngrams(merged_corpus, cfg.order, vocab)
-                lm = train_mkn(counts, estimate_discounts(counts))
-        else:
-            lm = lms[0]
-        return perplexity(lm, dev, oov_policy=cfg.oov_policy)
+    if not cfg.interpolate:
+        train_corpora = [concatenate("all", train_corpora)]
+    lms = [
+        train_mkn(counts, estimate_discounts(counts))
+        for counts in (count_ngrams(c, cfg.order, vocab) for c in train_corpora)
+    ]
+    if len(lms) == 1:
+        return perplexity(lms[0], dev, oov_policy=cfg.oov_policy)
     weights = em_weights(lms, dev, tol=cfg.em_tol, max_iter=cfg.em_max_iter)
     return perplexity_mixture(lms, weights, dev, oov_policy=cfg.oov_policy)
 

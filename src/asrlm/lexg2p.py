@@ -17,6 +17,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
 
+from asrlm.textcorpus import write_text_atomic
+
 log = logging.getLogger(__name__)
 
 BOS_ID = -1
@@ -97,7 +99,7 @@ def save_lexicon(lexicon: Lexicon, path: str | Path) -> None:
     for word in sorted(lexicon.entries):
         for pron in lexicon.entries[word]:
             lines.append(f"{word}\t{' '.join(pron)}\n")
-    Path(path).write_text("".join(lines), encoding="utf-8")
+    write_text_atomic(path, "".join(lines))
 
 
 def load_inventory(path: str | Path) -> frozenset[str]:
@@ -621,7 +623,7 @@ def save_g2p_model(model: JointSequenceModel, path: str | Path) -> None:
         "log10_likelihood_trace": list(model.log10_likelihood_trace),
         "training_report": model.training_report,
     }
-    Path(path).write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")
+    write_text_atomic(path, json.dumps(payload, sort_keys=True))
 
 
 _MODEL_KEYS = ("order", "max_letters", "max_phones", "min_letters", "min_phones", "discount",

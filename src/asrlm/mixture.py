@@ -20,7 +20,7 @@ from asrlm.ngramcore.model import (
     memoized_log_prob,
     rebuild_backoffs,
 )
-from asrlm.textcorpus import BOS, EOS, UNK, Corpus
+from asrlm.textcorpus import BOS, EOS, UNK, Corpus, write_text_atomic
 
 WEIGHT_FILE_TOLERANCE = 1e-6
 
@@ -247,7 +247,7 @@ def static_merge_divergence(
 
 def save_weights(weights: InterpolationWeights, path: str | Path) -> None:
     lines = [f"{lm_id}\t{lam!r}\n" for lm_id, lam in zip(weights.lm_ids, weights.lambdas)]
-    Path(path).write_text("".join(lines), encoding="utf-8")
+    write_text_atomic(path, "".join(lines))
 
 
 def load_weights(path: str | Path) -> InterpolationWeights:

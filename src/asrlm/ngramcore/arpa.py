@@ -12,7 +12,7 @@ import math
 from pathlib import Path
 
 from asrlm.ngramcore.model import BackoffLM, Entry, NGram
-from asrlm.textcorpus import EOS, Vocabulary
+from asrlm.textcorpus import EOS, Vocabulary, write_text_atomic
 
 
 class ArpaError(ValueError):
@@ -45,7 +45,7 @@ def write_arpa(lm: BackoffLM, path: str | Path) -> None:
             lines.append(line)
         lines.append("")
     lines.append("\\end\\")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_text_atomic(path, "\n".join(lines) + "\n")
 
 
 def read_arpa(path: str | Path) -> BackoffLM:

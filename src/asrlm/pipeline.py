@@ -12,7 +12,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import warnings
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -33,7 +32,7 @@ from asrlm.ngramcore import (
     write_arpa,
 )
 from asrlm.pruner import prune_entropy
-from asrlm.textcorpus import build_vocabulary, load_corpus, word_frequencies
+from asrlm.textcorpus import build_vocabulary, load_corpus, word_frequencies, write_text_atomic
 
 
 class PipelineError(RuntimeError):
@@ -164,35 +163,94 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def _lock_is_stale(lock: Path) -> bool:
+    """True when `lock` names a PID that no longer exists; anything else is held."""
+    try:
+        os.kill(int(lock.read_text(encoding="ascii")), 0)
+    except ProcessLookupError:
+        return True
+    except (OSError, ValueError, OverflowError):
+        pass  # unreadable, not a PID, or a live process of another user
+    return False
+
+
 class _Run:
-    """Tracks stages and artifacts and writes the manifest."""
+    """One sub-pipeline run: `with _Run(config) as run:`.
+
+    Entering validates the config, creates `out_dir` and takes its lock. The
+    body opens each stage with `begin` and writes artifacts through `path` or
+    `write`; `result` writes the `ok` manifest. An exception inside a stage
+    writes the `failed` manifest and surfaces as a PipelineError for that
+    stage. The lock is removed on every way out.
+    """
 
     def __init__(self, config: PipelineConfig):
         self.config = config
         self.out_dir = Path(config.out_dir)
+        self.lock = self.out_dir / ".lock"
+        self.stage = ""
         self.stages: list[str] = []
         self.artifacts: list[str] = []
 
-    def artifact_path(self, name: str) -> Path:
+    def __enter__(self) -> "_Run":
+        self.config.validate()
+        self.out_dir.mkdir(parents=True, exist_ok=True)
+        for attempt in range(2):  # a stale lock is removed and taken once more
+            try:
+                fd = os.open(self.lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+                break
+            except FileExistsError:
+                if attempt or not _lock_is_stale(self.lock):
+                    raise PipelineError(
+                        "lock", f"{self.lock} exists; another run owns {self.out_dir}")
+                self.lock.unlink(missing_ok=True)
+        os.write(fd, str(os.getpid()).encode())
+        os.close(fd)
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        try:
+            if isinstance(exc, Exception) and not isinstance(exc, PipelineError):
+                self.write_manifest("failed", failed_stage=self.stage)
+                raise PipelineError(self.stage, str(exc)) from exc
+        finally:
+            self.lock.unlink(missing_ok=True)
+
+    def begin(self, stage: str) -> None:
+        """Mark the current stage complete and open `stage`."""
+        if self.stage:
+            self.stages.append(self.stage)
+        self.stage = stage
+
+    def load(self, path: str, corpus_id: str):
+        return load_corpus(path, lowercase=self.config.lowercase,
+                           strip_punct=self.config.strip_punct, corpus_id=corpus_id)
+
+    def corpora(self) -> list:
+        return [self.load(path, cid) for cid, path in self.config.corpora]
+
+    def path(self, name: str) -> Path:
         self.artifacts.append(name)
         return self.out_dir / name
 
-    def parameters(self) -> dict:
-        params = {}
-        for f in fields(PipelineConfig):
-            if f.name == "out_dir":
-                continue  # self-referential, not an input
-            value = getattr(self.config, f.name)
-            if f.name == "corpora":
-                value = [list(pair) for pair in value]
-            params[f.name] = value
-        return params
+    def write(self, name: str, text: str) -> None:
+        write_text_atomic(self.path(name), text)
+
+    def result(self) -> dict[str, Path]:
+        """Complete the last stage, write the `ok` manifest; returns name -> path."""
+        self.stages.append(self.stage)
+        self.write_manifest("ok")
+        return {name: self.out_dir / name for name in self.artifacts + ["manifest.json"]}
 
     def write_manifest(self, status: str, failed_stage: str | None = None) -> None:
+        # out_dir is self-referential, not an input.
+        params = {f.name: getattr(self.config, f.name)
+                  for f in fields(PipelineConfig) if f.name != "out_dir"}
+        params["corpora"] = [list(pair) for pair in self.config.corpora]
         manifest = {
             "status": status,
             "seed": self.config.seed,
-            "parameters": self.parameters(),
+            "parameters": params,
             "inputs": {
                 name: _sha256(Path(path))
                 for name, path in sorted(self.config.input_paths().items())
@@ -207,7 +265,7 @@ class _Run:
         if failed_stage:
             manifest["failed_stage"] = failed_stage
         payload = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-        (self.out_dir / "manifest.json").write_text(payload, encoding="utf-8")
+        write_text_atomic(self.out_dir / "manifest.json", payload)
 
 
 def _ppl_line(model_id: str, eval_id: str, report) -> str:
@@ -219,49 +277,25 @@ def _ppl_line(model_id: str, eval_id: str, report) -> str:
 
 def run_lm_pipeline(config: PipelineConfig) -> dict[str, Path]:
     """Train, combine, prune and evaluate; returns artifact name -> path."""
-    config.validate()
-    out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    lock = out_dir / ".lock"
-    try:
-        fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-    except FileExistsError:
-        raise PipelineError("lock", f"{lock} exists; another run owns {out_dir}")
-    os.write(fd, str(os.getpid()).encode())
-    os.close(fd)
-    run = _Run(config)
-    stage = "load"
-    try:
-        corpora = [
-            load_corpus(path, lowercase=config.lowercase, strip_punct=config.strip_punct,
-                        corpus_id=cid)
-            for cid, path in config.corpora
-        ]
-        dev = load_corpus(config.dev, lowercase=config.lowercase,
-                          strip_punct=config.strip_punct, corpus_id="dev")
-        test = None
-        if config.test:
-            test = load_corpus(config.test, lowercase=config.lowercase,
-                               strip_punct=config.strip_punct, corpus_id="test")
-        run.stages.append(stage)
+    with _Run(config) as run:
+        run.begin("load")
+        corpora = run.corpora()
+        dev = run.load(config.dev, "dev")
+        test = run.load(config.test, "test") if config.test else None
 
-        stage = "vocab"
+        run.begin("vocab")
         vocab = build_vocabulary(corpora, min_count=config.min_count, max_size=config.max_size)
-        vocab.save(run.artifact_path("vocab.txt"))
-        run.stages.append(stage)
+        vocab.save(run.path("vocab.txt"))
 
-        stage = "train"
+        run.begin("train")
         lms = []
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            for corpus in corpora:
-                counts = count_ngrams(corpus, config.order, vocab)
-                lm = train_mkn(counts, estimate_discounts(counts))
-                write_arpa(lm, run.artifact_path(f"lm.{corpus.id}.arpa"))
-                lms.append(lm)
-        run.stages.append(stage)
+        for corpus in corpora:
+            counts = count_ngrams(corpus, config.order, vocab)
+            lm = train_mkn(counts, estimate_discounts(counts))
+            write_arpa(lm, run.path(f"lm.{corpus.id}.arpa"))
+            lms.append(lm)
 
-        stage = "weights"
+        run.begin("weights")
         if len(lms) > 1:
             weights = em_weights(lms, dev, tol=config.em_tol, max_iter=config.em_max_iter)
         else:
@@ -269,23 +303,20 @@ def run_lm_pipeline(config: PipelineConfig) -> dict[str, Path]:
                 lm_ids=(corpora[0].id,), lambdas=(1.0,),
                 dev_log10_likelihood=float("nan"),
             )
-        save_weights(weights, run.artifact_path("weights.tsv"))
-        run.stages.append(stage)
+        save_weights(weights, run.path("weights.tsv"))
 
-        stage = "merge"
+        run.begin("merge")
         combined = interpolate_static(lms, weights)
-        write_arpa(combined, run.artifact_path("lm.combined.arpa"))
-        run.stages.append(stage)
+        write_arpa(combined, run.path("lm.combined.arpa"))
 
-        stage = "prune"
+        run.begin("prune")
         final_lm = combined
         if config.theta is not None:
             final_lm, report = prune_entropy(combined, config.theta)
-            write_arpa(final_lm, run.artifact_path("lm.pruned.arpa"))
-            run.artifact_path("prune_report.txt").write_text(report.format(), encoding="utf-8")
-        run.stages.append(stage)
+            write_arpa(final_lm, run.path("lm.pruned.arpa"))
+            run.write("prune_report.txt", report.format())
 
-        stage = "evaluate"
+        run.begin("evaluate")
         eval_sets = [("dev", dev)] + ([("test", test)] if test is not None else [])
         ppl_lines = ["model\teval\tsentences\tscored\toov\tlog10_sum\tppl\n"]
         scored_models = [(corpus.id, lm) for corpus, lm in zip(corpora, lms)]
@@ -300,45 +331,24 @@ def run_lm_pipeline(config: PipelineConfig) -> dict[str, Path]:
             if len(lms) > 1:
                 mix_report = perplexity_mixture(lms, weights, corpus, config.oov_policy)
                 ppl_lines.append(_ppl_line("mixture", eval_id, mix_report))
-        run.artifact_path("ppl_report.tsv").write_text("".join(ppl_lines), encoding="utf-8")
+        run.write("ppl_report.tsv", "".join(ppl_lines))
         oov_lines = ["eval\toov_rate\n"]
         for eval_id, corpus in eval_sets:
             oov_lines.append(f"{eval_id}\t{oov_rate(vocab, corpus):.8f}\n")
-        run.artifact_path("oov_report.tsv").write_text("".join(oov_lines), encoding="utf-8")
-        run.stages.append(stage)
-
-        run.write_manifest("ok")
-        return {name: out_dir / name for name in run.artifacts} | {
-            "manifest.json": out_dir / "manifest.json"
-        }
-    except PipelineError:
-        raise
-    except Exception as exc:
-        run.write_manifest("failed", failed_stage=stage)
-        raise PipelineError(stage, str(exc)) from exc
-    finally:
-        lock.unlink(missing_ok=True)
+        run.write("oov_report.tsv", "".join(oov_lines))
+        return run.result()
 
 
 def run_lexicon_pipeline(config: PipelineConfig) -> dict[str, Path]:
     """Train G2P on the seed lexicon, extend with corpus OOV words, merge addon."""
-    config.validate()
     if not config.seed_lexicon:
         raise PipelineError("lexicon-load", "seed_lexicon is required")
-    out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    run = _Run(config)
-    stage = "lexicon-load"
-    try:
+    with _Run(config) as run:
+        run.begin("lexicon-load")
         seed = lexg2p.load_lexicon(config.seed_lexicon)
-        corpora = [
-            load_corpus(path, lowercase=config.lowercase, strip_punct=config.strip_punct,
-                        corpus_id=cid)
-            for cid, path in config.corpora
-        ]
-        run.stages.append(stage)
+        corpora = run.corpora()
 
-        stage = "g2p-train"
+        run.begin("g2p-train")
         model = lexg2p.train_g2p(
             seed,
             order=config.g2p_order,
@@ -346,10 +356,9 @@ def run_lexicon_pipeline(config: PipelineConfig) -> dict[str, Path]:
             max_phones=config.g2p_max_phones,
             em_iters=config.g2p_em_iters,
         )
-        lexg2p.save_g2p_model(model, run.artifact_path("g2p_model.json"))
-        run.stages.append(stage)
+        lexg2p.save_g2p_model(model, run.path("g2p_model.json"))
 
-        stage = "extend"
+        run.begin("extend")
         if config.word_list:
             wanted = [w for w in Path(config.word_list).read_text(encoding="utf-8").split() if w]
         else:
@@ -360,18 +369,16 @@ def run_lexicon_pipeline(config: PipelineConfig) -> dict[str, Path]:
             wanted = [w for w, _ in sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))]
         missing = [w for w in wanted if w not in seed.entries]
         extended, report = lexg2p.extend_lexicon(seed, missing, model, beam=config.g2p_beam)
-        lexg2p.save_lexicon(extended, run.artifact_path("training_lexicon.tsv"))
-        run.stages.append(stage)
+        lexg2p.save_lexicon(extended, run.path("training_lexicon.tsv"))
 
-        stage = "merge-addon"
+        run.begin("merge-addon")
         final = extended
         if config.medical_lexicon:
             addon = lexg2p.load_lexicon(config.medical_lexicon)
             final = lexg2p.merge_lexicons(extended, addon, policy="union")
-        lexg2p.save_lexicon(final, run.artifact_path("recognition_lexicon.tsv"))
-        run.stages.append(stage)
+        lexg2p.save_lexicon(final, run.path("recognition_lexicon.tsv"))
 
-        stage = "lexicon-report"
+        run.begin("lexicon-report")
         lines = [
             f"seed_entries\t{len(seed)}",
             f"extended_entries\t{len(extended)}",
@@ -386,42 +393,21 @@ def run_lexicon_pipeline(config: PipelineConfig) -> dict[str, Path]:
             lines.append("")
             lines.append("failures:")
             lines.extend(f"{w}\t{why}" for w, why in sorted(report.failed.items()))
-        run.artifact_path("lexicon_report.txt").write_text(
-            "\n".join(lines) + "\n", encoding="utf-8"
-        )
-        run.stages.append(stage)
-        run.write_manifest("ok")
-        return {name: out_dir / name for name in run.artifacts} | {
-            "manifest.json": out_dir / "manifest.json"
-        }
-    except PipelineError:
-        raise
-    except Exception as exc:
-        run.write_manifest("failed", failed_stage=stage)
-        raise PipelineError(stage, str(exc)) from exc
+        run.write("lexicon_report.txt", "\n".join(lines) + "\n")
+        return run.result()
 
 
 def run_dialect_pipeline(config: PipelineConfig) -> dict[str, Path]:
     """Before/after perplexity (and optional WER) for a dialect mapping."""
-    config.validate()
     if not config.mapping:
         raise PipelineError("dialect-load", "mapping file is required")
-    out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    run = _Run(config)
-    stage = "dialect-load"
-    try:
+    with _Run(config) as run:
+        run.begin("dialect-load")
         table = dialectmap.load_mapping(config.mapping)
-        corpora = [
-            load_corpus(path, lowercase=config.lowercase, strip_punct=config.strip_punct,
-                        corpus_id=cid)
-            for cid, path in config.corpora
-        ]
-        dev = load_corpus(config.dev, lowercase=config.lowercase,
-                          strip_punct=config.strip_punct, corpus_id="dev")
-        run.stages.append(stage)
+        corpora = run.corpora()
+        dev = run.load(config.dev, "dev")
 
-        stage = "dialect-eval"
+        run.begin("dialect-eval")
         cfg = dialectmap.DialectEvalConfig(
             order=config.order,
             interpolate=len(corpora) > 1,
@@ -439,11 +425,10 @@ def run_dialect_pipeline(config: PipelineConfig) -> dict[str, Path]:
                 f"{cond}\t{report.sentences}\t{report.scored_tokens}\t{report.oov_tokens}\t"
                 f"{report.log10_prob_sum:.6f}\t{report.ppl:.6f}\n"
             )
-        run.artifact_path("dialect_ppl.tsv").write_text("".join(lines), encoding="utf-8")
-        run.stages.append(stage)
+        run.write("dialect_ppl.tsv", "".join(lines))
 
         if config.refs and config.hyps:
-            stage = "dialect-score"
+            run.begin("dialect-score")
             refs = scorer.read_trn(config.refs)
             hyps = scorer.read_trn(config.hyps)
             mapped_refs = {
@@ -453,15 +438,5 @@ def run_dialect_pipeline(config: PipelineConfig) -> dict[str, Path]:
             out = ["references\twer%\n"]
             out.append(f"original\t{100.0 * scorer.wer(refs, hyps).wer:.4f}\n")
             out.append(f"mapped\t{100.0 * scorer.wer(mapped_refs, hyps).wer:.4f}\n")
-            run.artifact_path("dialect_wer.tsv").write_text("".join(out), encoding="utf-8")
-            run.stages.append(stage)
-
-        run.write_manifest("ok")
-        return {name: out_dir / name for name in run.artifacts} | {
-            "manifest.json": out_dir / "manifest.json"
-        }
-    except PipelineError:
-        raise
-    except Exception as exc:
-        run.write_manifest("failed", failed_stage=stage)
-        raise PipelineError(stage, str(exc)) from exc
+            run.write("dialect_wer.tsv", "".join(out))
+        return run.result()

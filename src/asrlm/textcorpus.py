@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import unicodedata
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -81,10 +82,35 @@ def load_corpus(
     return Corpus(id=corpus_id or path.stem, sentences=tuple(sentences))
 
 
+def write_text_atomic(path: str | Path, text: str) -> None:
+    """Write `text` as UTF-8 so that a killed process never leaves `path` half written.
+
+    The text goes to a hidden sibling temp file that then replaces `path`; the
+    new file gets the umask's mode. A symlink, or an existing target that is
+    not a regular file (such as `/dev/stdout`), is written in place instead.
+    """
+    path = Path(path)
+    if path.is_symlink() or (path.exists() and not path.is_file()):
+        path.write_text(text, encoding="utf-8", newline="")
+        return
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        fh = open(tmp, "x", encoding="utf-8", newline="")
+    except OSError as exc:  # name the target, not the temp file
+        raise OSError(exc.errno, exc.strerror, str(path)) from None
+    try:
+        with fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def save_corpus(corpus: Corpus, path: str | Path) -> None:
     """Write one sentence per line, single-space separated, LF endings."""
     text = "".join(" ".join(s) + "\n" for s in corpus.sentences)
-    Path(path).write_text(text, encoding="utf-8")
+    write_text_atomic(path, text)
 
 
 def concatenate(corpus_id: str, corpora: list[Corpus]) -> Corpus:
@@ -153,7 +179,7 @@ class Vocabulary:
         return token if token in self._index else UNK
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text("".join(w + "\n" for w in self._words), encoding="utf-8")
+        write_text_atomic(path, "".join(w + "\n" for w in self._words))
 
     @classmethod
     def load(cls, path: str | Path) -> "Vocabulary":

@@ -12,7 +12,8 @@ from asrlm.dialectmap import (
     save_mapping,
     select_candidates,
 )
-from asrlm.textcorpus import Corpus, Vocabulary
+from asrlm.ngramcore import count_ngrams, estimate_discounts, perplexity, train_mkn
+from asrlm.textcorpus import Corpus, Vocabulary, build_vocabulary, concatenate
 from tests.conftest import corpus_of
 
 
@@ -117,6 +118,14 @@ def test_mapped_lm_eval_without_interpolation():
     cfg = DialectEvalConfig(order=2, interpolate=False)
     before, after = mapped_lm_eval(train, dev, table, cfg)
     assert after.ppl < before.ppl
+
+
+def test_mapped_lm_eval_without_interpolation_trains_one_concatenated_lm():
+    train, dev, table = synthetic_dialect_setup()
+    cfg = DialectEvalConfig(order=2, interpolate=False)
+    before, _ = mapped_lm_eval(train, dev, table, cfg)
+    counts = count_ngrams(concatenate("all", train), 2, build_vocabulary(train))
+    assert before == perplexity(train_mkn(counts, estimate_discounts(counts)), dev)
 
 
 def test_mapped_lm_eval_keep_raw_dev():

@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -10,6 +13,7 @@ from asrlm.pipeline import (
     PipelineConfig,
     PipelineError,
     parse_config,
+    run_dialect_pipeline,
     run_lexicon_pipeline,
     run_lm_pipeline,
 )
@@ -145,6 +149,57 @@ def test_pipeline_lock_prevents_concurrent_runs(small_setup):
         run_lm_pipeline(config)
 
 
+def _reaped_child_pid() -> int:
+    child = subprocess.Popen([sys.executable, "-c", "pass"])
+    child.wait()
+    return child.pid
+
+
+def test_pipeline_takes_over_lock_of_dead_process(small_setup):
+    c1, _, dev, tmp = small_setup
+    out = tmp / "stale"
+    out.mkdir()
+    (out / ".lock").write_text(str(_reaped_child_pid()), encoding="utf-8")
+    run_lm_pipeline(PipelineConfig(corpora=(("a", c1),), dev=dev, out_dir=str(out)))
+    assert json.loads((out / "manifest.json").read_text(encoding="utf-8"))["status"] == "ok"
+    assert not (out / ".lock").exists()
+
+
+def test_pipeline_lock_of_live_process_blocks(small_setup):
+    c1, _, dev, tmp = small_setup
+    out = tmp / "live"
+    out.mkdir()
+    (out / ".lock").write_text(str(os.getpid()), encoding="utf-8")
+    with pytest.raises(PipelineError, match="lock"):
+        run_lm_pipeline(PipelineConfig(corpora=(("a", c1),), dev=dev, out_dir=str(out)))
+    assert (out / ".lock").read_text(encoding="utf-8") == str(os.getpid())
+    assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("runner", [run_lexicon_pipeline, run_dialect_pipeline])
+def test_lexicon_and_dialect_pipelines_refuse_held_lock(tmp_path, monkeypatch, runner):
+    monkeypatch.chdir(FIXTURES.parent)
+    (tmp_path / ".lock").write_text("held", encoding="utf-8")
+    with pytest.raises(PipelineError, match="lock"):
+        runner(parse_config(FIXTURES / "pipeline.cfg", [f"out_dir={tmp_path}"]))
+    assert sorted(p.name for p in tmp_path.iterdir()) == [".lock"]
+
+
+def test_no_lock_or_temp_file_remains_after_runs(small_setup, tmp_path):
+    c1, _, dev, tmp = small_setup
+    ok = tmp / "ok"
+    run_lm_pipeline(PipelineConfig(corpora=(("a", c1),), dev=dev, theta=1e-3, out_dir=str(ok)))
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"\xff\xfe broken\n")
+    failed = tmp / "failed"
+    with pytest.raises(PipelineError, match="load"):
+        run_lm_pipeline(PipelineConfig(corpora=(("bad", str(bad)),), dev=dev,
+                                       out_dir=str(failed)))
+    for out in (ok, failed):
+        hidden = [p.name for p in out.iterdir() if p.name.startswith(".")]
+        assert hidden == [], out
+
+
 def test_cli_lm_train_and_ppl(small_setup, capsys):
     c1, _, dev, tmp = small_setup
     arpa = str(tmp / "m.arpa")
@@ -210,6 +265,21 @@ def test_cli_fixture_pipeline_smoke(tmp_path):
     ])
     # corpus.news override duplicates the id from the config file.
     assert code == 1
+
+
+def test_cli_pipeline_run_lists_paths_relative_to_out_dir(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(FIXTURES.parent)
+    out = tmp_path / "out"
+    code = main(["pipeline", "run", "--config", str(FIXTURES / "pipeline.cfg"),
+                 "--out-dir", str(out)])
+    assert code == 0
+    listed = [line.split(" ", 1)[1] for line in capsys.readouterr().out.splitlines()
+              if line.startswith("artifact ")]
+    for manifest in ("manifest.json", "lexicon/manifest.json", "dialect/manifest.json"):
+        assert manifest in listed
+    assert "lexicon/g2p_model.json" in listed
+    on_disk = sorted(p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file())
+    assert listed == on_disk
 
 
 def test_fixture_paths_resolve():

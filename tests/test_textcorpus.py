@@ -1,3 +1,5 @@
+import os
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -14,6 +16,7 @@ from asrlm.textcorpus import (
     load_corpus,
     save_corpus,
     word_frequencies,
+    write_text_atomic,
 )
 from tests.conftest import corpus_of
 
@@ -151,3 +154,45 @@ def test_save_load_identity_property(tmp_path_factory, sentences):
     path = tmp_path_factory.mktemp("corpora") / "c.txt"
     save_corpus(c, path)
     assert load_corpus(path, corpus_id="prop") == c
+
+
+def test_write_text_atomic_failure_keeps_old_bytes(tmp_path, monkeypatch):
+    target = tmp_path / "model.arpa"
+    target.write_bytes(b"old bytes\n")
+
+    def fail(src, dst):
+        raise OSError("replace failed")
+
+    monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(OSError, match="replace failed"):
+        write_text_atomic(target, "new text\n")
+    assert target.read_bytes() == b"old bytes\n"
+    assert list(tmp_path.glob(".*.tmp")) == []
+
+
+def test_write_text_atomic_replaces_and_keeps_umask_mode(tmp_path):
+    plain = tmp_path / "plain.txt"
+    plain.write_text("x", encoding="utf-8")
+    target = tmp_path / "out.txt"
+    target.write_text("old", encoding="utf-8")
+    write_text_atomic(target, "new\nline\n")
+    assert target.read_bytes() == b"new\nline\n"
+    assert target.stat().st_mode == plain.stat().st_mode
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt", "plain.txt"]
+
+
+def test_write_text_atomic_error_names_the_target(tmp_path):
+    target = tmp_path / "missing" / "out.txt"
+    with pytest.raises(FileNotFoundError) as info:
+        write_text_atomic(target, "x")
+    assert info.value.filename == str(target)
+
+
+def test_write_text_atomic_writes_through_symlink(tmp_path):
+    real = tmp_path / "real.txt"
+    real.write_text("old", encoding="utf-8")
+    link = tmp_path / "link.txt"
+    link.symlink_to(real)
+    write_text_atomic(link, "through the link\n")
+    assert link.is_symlink()
+    assert real.read_text(encoding="utf-8") == "through the link\n"
