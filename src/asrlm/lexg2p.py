@@ -243,82 +243,66 @@ class JointSequenceModel:
         return total + self.cond_log10(EOS_ID, hist)
 
 
-def _segmentation_lattice(word, pron, max_letters, max_phones, min_letters, min_phones):
-    """Cells (i, j) on complete segmentation paths and the pieces between them.
+def _segmentation_lattice(word, pron, steps):
+    """Moves between the cells (i, j) that lie on a complete segmentation path.
 
-    Returns (cells, edges) where edges maps (i, j) to a list of
-    ((graphemes, phonemes), (i2, j2)) moves, or None when the entry cannot be
-    segmented within the size limits.
+    `steps` lists the allowed (letters, phonemes) graphone sizes. Returns a
+    dict mapping each such cell, in sorted order, to its (Graphone, (i2, j2))
+    moves in `steps` order, or None when the entry cannot be segmented within
+    the size limits.
     """
     n, m = len(word), len(pron)
     forward = {(0, 0)}
     for i in range(n + 1):
         for j in range(m + 1):
-            if (i, j) not in forward:
-                continue
-            for lg in range(min_letters, max_letters + 1):
-                if i + lg > n:
-                    break
-                for lp in range(min_phones, max_phones + 1):
-                    if j + lp > m:
-                        break
-                    if lg == 0 and lp == 0:
-                        continue
-                    forward.add((i + lg, j + lp))
+            if (i, j) in forward:
+                forward.update((i + lg, j + lp) for lg, lp in steps if i + lg <= n and j + lp <= m)
     if (n, m) not in forward:
         return None
-    backward = {(n, m)}
-    for i in range(n, -1, -1):
-        for j in range(m, -1, -1):
-            if (i, j) not in backward:
-                continue
-            for lg in range(min_letters, max_letters + 1):
-                if i - lg < 0:
-                    break
-                for lp in range(min_phones, max_phones + 1):
-                    if j - lp < 0:
-                        break
-                    if lg == 0 and lp == 0:
-                        continue
-                    if (i - lg, j - lp) in forward:
-                        backward.add((i - lg, j - lp))
-    cells = forward & backward
-    if (0, 0) not in cells:
-        return None
-    edges: dict[tuple[int, int], list] = {}
-    for (i, j) in sorted(cells):
-        moves = []
-        for lg in range(min_letters, max_letters + 1):
-            for lp in range(min_phones, max_phones + 1):
-                if lg == 0 and lp == 0:
-                    continue
-                tgt = (i + lg, j + lp)
-                if tgt in cells:
-                    moves.append(((word[i : i + lg], tuple(pron[j : j + lp])), tgt))
-        edges[(i, j)] = moves
-    return cells, edges
+    # Every move advances (i, j) in sorted order, so visiting the forward
+    # cells in reverse sorted order settles each cell's successors first.
+    cells = {(n, m)}
+    for i, j in sorted(forward, reverse=True):
+        if any((i + lg, j + lp) in cells for lg, lp in steps):
+            cells.add((i, j))
+    return {
+        (i, j): [(Graphone(word[i : i + lg], tuple(pron[j : j + lp])), (i + lg, j + lp))
+                 for lg, lp in steps if (i + lg, j + lp) in cells]
+        for i, j in sorted(cells)
+    }
 
 
-class _MLParams:
-    """Maximum-likelihood conditionals over full-length histories (EM use only)."""
+def _entry_graph(edges, end, order, gid_of):
+    """The E-step graph of one entry over states (cell, graphone-id history).
 
-    def __init__(self, order: int, n_graphones: int, top_counts=None):
-        self.order = order
-        self.uniform = 1.0 / (n_graphones + 1)
-        if top_counts is None:
-            self.probs = None
-        else:
-            denoms: dict[tuple[int, ...], float] = {}
-            for gram, c in top_counts.items():
-                denoms[gram[:-1]] = denoms.get(gram[:-1], 0.0) + c
-            self.probs = {
-                gram: c / denoms[gram[:-1]] for gram, c in top_counts.items()
-            }
-
-    def prob(self, gid: int, history: tuple[int, ...]) -> float:
-        if self.probs is None:
-            return self.uniform
-        return self.probs.get(history + (gid,), 0.0)
+    States reachable from ((0, 0), BOS history) through the lattice `edges`,
+    with `gid_of` giving each Graphone's id, are numbered in sorted order: a
+    topological order, since every move advances the cell. Returns the
+    transitions (src, dst, history + (gid,)) in breadth-first discovery
+    order, each state's outgoing transition indices, and
+    (state, history + (EOS_ID,)) for the states at `end`.
+    """
+    start = ((0, 0), (BOS_ID,) * (order - 1))
+    states = [start]
+    seen = {start}
+    found = []
+    for state in states:  # grows while it is walked
+        cell, hist = state
+        for graphone, tgt in edges[cell]:
+            gram = hist + (gid_of[graphone],)
+            nstate = (tgt, gram[1:])
+            found.append((state, nstate, gram))
+            if nstate not in seen:
+                seen.add(nstate)
+                states.append(nstate)
+    states.sort()
+    index = {state: s for s, state in enumerate(states)}
+    transitions = [(index[src], index[dst], gram) for src, dst, gram in found]
+    out: list[list[int]] = [[] for _ in states]
+    for t, (src, _, _) in enumerate(transitions):
+        out[src].append(t)
+    finals = [(s, hist + (EOS_ID,)) for s, (cell, hist) in enumerate(states) if cell == end]
+    return transitions, out, finals
 
 
 def train_g2p(
@@ -347,132 +331,97 @@ def train_g2p(
     if min_letters < 0 or min_phones < 0 or (min_letters == 0 and min_phones == 0):
         raise ValueError("graphone sides may not both be allowed empty")
 
+    steps = [(lg, lp) for lg in range(min_letters, max_letters + 1)
+             for lp in range(min_phones, max_phones + 1) if lg or lp]
     entry_list = []
     skipped = []
     inventory: dict[Graphone, None] = {}
-    piece_edges = []
     for word in sorted(lexicon.entries):
         for pron in lexicon.entries[word]:
-            lattice = _segmentation_lattice(
-                word, pron, max_letters, max_phones, min_letters, min_phones
-            )
-            if lattice is None:
+            edges = _segmentation_lattice(word, pron, steps)
+            if edges is None:
                 skipped.append((word, pron, "no segmentation within size limits"))
                 continue
-            entry_list.append((word, pron))
-            piece_edges.append(lattice[1])
-            for moves in lattice[1].values():
-                for (graphemes, phonemes), _ in moves:
-                    inventory.setdefault(Graphone(graphemes, phonemes))
+            entry_list.append((word, pron, edges))
+            for moves in edges.values():
+                for graphone, _ in moves:
+                    inventory.setdefault(graphone)
     if skipped:
         log.warning("skipped %d unsegmentable lexicon entries", len(skipped))
     if not entry_list:
         raise ValueError("no lexicon entry can be segmented within the size limits")
     graphones = tuple(sorted(inventory, key=lambda g: (g.graphemes, g.phonemes)))
     gid_of = {g: i for i, g in enumerate(graphones)}
-    # Per entry, the lattice edges with graphone ids: cell -> [(gid, target cell)].
-    lattices = [
-        {cell: [(gid_of[Graphone(*piece)], tgt) for piece, tgt in moves]
-         for cell, moves in edges.items()}
-        for edges in piece_edges
-    ]
-    hist0 = (BOS_ID,) * (order - 1)
+    graphs = [_entry_graph(edges, (len(word), len(pron)), order, gid_of)
+              for word, pron, edges in entry_list]
 
-    def run_e_step(params):
-        """One forward-backward pass; returns (log10 likelihood, expected counts)."""
+    def run_e_step(probs, unseen):
+        """One forward-backward pass; returns (log10 likelihood, expected counts).
+
+        A full-order gram's probability is `probs.get(gram, unseen)`.
+        """
         expected: dict[int, dict[tuple[int, ...], float]] = {
             k: {} for k in range(1, order + 1)
         }
         total_ll = 0.0
-        for (word, pron), edges in zip(entry_list, lattices):
-            end = (len(word), len(pron))
-            # Discover states ((i, j), history) reachable under positive
-            # transition probabilities. Sorting states by (cell, history) is
-            # a topological order: every move strictly advances the cell.
-            start = ((0, 0), hist0)
-            states = [start]
-            seen = {start}
-            transitions = []  # (src_state, gid, dst_state, prob)
-            idx = 0
-            while idx < len(states):
-                state = states[idx]
-                idx += 1
-                cell, hist = state
-                for gid, tgt in edges.get(cell, ()):
-                    p = params.prob(gid, hist)
-                    if p <= 0.0:
-                        continue
-                    nhist = (hist + (gid,))[-(order - 1):] if order > 1 else ()
-                    nstate = (tgt, nhist)
-                    transitions.append((state, gid, nstate, p))
-                    if nstate not in seen:
-                        seen.add(nstate)
-                        states.append(nstate)
-            order_states = sorted(states)
-            trans_by_src: dict = {}
-            for tr in transitions:
-                trans_by_src.setdefault(tr[0], []).append(tr)
-            alpha = {s: 0.0 for s in order_states}
-            alpha[start] = 1.0
-            for s in order_states:
+        for (word, _, _), (transitions, out, finals) in zip(entry_list, graphs):
+            ps = [probs.get(gram, unseen) for _, _, gram in transitions]
+            alpha = [0.0] * len(out)
+            alpha[0] = 1.0
+            for s, ts in enumerate(out):
                 a = alpha[s]
                 if a == 0.0:
                     continue
-                for _, gid, dst, p in trans_by_src.get(s, ()):
-                    alpha[dst] += a * p
+                for t in ts:
+                    alpha[transitions[t][1]] += a * ps[t]
             z = 0.0
-            final = []
-            for s in order_states:
-                if s[0] != end:
-                    continue
-                p_end = params.prob(EOS_ID, s[1])
+            ends = []
+            for s, gram in finals:
+                p_end = probs.get(gram, unseen)
                 if p_end > 0.0 and alpha[s] > 0.0:
                     z += alpha[s] * p_end
-                    final.append((s, p_end))
+                    ends.append((s, gram, p_end))
             if z <= 0.0:
                 # Every path died under the current parameters; cannot happen
                 # after a uniform first iteration.
                 raise ArithmeticError(f"entry {word!r} has zero likelihood")
             total_ll += math.log10(z)
             # Backward pass; beta of an end state starts at its EOS factor.
-            beta = {s: 0.0 for s in order_states}
-            for s, p_end in final:
+            beta = [0.0] * len(out)
+            for s, _, p_end in ends:
                 beta[s] = p_end
-            for s in reversed(order_states):
+            for s in range(len(out) - 1, -1, -1):
                 acc = beta[s]
-                for _, gid, dst, p in trans_by_src.get(s, ()):
-                    acc += p * beta[dst]
+                for t in out[s]:
+                    acc += ps[t] * beta[transitions[t][1]]
                 beta[s] = acc
             inv_z = 1.0 / z
-            for src, gid, dst, p in transitions:
-                post = alpha[src] * p * beta[dst] * inv_z
+            posteriors = [(alpha[src] * p * beta[dst] * inv_z, gram)
+                          for (src, dst, gram), p in zip(transitions, ps)]
+            posteriors += [(alpha[s] * p_end * inv_z, gram) for s, gram, p_end in ends]
+            for post, gram in posteriors:
                 if post == 0.0:
                     continue
-                hist = src[1]
-                for k in range(1, order + 1):
-                    key = (hist[len(hist) - (k - 1):] if k > 1 else ()) + (gid,)
-                    tab = expected[k]
-                    tab[key] = tab.get(key, 0.0) + post
-            for s, p_end in final:
-                post = alpha[s] * p_end * inv_z
-                if post == 0.0:
-                    continue
-                hist = s[1]
-                for k in range(1, order + 1):
-                    key = (hist[len(hist) - (k - 1):] if k > 1 else ()) + (EOS_ID,)
-                    tab = expected[k]
+                for k, tab in expected.items():
+                    key = gram[-k:]
                     tab[key] = tab.get(key, 0.0) + post
         return total_ll, expected
 
-    params = _MLParams(order, len(graphones))
+    # The first E-step is uniform; each later one uses the last M-step's conditionals.
+    probs: dict[tuple[int, ...], float] = {}
+    unseen = 1.0 / (len(graphones) + 1)
     trace = []
     final_counts: dict[int, dict[tuple[int, ...], float]] = {}
     for _ in range(em_iters):
-        ll, expected = run_e_step(params)
+        ll, final_counts = run_e_step(probs, unseen)
         trace.append(ll)
-        final_counts = expected
-        params = _MLParams(order, len(graphones), expected[order])
-    ll, _ = run_e_step(params)
+        top = final_counts[order]
+        denoms: dict[tuple[int, ...], float] = {}
+        for gram, c in top.items():
+            denoms[gram[:-1]] = denoms.get(gram[:-1], 0.0) + c
+        probs = {gram: c / denoms[gram[:-1]] for gram, c in top.items()}
+        unseen = 0.0
+    ll, _ = run_e_step(probs, unseen)
     trace.append(ll)
 
     return JointSequenceModel(
@@ -628,6 +577,8 @@ def save_g2p_model(model: JointSequenceModel, path: str | Path) -> None:
 
 _MODEL_KEYS = ("order", "max_letters", "max_phones", "min_letters", "min_phones", "discount",
                "graphones", "counts", "log10_likelihood_trace", "training_report")
+# Integer model fields and the least value each may take.
+_INT_FIELDS = {"order": 1, "max_letters": 1, "max_phones": 1, "min_letters": 0, "min_phones": 0}
 
 
 def load_g2p_model(path: str | Path) -> JointSequenceModel:
@@ -635,7 +586,9 @@ def load_g2p_model(path: str | Path) -> JointSequenceModel:
 
     Raises ValueError naming the path for a file that is not such a model,
     lacks a field, or has malformed counts, a non-finite or negative count,
-    a discount outside (0, 1] or an order below 1.
+    a discount outside (0, 1], an order or size limit that is not an
+    integer in range, both minimum sizes 0, or graphones that are not
+    [graphemes, [phonemes, ...]] string pairs.
     """
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -646,11 +599,22 @@ def load_g2p_model(path: str | Path) -> JointSequenceModel:
     missing = [key for key in _MODEL_KEYS if key not in payload]
     if missing:
         raise ValueError(f"{path}: model file lacks {', '.join(missing)}")
-    discount, order = payload["discount"], payload["order"]
+    discount = payload["discount"]
     if not isinstance(discount, (int, float)) or not 0.0 < discount <= 1.0:
         raise ValueError(f"{path}: discount {discount!r} is outside (0, 1]")
-    if not isinstance(order, int) or order < 1:
-        raise ValueError(f"{path}: order {order!r} is not an integer >= 1")
+    for key, least in _INT_FIELDS.items():
+        if not isinstance(payload[key], int) or payload[key] < least:
+            raise ValueError(f"{path}: {key} {payload[key]!r} is not an integer >= {least}")
+    if payload["min_letters"] == 0 and payload["min_phones"] == 0:
+        raise ValueError(f"{path}: min_letters and min_phones are both 0")
+    graphones = payload["graphones"]
+    if not isinstance(graphones, list) or not all(
+        isinstance(g, list) and len(g) == 2 and isinstance(g[0], str)
+        and isinstance(g[1], list) and all(isinstance(p, str) for p in g[1])
+        for g in graphones
+    ):
+        raise ValueError(f"{path}: graphones are not a list of [graphemes, [phonemes, ...]] "
+                         "string pairs")
     try:
         counts = {
             int(k): {tuple(gram): c for gram, c in table}
@@ -664,12 +628,8 @@ def load_g2p_model(path: str | Path) -> JointSequenceModel:
                 raise ValueError(f"{path}: count {c!r} of {k}-gram {list(gram)} "
                                  "is not a finite number >= 0")
     return JointSequenceModel(
-        order=order,
-        max_letters=payload["max_letters"],
-        max_phones=payload["max_phones"],
-        min_letters=payload["min_letters"],
-        min_phones=payload["min_phones"],
-        graphones=tuple(Graphone(g, tuple(ph)) for g, ph in payload["graphones"]),
+        **{key: payload[key] for key in _INT_FIELDS},
+        graphones=tuple(Graphone(g, tuple(ph)) for g, ph in graphones),
         counts=counts,
         discount=discount,
         log10_likelihood_trace=tuple(payload["log10_likelihood_trace"]),

@@ -73,6 +73,14 @@ def _check_reserved_unigrams(lms: list[BackoffLM]) -> None:
         require_unigrams(lm, (EOS, UNK), "as a mixture component")
 
 
+def _lambdas(weights, lms: list[BackoffLM]) -> tuple[float, ...]:
+    """Weights given as InterpolationWeights or a list, checked to be one per component."""
+    lambdas = weights.lambdas if isinstance(weights, InterpolationWeights) else tuple(weights)
+    if len(lambdas) != len(lms):
+        raise ValueError("one weight per component required")
+    return lambdas
+
+
 def _position_probability_matrix(lms: list[BackoffLM], corpus: Corpus):
     """Linear-space p_i(w|h) for every predicted position and every component.
 
@@ -144,6 +152,7 @@ def em_weights(
 
 def mixture_log_prob(lms: list[BackoffLM], lambdas, word: str, history=()) -> float:
     _check_reserved_unigrams(lms)
+    lambdas = _lambdas(lambdas, lms)
     mix = sum(lam * 10.0 ** lm.log_prob(word, history) for lam, lm in zip(lambdas, lms))
     return math.log10(mix)
 
@@ -156,9 +165,7 @@ def perplexity_mixture(
 ) -> PerplexityReport:
     """Perplexity of the position-wise weighted mixture of the components."""
     _check_components(lms, minimum=1)
-    lambdas = weights.lambdas if isinstance(weights, InterpolationWeights) else tuple(weights)
-    if len(lambdas) != len(lms):
-        raise ValueError("one weight per component required")
+    lambdas = _lambdas(weights, lms)
     if len(corpus) == 0:
         raise ValueError(f"corpus {corpus.id!r} is empty")
     rows, flags = _position_probability_matrix(lms, corpus)
@@ -184,9 +191,7 @@ def interpolate_static(
     component with weight 1 is returned unchanged, which keeps the degenerate
     merge bit-exact.
     """
-    lambdas = weights.lambdas if isinstance(weights, InterpolationWeights) else tuple(weights)
-    if len(lambdas) != len(lms):
-        raise ValueError("one weight per component required")
+    lambdas = _lambdas(weights, lms)
     _check_components(lms, minimum=1)
     order = lms[0].order
     for lm in lms[1:]:
@@ -230,7 +235,7 @@ def static_merge_divergence(
 ) -> float:
     """Diagnostic: max |log10| gap between merged model and dynamic mixture on
     backed-off (not explicitly stored) n-grams over the given contexts."""
-    lambdas = weights.lambdas if isinstance(weights, InterpolationWeights) else tuple(weights)
+    lambdas = _lambdas(weights, lms)
     if contexts is None:
         contexts = [()]
         for k in range(1, merged.order):

@@ -52,7 +52,8 @@ def estimate_discounts(table: NGramCountTable) -> DiscountSet:
 
     Orders whose count-of-counts are degenerate (any of n1..n4 zero, or a
     closed form coming out non-positive) fall back to a flat 0.5 discount
-    with a warning; tiny corpora would otherwise yield invalid discounts.
+    with a warning naming the corpus; tiny corpora would otherwise yield
+    invalid discounts.
     """
     by_order: dict[int, tuple[float, float, float]] = {}
     fallback: set[int] = set()
@@ -73,7 +74,7 @@ def estimate_discounts(table: NGramCountTable) -> DiscountSet:
         by_order[k] = tuple(min(d, cap) for d, cap in zip(raw, _CAPS))
     if fallback:
         warnings.warn(
-            "degenerate count-of-counts at order(s) "
+            f"corpus {table.corpus_id!r}: degenerate count-of-counts at order(s) "
             f"{sorted(fallback)}; using flat discount {FALLBACK_DISCOUNT}",
             stacklevel=2,
         )

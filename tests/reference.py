@@ -7,6 +7,7 @@ no code with the package under test.
 
 from __future__ import annotations
 
+import math
 
 BOS = "<s>"
 EOS = "</s>"
@@ -169,3 +170,72 @@ def exhaustive_g2p(model, word):
         if phones not in best or score > best[phones]:
             best[phones] = score
     return sorted(best.items(), key=lambda kv: (-kv[1], kv[0]))
+
+
+def brute_force_g2p_em(lexicon, order, max_letters, max_phones, em_iters,
+                       min_letters=1, min_phones=1):
+    """Joint-sequence EM over explicitly enumerated segmentations.
+
+    Every segmentation of every (word, pronunciation) entry into graphones
+    within the size limits is listed; entries with none are left out. The
+    inventory is the union of the pieces over all segmentations. The first
+    E-step scores every n-gram 1 / (inventory + 1); each later one uses the
+    maximum-likelihood conditionals of the previous E-step's full-order
+    expected counts. An entry's segmentation has posterior probability
+    (product of its conditionals) / (sum of that product over the entry's
+    segmentations).
+
+    Returns (inventory, log10-likelihood trace of the em_iters + 1 E-steps,
+    expected counts per order of the last E-step an M-step used, empty when
+    em_iters is 0). N-grams
+    are tuples of (graphemes, phonemes) pieces, padded at the start with
+    `<s>` and ending in `</s>`.
+    """
+    def segmentations(word, pron):
+        if not word and not pron:
+            return [()]
+        found = []
+        for lg in range(min_letters, max_letters + 1):
+            for lp in range(min_phones, max_phones + 1):
+                if (lg or lp) and lg <= len(word) and lp <= len(pron):
+                    piece = (word[:lg], tuple(pron[:lp]))
+                    found += [(piece,) + rest for rest in segmentations(word[lg:], pron[lp:])]
+        return found
+
+    entries = []
+    for word, prons in sorted(lexicon.entries.items()):
+        for pron in prons:
+            segs = segmentations(word, pron)
+            if segs:
+                entries.append([(BOS,) * (order - 1) + seg + (EOS,) for seg in segs])
+    inventory = {piece for segs in entries for seq in segs for piece in seq[order - 1 : -1]}
+    cond = None
+    trace = []
+    counts = {}
+    for iteration in range(em_iters + 1):
+        expected = {k: {} for k in range(1, order + 1)}
+        log_likelihood = 0.0
+        for segs in entries:
+            scores = []
+            for seq in segs:
+                score = 1.0
+                for i in range(order - 1, len(seq)):
+                    gram = seq[i - order + 1 : i + 1]
+                    score *= 1.0 / (len(inventory) + 1) if cond is None else cond.get(gram, 0.0)
+                scores.append(score)
+            total = sum(scores)
+            log_likelihood += math.log10(total)
+            for seq, score in zip(segs, scores):
+                for i in range(order - 1, len(seq)):
+                    for k in range(1, order + 1):
+                        gram = seq[i - k + 1 : i + 1]
+                        expected[k][gram] = expected[k].get(gram, 0.0) + score / total
+        trace.append(log_likelihood)
+        if iteration == em_iters:
+            break
+        counts = expected
+        context_totals = {}
+        for gram, c in expected[order].items():
+            context_totals[gram[:-1]] = context_totals.get(gram[:-1], 0.0) + c
+        cond = {gram: c / context_totals[gram[:-1]] for gram, c in expected[order].items()}
+    return inventory, trace, counts

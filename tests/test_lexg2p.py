@@ -5,6 +5,8 @@ import random
 import pytest
 
 from asrlm.lexg2p import (
+    BOS_ID,
+    EOS_ID,
     G2PError,
     Graphone,
     Lexicon,
@@ -20,7 +22,7 @@ from asrlm.lexg2p import (
     save_lexicon,
     train_g2p,
 )
-from tests.reference import exhaustive_g2p, graphone_cond_prob
+from tests.reference import brute_force_g2p_em, exhaustive_g2p, graphone_cond_prob
 
 
 def identity_lexicon(words):
@@ -179,6 +181,29 @@ def test_cond_prob_matches_reference_recursion():
                     graphone_cond_prob(model, gid, hist), rel=1e-12), (hist, gid)
 
 
+@pytest.mark.parametrize("order", [1, 2, 3])
+@pytest.mark.parametrize("min_letters, min_phones", [(0, 1), (1, 0), (1, 1)])
+def test_train_g2p_matches_brute_force_em(order, min_letters, min_phones):
+    lex = random_lexicon(random.Random(44), n_words=14, alphabet="abc")
+    lex = make_lexicon((w, p) for w, ps in lex.entries.items() for p in ps if len(w) <= 4)
+    kwargs = dict(max_letters=2, max_phones=2, min_letters=min_letters, min_phones=min_phones)
+    model = train_g2p(lex, order=order, em_iters=3, **kwargs)
+    inventory, trace, counts = brute_force_g2p_em(lex, order, em_iters=3, **kwargs)
+    assert set(model.graphones) == inventory
+    symbol = {BOS_ID: "<s>", EOS_ID: "</s>"}
+    named = {
+        k: {tuple(symbol[g] if g < 0 else model.graphones[g] for g in gram): c
+            for gram, c in table.items()}
+        for k, table in model.counts.items()
+    }
+    assert sorted(named) == sorted(counts) == list(range(1, order + 1))
+    for k in counts:
+        assert set(named[k]) == set(counts[k]), k
+        for gram, c in counts[k].items():
+            assert named[k][gram] == pytest.approx(c, rel=1e-9), (k, gram)
+    assert model.log10_likelihood_trace == pytest.approx(trace, abs=1e-9)
+
+
 def test_unsegmentable_entries_reported_and_skipped():
     # 1 letter but 3 phonemes cannot fit in (max_letters=1, max_phones=1).
     lex = make_lexicon([("a", ("X", "Y", "Z")), ("bc", ("X", "Y"))])
@@ -307,6 +332,18 @@ def _set_count(order, value):
                  id="large-discount"),
     pytest.param(lambda payload: payload.update(counts={"1": [[[0]]]}), "malformed counts",
                  id="malformed-counts"),
+    pytest.param(lambda payload: payload.update(max_letters="2"),
+                 "max_letters '2' is not an integer >= 1", id="string-max-letters"),
+    pytest.param(lambda payload: payload.update(max_phones=0),
+                 "max_phones 0 is not an integer >= 1", id="zero-max-phones"),
+    pytest.param(lambda payload: payload.update(min_phones=-1),
+                 "min_phones -1 is not an integer >= 0", id="negative-min-phones"),
+    pytest.param(lambda payload: payload.update(min_letters=0, min_phones=0),
+                 "min_letters and min_phones are both 0", id="both-mins-zero"),
+    pytest.param(lambda payload: payload["graphones"].__setitem__(0, [1, ["a"]]),
+                 "graphones are not a list of", id="int-graphemes"),
+    pytest.param(lambda payload: payload.update(graphones=5), "graphones are not a list of",
+                 id="graphones-not-a-list"),
 ])
 def test_load_g2p_model_rejects_bad_files(tmp_path, edit, message):
     model = train_g2p(identity_lexicon(["ab", "ba"]), order=2, max_letters=1,

@@ -185,3 +185,14 @@ def test_mixture_log_prob_reports_missing_unk_unigram():
     lms = [unigram_lm(probs, vocab, "open"), closed]
     with pytest.raises(ValueError, match="^closed.arpa: no unigram entry for <unk>"):
         mixture_log_prob(lms, [0.5, 0.5], "a")
+
+
+@pytest.mark.parametrize("call", [
+    lambda lms, merged: mixture_log_prob(lms, [1.0], "a"),
+    lambda lms, merged: static_merge_divergence(lms, [1.0], merged),
+], ids=["mixture_log_prob", "static_merge_divergence"])
+def test_mixture_functions_require_one_weight_per_component(opposed_unigram_pair, call):
+    lms = list(opposed_unigram_pair)
+    merged = interpolate_static(lms, [0.5, 0.5])
+    with pytest.raises(ValueError, match="one weight per component required"):
+        call(lms, merged)

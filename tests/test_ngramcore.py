@@ -1,5 +1,6 @@
 import math
 import random
+import warnings
 
 import pytest
 
@@ -76,6 +77,21 @@ def test_estimate_discounts_fallback_on_degenerate_counts():
         d = estimate_discounts(t)
     assert d.by_order[2] == (0.5, 0.5, 0.5)
     assert 2 in d.fallback_orders
+
+
+def test_estimate_discounts_fallback_warning_names_each_corpus():
+    # Both corpora fall back at the same orders, so only the corpus name tells
+    # the two warnings apart under the once-per-message filter.
+    tables = [count_ngrams(corpus_of("a b a", corpus_id=name), 2, Vocabulary(["a", "b"]))
+              for name in ("news", "medical")]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("default")
+        for table in tables:
+            estimate_discounts(table)
+    messages = [str(w.message) for w in caught]
+    assert len(messages) == 2
+    assert messages[0].startswith("corpus 'news': degenerate count-of-counts")
+    assert messages[1].startswith("corpus 'medical': degenerate count-of-counts")
 
 
 def test_estimate_discounts_fallback_when_all_counts_large():

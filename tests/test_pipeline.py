@@ -372,3 +372,18 @@ def test_cli_mix_reports_missing_unk_unigram(tmp_path, capsys, command):
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {models[0]}: no unigram entry for <unk>")
+
+
+def test_synthetic_study_script_is_deterministic_and_names_fallback_corpora():
+    script = FIXTURES.parent / "scripts" / "run_synthetic_study.py"
+    runs = [
+        subprocess.run([sys.executable, str(script)], capture_output=True, text=True,
+                       timeout=300, env={"PYTHONHASHSEED": hash_seed})
+        for hash_seed in ("1", "2")
+    ]
+    for proc in runs:
+        assert proc.returncode == 0, proc.stderr
+        for corpus in ("news", "medical", "dialogue", "dialect"):
+            assert f"corpus {corpus!r}: degenerate count-of-counts" in proc.stderr
+    assert runs[0].stdout == runs[1].stdout
+    assert "interpolation weights (EM on dev)" in runs[0].stdout
