@@ -581,14 +581,23 @@ _MODEL_KEYS = ("order", "max_letters", "max_phones", "min_letters", "min_phones"
 _INT_FIELDS = {"order": 1, "max_letters": 1, "max_phones": 1, "min_letters": 0, "min_phones": 0}
 
 
+def _is_graphone_gram(gram: tuple, k: int, ids: range) -> bool:
+    """k ids from `ids`, where `BOS_ID` may also pad the history and `EOS_ID`
+    may also be the predicted (last) id."""
+    if k < 1 or len(gram) != k or any(type(g) is not int for g in gram):
+        return False
+    return all(g in ids or g == BOS_ID for g in gram[:-1]) and (gram[-1] in ids or gram[-1] == EOS_ID)
+
+
 def load_g2p_model(path: str | Path) -> JointSequenceModel:
     """Read a model written by `save_g2p_model`.
 
     Raises ValueError naming the path for a file that is not such a model,
-    lacks a field, or has malformed counts, a non-finite or negative count,
-    a discount outside (0, 1], an order or size limit that is not an
-    integer in range, both minimum sizes 0, or graphones that are not
-    [graphemes, [phonemes, ...]] string pairs.
+    lacks a field, or has malformed counts, a count gram that is not k
+    graphone ids, a non-finite or negative count, a likelihood trace that is
+    not a list of finite numbers, a discount outside (0, 1], an order or
+    size limit that is not an integer in range, both minimum sizes 0, or
+    graphones that are not [graphemes, [phonemes, ...]] string pairs.
     """
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -622,16 +631,25 @@ def load_g2p_model(path: str | Path) -> JointSequenceModel:
         }
     except (AttributeError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: malformed counts: {exc}") from exc
+    ids = range(len(graphones))
     for k, table in counts.items():
         for gram, c in table.items():
+            if not _is_graphone_gram(gram, k, ids):
+                raise ValueError(f"{path}: {k}-gram {list(gram)} is not {k} graphone ids "
+                                 "(BOS_ID only before the last place, EOS_ID only in it)")
             if not isinstance(c, (int, float)) or not math.isfinite(c) or c < 0.0:
                 raise ValueError(f"{path}: count {c!r} of {k}-gram {list(gram)} "
                                  "is not a finite number >= 0")
+    trace = payload["log10_likelihood_trace"]
+    if not isinstance(trace, list) or not all(
+        isinstance(x, (int, float)) and math.isfinite(x) for x in trace
+    ):
+        raise ValueError(f"{path}: log10_likelihood_trace {trace!r} is not a list of finite numbers")
     return JointSequenceModel(
         **{key: payload[key] for key in _INT_FIELDS},
         graphones=tuple(Graphone(g, tuple(ph)) for g, ph in graphones),
         counts=counts,
         discount=discount,
-        log10_likelihood_trace=tuple(payload["log10_likelihood_trace"]),
+        log10_likelihood_trace=tuple(trace),
         training_report=payload["training_report"],
     )

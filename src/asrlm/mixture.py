@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 from asrlm.ngramcore.evaluate import (
     PerplexityReport,
     iter_positions,
     require_unigrams,
-    score_positions,
+    score_corpus,
 )
 from asrlm.ngramcore.model import (
     BOS_LOG10_PROB,
@@ -34,12 +35,22 @@ class InterpolationWeights:
     dev_log10_likelihood: float
 
     def __post_init__(self):
-        if len(self.lm_ids) != len(self.lambdas):
-            raise ValueError("lm_ids and lambdas must align")
-        if any(lam < 0.0 for lam in self.lambdas):
-            raise ValueError("weights must be non-negative")
-        if abs(sum(self.lambdas) - 1.0) > 1e-9:
-            raise ValueError(f"weights sum to {sum(self.lambdas)}, not 1")
+        _check_weights(self.lambdas, len(self.lm_ids))
+
+
+def _check_weights(weights, components: int) -> tuple[float, ...]:
+    """The one check on mixture weights, given as InterpolationWeights or a
+    sequence: one weight per component, each finite and >= 0, summing to 1
+    within 1e-9."""
+    lambdas = tuple(weights.lambdas if isinstance(weights, InterpolationWeights) else weights)
+    if len(lambdas) != components:
+        raise ValueError("one weight per component required")
+    if not all(math.isfinite(lam) and lam >= 0.0 for lam in lambdas):
+        raise ValueError(f"weights must be finite and non-negative, got {list(lambdas)}")
+    total = sum(lambdas)
+    if abs(total - 1.0) > 1e-9:
+        raise ValueError(f"weights sum to {total}, not 1")
+    return lambdas
 
 
 def component_ids(lms: list[BackoffLM]) -> tuple[str, ...]:
@@ -73,26 +84,9 @@ def _check_reserved_unigrams(lms: list[BackoffLM]) -> None:
         require_unigrams(lm, (EOS, UNK), "as a mixture component")
 
 
-def _lambdas(weights, lms: list[BackoffLM]) -> tuple[float, ...]:
-    """Weights given as InterpolationWeights or a list, checked to be one per component."""
-    lambdas = weights.lambdas if isinstance(weights, InterpolationWeights) else tuple(weights)
-    if len(lambdas) != len(lms):
-        raise ValueError("one weight per component required")
-    return lambdas
-
-
-def _position_probability_matrix(lms: list[BackoffLM], corpus: Corpus):
-    """Linear-space p_i(w|h) for every predicted position and every component.
-
-    OOV positions are scored as `<unk>` so each position has positive
-    probability under every open-vocabulary component.
-    """
-    rows = []
-    flags = []
-    for history, token, is_oov in iter_positions(corpus, lms[0].vocab):
-        rows.append([10.0 ** lm.log_prob(token, history) for lm in lms])
-        flags.append(is_oov)
-    return rows, flags
+def _mix_log10(lms: list[BackoffLM], lambdas, word: str, history) -> float:
+    """log10 of the weighted mixture of the components' p(word | history)."""
+    return math.log10(sum(lam * 10.0 ** lm.log_prob(word, history) for lam, lm in zip(lambdas, lms)))
 
 
 def em_weights(
@@ -113,13 +107,11 @@ def em_weights(
     if len(dev) == 0:
         raise ValueError("dev corpus is empty")
     m = len(lms)
-    if init is None:
-        weights = [1.0 / m] * m
-    else:
-        if len(init) != m or any(w < 0 for w in init) or abs(sum(init) - 1.0) > 1e-9:
-            raise ValueError("init must be a length-matched simplex vector")
-        weights = list(init)
-    rows, _ = _position_probability_matrix(lms, dev)
+    weights = [1.0 / m] * m if init is None else list(_check_weights(init, m))
+    # OOV positions are scored as `<unk>`, so each position has positive
+    # probability under every open-vocabulary component.
+    rows = [[10.0 ** lm.log_prob(token, history) for lm in lms]
+            for history, token, _ in iter_positions(dev, lms[0].vocab)]
     n_positions = len(rows)
 
     def log_likelihood_and_posteriors(ws):
@@ -152,9 +144,7 @@ def em_weights(
 
 def mixture_log_prob(lms: list[BackoffLM], lambdas, word: str, history=()) -> float:
     _check_reserved_unigrams(lms)
-    lambdas = _lambdas(lambdas, lms)
-    mix = sum(lam * 10.0 ** lm.log_prob(word, history) for lam, lm in zip(lambdas, lms))
-    return math.log10(mix)
+    return _mix_log10(lms, _check_weights(lambdas, len(lms)), word, history)
 
 
 def perplexity_mixture(
@@ -165,17 +155,8 @@ def perplexity_mixture(
 ) -> PerplexityReport:
     """Perplexity of the position-wise weighted mixture of the components."""
     _check_components(lms, minimum=1)
-    lambdas = _lambdas(weights, lms)
-    if len(corpus) == 0:
-        raise ValueError(f"corpus {corpus.id!r} is empty")
-    rows, flags = _position_probability_matrix(lms, corpus)
-    logps = []
-    for row, is_oov in zip(rows, flags):
-        if is_oov and oov_policy == "exclude":
-            logps.append(0.0)
-        else:
-            logps.append(math.log10(sum(lam * p for lam, p in zip(lambdas, row))))
-    return score_positions(logps, flags, len(corpus), oov_policy)
+    mix = partial(_mix_log10, lms, _check_weights(weights, len(lms)))
+    return score_corpus(mix, corpus, lms[0].vocab, oov_policy)
 
 
 def interpolate_static(
@@ -191,7 +172,7 @@ def interpolate_static(
     component with weight 1 is returned unchanged, which keeps the degenerate
     merge bit-exact.
     """
-    lambdas = _lambdas(weights, lms)
+    lambdas = _check_weights(weights, len(lms))
     _check_components(lms, minimum=1)
     order = lms[0].order
     for lm in lms[1:]:
@@ -235,7 +216,8 @@ def static_merge_divergence(
 ) -> float:
     """Diagnostic: max |log10| gap between merged model and dynamic mixture on
     backed-off (not explicitly stored) n-grams over the given contexts."""
-    lambdas = _lambdas(weights, lms)
+    _check_reserved_unigrams(lms)
+    lambdas = _check_weights(weights, len(lms))
     if contexts is None:
         contexts = [()]
         for k in range(1, merged.order):
@@ -245,7 +227,7 @@ def static_merge_divergence(
         for w in merged.vocab.predicted_words():
             if ctx + (w,) in merged.tables.get(len(ctx) + 1, {}):
                 continue
-            gap = abs(merged.log_prob(w, ctx) - mixture_log_prob(lms, lambdas, w, ctx))
+            gap = abs(merged.log_prob(w, ctx) - _mix_log10(lms, lambdas, w, ctx))
             worst = max(worst, gap)
     return worst
 
@@ -264,8 +246,14 @@ def load_weights(path: str | Path) -> InterpolationWeights:
         fields = line.split("\t")
         if len(fields) != 2:
             raise ValueError(f"{path}:{lineno}: expected 'lm_id<TAB>lambda'")
+        try:
+            lam = float(fields[1])
+        except ValueError:
+            lam = math.nan  # reported below, like any other non-finite weight
+        if not math.isfinite(lam) or lam < 0.0:
+            raise ValueError(f"{path}:{lineno}: weight {fields[1]!r} is not a finite number >= 0")
         ids.append(fields[0])
-        lambdas.append(float(fields[1]))
+        lambdas.append(lam)
     total = sum(lambdas)
     if abs(total - 1.0) > WEIGHT_FILE_TOLERANCE:
         raise ValueError(f"{path}: weights sum to {total}, expected 1 within {WEIGHT_FILE_TOLERANCE}")

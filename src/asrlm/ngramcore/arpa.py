@@ -61,19 +61,7 @@ def read_arpa(path: str | Path) -> BackoffLM:
             if line.strip() == "\\data\\":
                 state = "counts"
             continue
-        if state == "counts":
-            if not line.strip():
-                continue
-            if line.startswith("ngram "):
-                try:
-                    spec_part = line[len("ngram "):]
-                    k_str, count_str = spec_part.split("=")
-                    declared[int(k_str)] = int(count_str)
-                except ValueError as exc:
-                    raise ArpaError(path, lineno, f"bad count line {line!r}") from exc
-                continue
-            state = "sections"
-        if state in ("sections", "entries") and line.startswith("\\") and line.endswith("-grams:"):
+        if state in ("counts", "entries") and line.startswith("\\") and line.endswith("-grams:"):
             try:
                 current_k = int(line[1:-len("-grams:")])
             except ValueError as exc:
@@ -84,6 +72,17 @@ def read_arpa(path: str | Path) -> BackoffLM:
                 raise ArpaError(path, lineno, f"repeated section header {line!r}")
             tables[current_k] = {}
             state = "entries"
+            continue
+        if state == "counts":
+            if not line.strip():
+                continue
+            if not line.startswith("ngram "):
+                raise ArpaError(path, lineno, f"expected 'ngram k=COUNT' or a section header, got {line!r}")
+            try:
+                k_str, count_str = line[len("ngram "):].split("=")
+                declared[int(k_str)] = int(count_str)
+            except ValueError as exc:
+                raise ArpaError(path, lineno, f"bad count line {line!r}") from exc
             continue
         if state == "entries":
             if not line.strip():

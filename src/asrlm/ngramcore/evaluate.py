@@ -41,18 +41,22 @@ def iter_positions(corpus: Corpus, vocab: Vocabulary):
         yield tuple(history), EOS, False
 
 
-def score_positions(position_log10_probs, oov_flags, sentences: int, oov_policy: str) -> PerplexityReport:
-    """Aggregate per-position scores into a report under the given OOV policy."""
+def score_corpus(log10_prob, corpus: Corpus, vocab: Vocabulary, oov_policy: str) -> PerplexityReport:
+    """The one corpus-scoring loop: sum `log10_prob(token, history)` over the
+    predicted positions. Under `exclude`, OOV positions are counted and
+    skipped before anything is scored."""
     if oov_policy not in OOV_POLICIES:
         raise ValueError(f"unknown OOV policy {oov_policy!r}")
+    if len(corpus) == 0:
+        raise ValueError(f"corpus {corpus.id!r} is empty")
     total = 0.0
     scored = 0
     oov = 0
-    for logp, is_oov in zip(position_log10_probs, oov_flags):
+    for history, token, is_oov in iter_positions(corpus, vocab):
         if is_oov and oov_policy == "exclude":
             oov += 1
             continue
-        total += logp
+        total += log10_prob(token, history)
         scored += 1
     if scored == 0:
         raise ValueError("no scorable positions (all-OOV corpus under exclude policy)")
@@ -60,7 +64,7 @@ def score_positions(position_log10_probs, oov_flags, sentences: int, oov_policy:
         log10_prob_sum=total,
         scored_tokens=scored,
         oov_tokens=oov,
-        sentences=sentences,
+        sentences=len(corpus),
         ppl=10.0 ** (-total / scored),
     )
 
@@ -83,19 +87,9 @@ def perplexity(lm: BackoffLM, corpus: Corpus, oov_policy: str = "exclude") -> Pe
     A model without a `</s>` unigram (or, under `as_unk`, a `<unk>` unigram)
     cannot score every position; that raises ValueError naming its source.
     """
-    if len(corpus) == 0:
-        raise ValueError(f"corpus {corpus.id!r} is empty")
     require_unigrams(lm, (EOS, UNK) if oov_policy == "as_unk" else (EOS,),
                      f"under oov_policy {oov_policy!r}")
-    logps = []
-    flags = []
-    for history, token, is_oov in iter_positions(corpus, lm.vocab):
-        flags.append(is_oov)
-        if is_oov and oov_policy == "exclude":
-            logps.append(0.0)
-        else:
-            logps.append(lm.log_prob(token, history))
-    return score_positions(logps, flags, len(corpus), oov_policy)
+    return score_corpus(lm.log_prob, corpus, lm.vocab, oov_policy)
 
 
 def oov_rate(vocab: Vocabulary, corpus: Corpus) -> float:

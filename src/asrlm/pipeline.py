@@ -41,6 +41,11 @@ class PipelineError(RuntimeError):
         self.stage = stage
 
 
+# Optional input-file keys, in the order they are checked and listed.
+_OPTIONAL_PATH_KEYS = ("test", "seed_lexicon", "medical_lexicon", "word_list", "mapping",
+                       "refs", "hyps")
+
+
 @dataclass
 class PipelineConfig:
     """Flat pipeline configuration; file keys `corpus.<id>=<path>` add corpora."""
@@ -81,10 +86,7 @@ class PipelineConfig:
         if not self.dev:
             raise ValueError("a dev corpus is required")
         paths = [p for _, p in self.corpora] + [self.dev]
-        for opt in (self.test, self.seed_lexicon, self.medical_lexicon,
-                    self.word_list, self.mapping, self.refs, self.hyps):
-            if opt:
-                paths.append(opt)
+        paths += [getattr(self, key) for key in _OPTIONAL_PATH_KEYS if getattr(self, key)]
         dupes = {p for p in paths if paths.count(p) > 1}
         if dupes:
             raise ValueError(f"referenced paths must be distinct: {sorted(dupes)}")
@@ -95,8 +97,7 @@ class PipelineConfig:
     def input_paths(self) -> dict[str, str]:
         named = {f"corpus.{cid}": path for cid, path in self.corpora}
         named["dev"] = self.dev
-        for key in ("test", "seed_lexicon", "medical_lexicon", "word_list",
-                    "mapping", "refs", "hyps"):
+        for key in _OPTIONAL_PATH_KEYS:
             value = getattr(self, key)
             if value:
                 named[key] = value

@@ -115,7 +115,9 @@ def align(ref, hyp) -> EditAlignment:
     )
 
 
-def _score(refs: dict, hyps: dict, transform) -> tuple[dict, EditAlignment, tuple[str, ...]]:
+def _report(refs: dict, hyps: dict, transform, rate_field: str) -> ScoreReport:
+    """Align every reference with its hypothesis (after `transform`) and put
+    the aggregate error rate in `rate_field` of the report."""
     unknown = sorted(set(hyps) - set(refs))
     if unknown:
         raise ValueError(f"hypothesis ids without a reference: {unknown}")
@@ -132,7 +134,14 @@ def _score(refs: dict, hyps: dict, transform) -> tuple[dict, EditAlignment, tupl
         alignment = align(ref, hyp)
         per_utt[utt_id] = alignment
         total = total + alignment
-    return per_utt, total, tuple(missing)
+    if total.ref_length == 0:
+        raise ValueError("total reference length is zero")
+    return ScoreReport(
+        per_utterance=per_utt,
+        aggregate=total,
+        missing_hyps=tuple(missing),
+        **{rate_field: total.errors / total.ref_length},
+    )
 
 
 def wer(refs: dict, hyps: dict) -> ScoreReport:
@@ -141,33 +150,13 @@ def wer(refs: dict, hyps: dict) -> ScoreReport:
     A reference without a hypothesis is scored against the empty sequence
     (all deletions) and listed in the report.
     """
-    per_utt, total, missing = _score(refs, hyps, tuple)
-    if total.ref_length == 0:
-        raise ValueError("total reference length is zero")
-    return ScoreReport(
-        per_utterance=per_utt,
-        aggregate=total,
-        wer=total.errors / total.ref_length,
-        missing_hyps=missing,
-    )
+    return _report(refs, hyps, tuple, "wer")
 
 
 def cer(refs: dict, hyps: dict) -> ScoreReport:
     """Character error rate: tokens are joined without separators before
     character-level alignment, so segmentation differences cost nothing."""
-
-    def to_chars(tokens) -> tuple[str, ...]:
-        return tuple("".join(tokens))
-
-    per_utt, total, missing = _score(refs, hyps, to_chars)
-    if total.ref_length == 0:
-        raise ValueError("total reference length is zero")
-    return ScoreReport(
-        per_utterance=per_utt,
-        aggregate=total,
-        cer=total.errors / total.ref_length,
-        missing_hyps=missing,
-    )
+    return _report(refs, hyps, lambda tokens: tuple("".join(tokens)), "cer")
 
 
 def relative_reduction(base: float, improved: float) -> float:

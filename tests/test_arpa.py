@@ -94,6 +94,17 @@ def test_malformed_entry_reports_line_number(tmp_path):
         read_arpa(p)
 
 
+def test_garbage_before_first_section_reports_line_number(tmp_path):
+    p = tmp_path / "bad.arpa"
+    p.write_text(
+        "\\data\\\nngram 1=1\nthis is garbage\n\\1-grams:\n-0.3\ta\n\n\\end\\\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(ArpaError, match=":3: expected 'ngram k=COUNT' or a section header, "
+                                        "got 'this is garbage'"):
+        read_arpa(p)
+
+
 @pytest.mark.parametrize("entry, message", [
     ("nan\ta\t-0.2", "log-probability 'nan'"),
     ("-inf\ta\t-0.2", "log-probability '-inf'"),

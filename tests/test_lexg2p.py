@@ -344,6 +344,20 @@ def _set_count(order, value):
                  "graphones are not a list of", id="int-graphemes"),
     pytest.param(lambda payload: payload.update(graphones=5), "graphones are not a list of",
                  id="graphones-not-a-list"),
+    pytest.param(lambda payload: payload.update(log10_likelihood_trace=5),
+                 "log10_likelihood_trace 5 is not a list of finite numbers", id="int-trace"),
+    pytest.param(lambda payload: payload.update(log10_likelihood_trace=[-3.0, None]),
+                 "log10_likelihood_trace [-3.0, None] is not a list", id="null-in-trace"),
+    pytest.param(lambda payload: payload.update(counts={"1": [[["x"], 1.0]]}),
+                 "1-gram ['x'] is not 1 graphone ids", id="string-gram"),
+    pytest.param(lambda payload: payload.update(counts={"2": [[[0], 1.0]]}),
+                 "2-gram [0] is not 2 graphone ids", id="short-gram"),
+    pytest.param(lambda payload: payload.update(counts={"1": [[[99], 1.0]]}),
+                 "1-gram [99] is not 1 graphone ids", id="unknown-id"),
+    pytest.param(lambda payload: payload.update(counts={"2": [[[0, -1], 1.0]]}),
+                 "2-gram [0, -1] is not 2 graphone ids", id="bos-last"),
+    pytest.param(lambda payload: payload.update(counts={"2": [[[-2, 0], 1.0]]}),
+                 "2-gram [-2, 0] is not 2 graphone ids", id="eos-in-history"),
 ])
 def test_load_g2p_model_rejects_bad_files(tmp_path, edit, message):
     model = train_g2p(identity_lexicon(["ab", "ba"]), order=2, max_letters=1,

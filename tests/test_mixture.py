@@ -169,6 +169,15 @@ def test_weights_file_must_sum_to_one(tmp_path):
         load_weights(p)
 
 
+@pytest.mark.parametrize("value", ["abc", "nan", "inf", "-0.5"])
+def test_weights_file_rejects_bad_weight_at_its_line(tmp_path, value):
+    p = tmp_path / "weights.tsv"
+    p.write_text(f"x\t1.0\ny\t{value}\n", encoding="utf-8")
+    with pytest.raises(ValueError) as exc:
+        load_weights(p)
+    assert str(exc.value) == f"{p}:2: weight {value!r} is not a finite number >= 0"
+
+
 def test_interpolation_weights_invariants():
     with pytest.raises(ValueError):
         InterpolationWeights(lm_ids=("a",), lambdas=(0.5,), dev_log10_likelihood=0.0)
@@ -187,12 +196,57 @@ def test_mixture_log_prob_reports_missing_unk_unigram():
         mixture_log_prob(lms, [0.5, 0.5], "a")
 
 
-@pytest.mark.parametrize("call", [
-    lambda lms, merged: mixture_log_prob(lms, [1.0], "a"),
-    lambda lms, merged: static_merge_divergence(lms, [1.0], merged),
-], ids=["mixture_log_prob", "static_merge_divergence"])
+# Every entry point that takes mixture weights, called with `weights` for
+# the two components of `opposed_unigram_pair`.
+WEIGHT_TAKERS = {
+    "InterpolationWeights": lambda lms, merged, w: InterpolationWeights(
+        lm_ids=("one", "two"), lambdas=tuple(w), dev_log10_likelihood=0.0),
+    "interpolate_static": lambda lms, merged, w: interpolate_static(lms, w),
+    "perplexity_mixture": lambda lms, merged, w: perplexity_mixture(lms, w, corpus_of("a b")),
+    "mixture_log_prob": lambda lms, merged, w: mixture_log_prob(lms, w, "a"),
+    "static_merge_divergence": lambda lms, merged, w: static_merge_divergence(lms, w, merged),
+    "em_weights": lambda lms, merged, w: em_weights(lms, corpus_of("a b"), init=w),
+}
+
+
+@pytest.mark.parametrize("call", WEIGHT_TAKERS.values(), ids=WEIGHT_TAKERS.keys())
 def test_mixture_functions_require_one_weight_per_component(opposed_unigram_pair, call):
     lms = list(opposed_unigram_pair)
     merged = interpolate_static(lms, [0.5, 0.5])
     with pytest.raises(ValueError, match="one weight per component required"):
-        call(lms, merged)
+        call(lms, merged, [1.0])
+
+
+@pytest.mark.parametrize("weights, message", [
+    pytest.param([0.5, math.nan], "finite and non-negative", id="nan"),
+    pytest.param([math.inf, 0.0], "finite and non-negative", id="inf"),
+    pytest.param([-0.5, 1.5], "finite and non-negative", id="negative"),
+    pytest.param([0.5, 0.6], "sum to", id="not-summing"),
+])
+@pytest.mark.parametrize("call", WEIGHT_TAKERS.values(), ids=WEIGHT_TAKERS.keys())
+def test_mixture_functions_reject_weights_off_the_simplex(opposed_unigram_pair, call,
+                                                          weights, message):
+    lms = list(opposed_unigram_pair)
+    merged = interpolate_static(lms, [0.5, 0.5])
+    with pytest.raises(ValueError, match=message):
+        call(lms, merged, weights)
+
+
+@pytest.mark.parametrize("score, components", [
+    (lambda lms, corpus: perplexity(lms[0], corpus), 1),
+    (lambda lms, corpus: perplexity_mixture(lms, [0.5, 0.5], corpus), 2),
+], ids=["perplexity", "perplexity_mixture"])
+def test_excluded_oov_positions_are_never_scored(opposed_unigram_pair, monkeypatch, score,
+                                                 components):
+    lms = list(opposed_unigram_pair)
+    words = []
+    log_prob = BackoffLM.log_prob
+
+    def counting_log_prob(self, word, history=()):
+        words.append(word)
+        return log_prob(self, word, history)
+
+    monkeypatch.setattr(BackoffLM, "log_prob", counting_log_prob)
+    report = score(lms, corpus_of("a z b\nz z"))
+    assert (report.scored_tokens, report.oov_tokens) == (4, 3)
+    assert words == [w for w in ("a", "b", EOS, EOS) for _ in range(components)]

@@ -374,6 +374,23 @@ def test_cli_mix_reports_missing_unk_unigram(tmp_path, capsys, command):
     assert err.startswith(f"error: {models[0]}: no unigram entry for <unk>")
 
 
+def test_cli_mix_merge_rejects_nan_weight(tmp_path, capsys):
+    models = []
+    for name in ("one", "two"):
+        model = tmp_path / f"{name}.arpa"
+        model.write_text("\\data\\\nngram 1=3\n\n\\1-grams:\n-0.3\ta\n-0.4\t</s>\n"
+                         "-0.5\t<unk>\n\n\\end\\\n", encoding="utf-8")
+        models.append(str(model))
+    weights = tmp_path / "weights.tsv"
+    weights.write_text(f"{models[0]}\tnan\n{models[1]}\t1.0\n", encoding="utf-8")
+    out = tmp_path / "merged.arpa"
+    argv = ["mix", "merge", "--lms", *models, "--weights", str(weights), "--out", str(out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {weights}:1: weight 'nan' is not a finite number >= 0")
+    assert not out.exists()
+
+
 def test_synthetic_study_script_is_deterministic_and_names_fallback_corpora():
     script = FIXTURES.parent / "scripts" / "run_synthetic_study.py"
     runs = [
