@@ -109,7 +109,7 @@ def cmd_mix_em(args) -> int:
 
 def cmd_mix_merge(args) -> int:
     lms = [read_arpa(p) for p in args.lms]
-    weights = load_weights(args.weights)
+    weights = load_weights(args.weights, lms)
     merged = interpolate_static(lms, weights)
     write_arpa(merged, args.out)
     print(f"merged {len(lms)} models -> {args.out}")
@@ -118,7 +118,7 @@ def cmd_mix_merge(args) -> int:
 
 def cmd_mix_ppl(args) -> int:
     lms = [read_arpa(p) for p in args.lms]
-    weights = load_weights(args.weights)
+    weights = load_weights(args.weights, lms)
     corpus = _load(args, args.corpus)
     report = perplexity_mixture(lms, weights, corpus, oov_policy=args.oov_policy)
     print(report.format())

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
@@ -237,7 +238,9 @@ def save_weights(weights: InterpolationWeights, path: str | Path) -> None:
     write_text_atomic(path, "".join(lines))
 
 
-def load_weights(path: str | Path) -> InterpolationWeights:
+def load_weights(path: str | Path, lms: list[BackoffLM]) -> InterpolationWeights:
+    """Read `lm_id<TAB>lambda` lines. Weights apply to `lms` in file order, so
+    if any id names one of `lms`, each id must name the model at its line."""
     ids = []
     lambdas = []
     for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
@@ -254,6 +257,14 @@ def load_weights(path: str | Path) -> InterpolationWeights:
             raise ValueError(f"{path}:{lineno}: weight {fields[1]!r} is not a finite number >= 0")
         ids.append(fields[0])
         lambdas.append(lam)
+    expected = component_ids(lms)
+    aliases = [_aliases(lm_id) for lm_id in ids]
+    names = [_aliases(cid) for cid in expected]
+    if any(a & n for a in aliases for n in names):
+        for i, (lm_id, a, n) in enumerate(zip(ids, aliases, names)):
+            if not a & n:
+                raise ValueError(f"{path}: weights list {ids}, not in model order "
+                                 f"{list(expected)} ({lm_id!r} is not model {i + 1})")
     total = sum(lambdas)
     if abs(total - 1.0) > WEIGHT_FILE_TOLERANCE:
         raise ValueError(f"{path}: weights sum to {total}, expected 1 within {WEIGHT_FILE_TOLERANCE}")
@@ -263,3 +274,11 @@ def load_weights(path: str | Path) -> InterpolationWeights:
         lambdas=tuple(lambdas),
         dev_log10_likelihood=float("nan"),
     )
+
+
+def _aliases(name: str) -> set[str]:
+    """`name`, its resolved path, and `<id>` when its file name is
+    `lm.<id>.arpa`, as the pipeline names the models beside `weights.tsv`."""
+    path = Path(name)
+    match = re.fullmatch(r"lm\.(.+)\.arpa", path.name)
+    return {name, str(path.resolve()), *(match.groups() if match else ())}

@@ -2,8 +2,9 @@
 
 Format: `\\data\\` header with `ngram k=COUNT` lines, one `\\k-grams:` section
 per order with `LOGPROB<TAB>w1 .. wk[<TAB>LOGBACKOFF]` entries, `\\end\\`
-footer. UTF-8, LF endings, log10 values at 7 significant digits. The back-off
-field is omitted at the highest order and for n-grams ending in `</s>`.
+footer; only blank lines may follow the footer. UTF-8, LF endings, log10
+values at 7 significant digits. The back-off field is omitted at the
+highest order and for n-grams ending in `</s>`.
 """
 
 from __future__ import annotations
@@ -60,6 +61,10 @@ def read_arpa(path: str | Path) -> BackoffLM:
         if state == "preamble":
             if line.strip() == "\\data\\":
                 state = "counts"
+            continue
+        if state == "done":
+            if line.strip():
+                raise ArpaError(path, lineno, f"text after \\end\\: {line!r}")
             continue
         if state in ("counts", "entries") and line.startswith("\\") and line.endswith("-grams:"):
             try:

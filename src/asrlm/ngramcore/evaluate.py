@@ -73,7 +73,7 @@ def require_unigrams(lm: BackoffLM, words, purpose: str) -> None:
     """Raise ValueError naming the model's source when one of `words` has no
     unigram, so scoring fails before its first position, not with a KeyError
     inside `log_prob`."""
-    missing = [w for w in words if (w,) not in lm.ngrams(1)]
+    missing = [w for w in words if (w,) not in lm.tables.get(1, {})]
     if missing:
         source = lm.metadata.get("source", "model")
         raise ValueError(f"{source}: no unigram entry for {', '.join(missing)}; "

@@ -32,9 +32,6 @@ class BackoffLM:
     vocab: Vocabulary
     metadata: dict = field(default_factory=dict)
 
-    def ngrams(self, k: int) -> dict[NGram, Entry]:
-        return self.tables.get(k, {})
-
     def size_by_order(self) -> dict[int, int]:
         return {k: len(self.tables.get(k, {})) for k in range(1, self.order + 1)}
 
@@ -116,6 +113,36 @@ def _memoized_value(tables: list[dict[NGram, Entry]], memo: dict[NGram, float], 
     return backed_off
 
 
+def group_by_context(table: dict[NGram, Entry]) -> dict[NGram, list[NGram]]:
+    """Group one order's stored grams by their context, in table order."""
+    children: dict[NGram, list[NGram]] = {}
+    for gram in table:
+        children.setdefault(gram[:-1], []).append(gram)
+    return children
+
+
+def leftover_masses(table: dict[NGram, Entry], value: Callable[[NGram], float],
+                    grams: list[NGram]) -> tuple[float, float]:
+    """For the stored `grams` of one context h: (1 - sum p(w|h), 1 - sum
+    p(w|h minus first word)), with `value` from `memoized_log_prob`. One
+    context at a time, so no order's masses are held at once."""
+    stored_sum = 0.0
+    lower_sum = 0.0
+    for gram in grams:
+        stored_sum += 10.0 ** table[gram][0]
+        lower_sum += 10.0 ** value(gram[1:])
+    return 1.0 - stored_sum, 1.0 - lower_sum
+
+
+def log_backoff(num: float, den: float) -> float:
+    """log10 back-off weight of a context whose stored grams leave `num` of its
+    own mass and `den` of the lower order's. A context whose stored grams
+    cover all its mass never backs off, so its weight is unused: 0.0."""
+    if num <= 0.0 or den <= 0.0:
+        return 0.0
+    return math.log10(num) - math.log10(den)
+
+
 def context_probability_sums(lm: BackoffLM):
     """Yield (context, sum over predicted vocab of p(w|context)) for every stored context.
 
@@ -125,10 +152,7 @@ def context_probability_sums(lm: BackoffLM):
     predicted = lm.vocab.predicted_words()
     contexts: list[NGram] = [()]
     for k in range(2, lm.order + 1):
-        seen: dict[NGram, None] = {}
-        for gram in lm.tables.get(k, {}):
-            seen.setdefault(gram[:-1])
-        contexts.extend(seen.keys())
+        contexts.extend(group_by_context(lm.tables.get(k, {})))
     value = memoized_log_prob(lm)
     for ctx in contexts:
         total = 0.0
@@ -140,36 +164,20 @@ def context_probability_sums(lm: BackoffLM):
 def rebuild_backoffs(lm: BackoffLM) -> None:
     """Recompute every back-off weight so all stored contexts normalize to 1.
 
-    For a context h with stored continuations W: bow(h) = (1 - sum_{w in W}
-    p(w|h)) / (1 - sum_{w in W} p(w|h minus first word)), the lower-order
-    probabilities taken from `memoized_log_prob`. Contexts with no stored
-    continuation lose their back-off weight. Processed from short contexts to
-    long ones, so the lower-order weights a value reads are final before it
-    is computed, and no memoized value goes stale.
+    A context with stored continuations gets `log_backoff` of its
+    `leftover_masses`; one with none loses its back-off weight. Processed
+    from short contexts to long ones, so the lower-order weights a value
+    reads are final before it is computed, and no memoized value goes stale.
     """
     value = memoized_log_prob(lm)
     for ctx_len in range(1, lm.order):
         ctx_table = lm.tables.get(ctx_len, {})
         gram_table = lm.tables.get(ctx_len + 1, {})
-        children: dict[NGram, list[NGram]] = {}
-        for gram in gram_table:
-            children.setdefault(gram[:-1], []).append(gram)
+        children = group_by_context(gram_table)
         for ctx, entry in ctx_table.items():
             grams = children.get(ctx)
-            if not grams:
-                if entry[1] is not None:
-                    ctx_table[ctx] = (entry[0], None)
-                continue
-            stored_sum = 0.0
-            lower_sum = 0.0
-            for gram in grams:
-                stored_sum += 10.0 ** gram_table[gram][0]
-                lower_sum += 10.0 ** value(gram[1:])
-            num = 1.0 - stored_sum
-            den = 1.0 - lower_sum
-            if num <= 0.0 or den <= 0.0:
-                # Context fully covered by stored mass; the weight is unused.
-                bow = 0.0
-            else:
-                bow = math.log10(num) - math.log10(den)
-            ctx_table[ctx] = (entry[0], bow)
+            if grams:
+                num, den = leftover_masses(gram_table, value, grams)
+                ctx_table[ctx] = (entry[0], log_backoff(num, den))
+            elif entry[1] is not None:
+                ctx_table[ctx] = (entry[0], None)

@@ -7,7 +7,7 @@ import warnings
 from dataclasses import dataclass
 
 from asrlm.ngramcore.counts import NGram, NGramCountTable, effective_counts
-from asrlm.ngramcore.model import BOS_LOG10_PROB, BackoffLM
+from asrlm.ngramcore.model import BOS_LOG10_PROB, BackoffLM, Entry
 from asrlm.textcorpus import BOS
 
 FALLBACK_DISCOUNT = 0.5
@@ -22,16 +22,6 @@ class DiscountSet:
 
     by_order: dict[int, tuple[float, float, float]]
     fallback_orders: frozenset[int] = frozenset()
-
-    def discount_for(self, k: int, count: int) -> float:
-        if count <= 0:
-            return 0.0
-        d1, d2, d3 = self.by_order[k]
-        if count == 1:
-            return d1
-        if count == 2:
-            return d2
-        return d3
 
     @classmethod
     def uniform(cls, order: int, value: float = FALLBACK_DISCOUNT) -> "DiscountSet":
@@ -62,16 +52,12 @@ def estimate_discounts(table: NGramCountTable) -> DiscountSet:
         for c in effective_counts(table, k).values():
             if 1 <= c <= 4:
                 cc[c - 1] += 1
-        if 0 in cc:
+        raw = closed_form_discounts(*cc) if 0 not in cc else None
+        if raw is None or min(raw) <= 0.0:
             by_order[k] = (FALLBACK_DISCOUNT,) * 3
             fallback.add(k)
-            continue
-        raw = closed_form_discounts(*cc)
-        if any(d <= 0.0 for d in raw):
-            by_order[k] = (FALLBACK_DISCOUNT,) * 3
-            fallback.add(k)
-            continue
-        by_order[k] = tuple(min(d, cap) for d, cap in zip(raw, _CAPS))
+        else:
+            by_order[k] = tuple(map(min, raw, _CAPS))
     if fallback:
         warnings.warn(
             f"corpus {table.corpus_id!r}: degenerate count-of-counts at order(s) "
@@ -79,6 +65,16 @@ def estimate_discounts(table: NGramCountTable) -> DiscountSet:
             stacklevel=2,
         )
     return DiscountSet(by_order=by_order, fallback_orders=frozenset(fallback))
+
+
+def _entries(probs: dict[NGram, float], gammas: dict[NGram, float]) -> dict[NGram, Entry]:
+    """One order's stored entries: log10 p, and log10 gamma for a gram that
+    is the context of the order above."""
+    entries: dict[NGram, Entry] = {}
+    for gram, p in probs.items():
+        gamma = gammas.get(gram)
+        entries[gram] = (math.log10(p), math.log10(gamma) if gamma is not None else None)
+    return entries
 
 
 def train_mkn(table: NGramCountTable, discounts: DiscountSet) -> BackoffLM:
@@ -89,69 +85,42 @@ def train_mkn(table: NGramCountTable, discounts: DiscountSet) -> BackoffLM:
     the fully interpolated value and each context's back-off weight is its
     leftover discount mass, so every stored context normalizes exactly.
     """
-    vocab = table.vocab
-    predicted = vocab.predicted_words()
-    base = 1.0 / len(predicted)
-
-    # Linear-space interpolated probabilities per order, keyed by n-gram.
-    probs: dict[int, dict[NGram, float]] = {}
-    # gamma (leftover mass ratio) per estimation context, keyed by context.
-    gammas: dict[int, dict[NGram, float]] = {}
-
-    eff1 = effective_counts(table, 1)
-    denom = sum(eff1.values())
-    bins = [0, 0, 0]
-    for c in eff1.values():
-        bins[min(c, 3) - 1] += 1
-    d1, d2, d3 = discounts.by_order[1]
-    gamma1 = (d1 * bins[0] + d2 * bins[1] + d3 * bins[2]) / denom
-    probs[1] = {}
-    for w in predicted:
-        c = eff1.get((w,), 0)
-        disc = discounts.discount_for(1, c)
-        probs[1][(w,)] = max(c - disc, 0.0) / denom + gamma1 * base
-    gammas[1] = {(): gamma1}
-
-    for k in range(2, table.order + 1):
+    predicted = table.vocab.predicted_words()
+    tables: dict[int, dict[NGram, Entry]] = {}
+    # Linear-space interpolated probabilities of the order below; below
+    # order 1 is the uniform distribution over the predicted words.
+    lower: dict[NGram, float] = {(): 1.0 / len(predicted)}
+    for k in range(1, table.order + 1):
         eff = effective_counts(table, k)
+        if k == 1:
+            # The empty context predicts every word; an unseen word counts 0.
+            eff = {(w,): eff.get((w,), 0) for w in predicted}
         denoms: dict[NGram, int] = {}
-        ctx_bins: dict[NGram, list[int]] = {}
+        ctx_bins: dict[NGram, list[int]] = {}  # per context: words counted 0, 1, 2, >=3
         for gram, c in eff.items():
             ctx = gram[:-1]
             denoms[ctx] = denoms.get(ctx, 0) + c
-            b = ctx_bins.setdefault(ctx, [0, 0, 0])
-            b[min(c, 3) - 1] += 1
-        d1, d2, d3 = discounts.by_order[k]
-        gk: dict[NGram, float] = {}
-        for ctx, b in ctx_bins.items():
-            gk[ctx] = (d1 * b[0] + d2 * b[1] + d3 * b[2]) / denoms[ctx]
-        pk: dict[NGram, float] = {}
-        lower = probs[k - 1]
+            ctx_bins.setdefault(ctx, [0, 0, 0, 0])[c if c < 3 else 3] += 1
+        d = (0.0, *discounts.by_order[k])  # the discount of a count c is d[min(c, 3)]
+        # gamma: each context's leftover mass ratio, its back-off weight.
+        gammas = {ctx: (d[1] * b[1] + d[2] * b[2] + d[3] * b[3]) / denoms[ctx]
+                  for ctx, b in ctx_bins.items()}
+        probs: dict[NGram, float] = {}
         for gram, c in eff.items():
             ctx = gram[:-1]
-            disc = discounts.discount_for(k, c)
-            pk[gram] = max(c - disc, 0.0) / denoms[ctx] + gk[ctx] * lower[gram[1:]]
-        probs[k] = pk
-        gammas[k] = gk
-
-    tables: dict[int, dict[NGram, tuple[float, float | None]]] = {
-        k: {} for k in range(1, table.order + 1)
-    }
-    for k in range(1, table.order + 1):
-        higher = gammas.get(k + 1, {})
-        for gram, p in probs[k].items():
-            gamma = higher.get(gram)
-            bow = math.log10(gamma) if gamma is not None else None
-            tables[k][gram] = (math.log10(p), bow)
-    if table.order > 1:
-        bos_gamma = gammas[2].get((BOS,))
-        bos_bow = math.log10(bos_gamma) if bos_gamma is not None else None
-        tables[1][(BOS,)] = (BOS_LOG10_PROB, bos_bow)
-
+            probs[gram] = (max(c - d[c if c < 3 else 3], 0.0) / denoms[ctx]
+                           + gammas[ctx] * lower[gram[1:]])
+        if k > 1:
+            tables[k - 1] = _entries(lower, gammas)
+        if k == 2:
+            # `<s>` opens contexts but is never predicted.
+            tables[1][(BOS,)] = (BOS_LOG10_PROB, math.log10(gammas[(BOS,)]))
+        lower = probs
+    tables[table.order] = _entries(lower, {})
     return BackoffLM(
         order=table.order,
         tables=tables,
-        vocab=vocab,
+        vocab=table.vocab,
         metadata={
             "corpus_id": table.corpus_id,
             "smoothing": "modified-kneser-ney",

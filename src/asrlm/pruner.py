@@ -9,11 +9,18 @@ sets: raising theta never retains an n-gram that a lower theta removed.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
-from asrlm.ngramcore.model import BackoffLM, NGram, memoized_log_prob, rebuild_backoffs
+from asrlm.ngramcore.model import (
+    BackoffLM,
+    NGram,
+    group_by_context,
+    leftover_masses,
+    log_backoff,
+    memoized_log_prob,
+    rebuild_backoffs,
+)
 from asrlm.textcorpus import BOS, EOS
 
 
@@ -87,28 +94,21 @@ def prune_entropy(lm: BackoffLM, theta: float) -> tuple[BackoffLM, PruneReport]:
         # not touch the stored probabilities, weights or marginals they use.
         protected = {g[:-1] for g in pruned.tables.get(k + 1, {})}
         table = pruned.tables[k]
-        siblings: dict[tuple, list[tuple]] = {}
-        for gram in table:
-            siblings.setdefault(gram[:-1], []).append(gram)
+        siblings = group_by_context(table)
         to_remove = []
         for history, log_marginal in _log_marginals(value, sorted(siblings)):
+            grams = siblings[history]
             log_bow = lm.stored_backoff(history)
-            num = 1.0
-            den = 1.0
-            cached_lower = {}
-            for gram in siblings[history]:
-                num -= 10.0 ** table[gram][0]
-                lower = value(gram[1:])
-                cached_lower[gram] = lower
-                den -= 10.0 ** lower
+            num, den = leftover_masses(table, value, grams)
             h_marginal = 10.0 ** log_marginal
-            for gram in siblings[history]:
+            for gram in grams:
                 if gram in protected:
                     continue
+                log_plower = value(gram[1:])
                 logp = table[gram][0]
                 p = 10.0 ** logp
-                log_plower = cached_lower[gram]
-                new_log_bow = math.log10(num + p) - math.log10(den + 10.0 ** log_plower)
+                # The context's weight once this gram is left out.
+                new_log_bow = log_backoff(num + p, den + 10.0 ** log_plower)
                 delta_logp = log_plower + new_log_bow - logp
                 delta_entropy = -h_marginal * (p * delta_logp + num * (new_log_bow - log_bow))
                 if 10.0 ** delta_entropy - 1.0 < theta:

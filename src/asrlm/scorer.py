@@ -22,19 +22,6 @@ class EditAlignment:
     def errors(self) -> int:
         return self.substitutions + self.deletions + self.insertions
 
-    def __add__(self, other: "EditAlignment") -> "EditAlignment":
-        return EditAlignment(
-            substitutions=self.substitutions + other.substitutions,
-            deletions=self.deletions + other.deletions,
-            insertions=self.insertions + other.insertions,
-            hits=self.hits + other.hits,
-            ref_length=self.ref_length + other.ref_length,
-            ops=self.ops + other.ops,
-        )
-
-
-EMPTY_ALIGNMENT = EditAlignment(0, 0, 0, 0, 0, ())
-
 
 @dataclass(frozen=True)
 class ScoreReport:
@@ -122,7 +109,6 @@ def _report(refs: dict, hyps: dict, transform, rate_field: str) -> ScoreReport:
     if unknown:
         raise ValueError(f"hypothesis ids without a reference: {unknown}")
     per_utt: dict[str, EditAlignment] = {}
-    total = EMPTY_ALIGNMENT
     missing = []
     for utt_id in sorted(refs):
         ref = transform(refs[utt_id])
@@ -131,9 +117,16 @@ def _report(refs: dict, hyps: dict, transform, rate_field: str) -> ScoreReport:
         else:
             hyp = ()
             missing.append(utt_id)
-        alignment = align(ref, hyp)
-        per_utt[utt_id] = alignment
-        total = total + alignment
+        per_utt[utt_id] = align(ref, hyp)
+    alignments = per_utt.values()
+    total = EditAlignment(
+        substitutions=sum(a.substitutions for a in alignments),
+        deletions=sum(a.deletions for a in alignments),
+        insertions=sum(a.insertions for a in alignments),
+        hits=sum(a.hits for a in alignments),
+        ref_length=sum(a.ref_length for a in alignments),
+        ops=tuple(op for a in alignments for op in a.ops),
+    )
     if total.ref_length == 0:
         raise ValueError("total reference length is zero")
     return ScoreReport(

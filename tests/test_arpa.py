@@ -84,6 +84,20 @@ def test_repeated_section_header_reports_line_number(tmp_path):
         read_arpa(p)
 
 
+def test_text_after_end_reports_line_number(tmp_path):
+    p = tmp_path / "bad.arpa"
+    p.write_text(
+        "\\data\\\nngram 1=2\n\n\\1-grams:\n-0.3\t</s>\n-0.4\ta\n\n\\end\\\n\n"
+        "-0.1\tb\nmore garbage\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(ArpaError, match=r":10: text after \\end\\: '-0.1\\tb'"):
+        read_arpa(p)
+    p.write_text("\\data\\\nngram 1=1\n\n\\1-grams:\n-0.3\t</s>\n\\end\\\n\n\n",
+                 encoding="utf-8")
+    assert read_arpa(p).size_by_order() == {1: 1}
+
+
 def test_malformed_entry_reports_line_number(tmp_path):
     p = tmp_path / "bad.arpa"
     p.write_text(

@@ -153,29 +153,49 @@ def test_static_merge_requires_same_order():
         interpolate_static([train_on(c, 2, vocab), train_on(c, 3, vocab)], [0.5, 0.5])
 
 
-def test_weights_file_round_trip(tmp_path):
-    w = InterpolationWeights(lm_ids=("x", "y"), lambdas=(0.25, 0.75), dev_log10_likelihood=-12.5)
+def test_weights_file_round_trip(tmp_path, opposed_unigram_pair):
+    w = InterpolationWeights(lm_ids=("one", "two"), lambdas=(0.25, 0.75), dev_log10_likelihood=-12.5)
     p = tmp_path / "weights.tsv"
     save_weights(w, p)
-    loaded = load_weights(p)
-    assert loaded.lm_ids == ("x", "y")
+    loaded = load_weights(p, list(opposed_unigram_pair))
+    assert loaded.lm_ids == ("one", "two")
     assert loaded.lambdas == pytest.approx((0.25, 0.75))
 
 
-def test_weights_file_must_sum_to_one(tmp_path):
+def test_weights_file_must_sum_to_one(tmp_path, opposed_unigram_pair):
     p = tmp_path / "weights.tsv"
     p.write_text("x\t0.5\ny\t0.6\n", encoding="utf-8")
     with pytest.raises(ValueError, match="sum"):
-        load_weights(p)
+        load_weights(p, list(opposed_unigram_pair))
 
 
 @pytest.mark.parametrize("value", ["abc", "nan", "inf", "-0.5"])
-def test_weights_file_rejects_bad_weight_at_its_line(tmp_path, value):
+def test_weights_file_rejects_bad_weight_at_its_line(tmp_path, value, opposed_unigram_pair):
     p = tmp_path / "weights.tsv"
     p.write_text(f"x\t1.0\ny\t{value}\n", encoding="utf-8")
     with pytest.raises(ValueError) as exc:
-        load_weights(p)
+        load_weights(p, list(opposed_unigram_pair))
     assert str(exc.value) == f"{p}:2: weight {value!r} is not a finite number >= 0"
+
+
+@pytest.mark.parametrize("ids, refused", [
+    (("one", "two"), False),
+    (("x", "y"), False),  # ids that name no model apply in file order
+    (("lm.one.arpa", "out/lm.two.arpa"), False),
+    (("two", "one"), True),
+    (("one", "one"), True),
+    (("x", "one"), True),
+    (("lm.two.arpa", "y"), True),
+])
+def test_weights_file_ids_must_name_models_in_model_order(tmp_path, opposed_unigram_pair,
+                                                          ids, refused):
+    p = tmp_path / "weights.tsv"
+    p.write_text(f"{ids[0]}\t0.25\n{ids[1]}\t0.75\n", encoding="utf-8")
+    if refused:
+        with pytest.raises(ValueError, match="not in model order"):
+            load_weights(p, list(opposed_unigram_pair))
+    else:
+        assert load_weights(p, list(opposed_unigram_pair)).lambdas == pytest.approx((0.25, 0.75))
 
 
 def test_interpolation_weights_invariants():

@@ -19,7 +19,7 @@ from asrlm.ngramcore import (
 from asrlm.ngramcore.model import memoized_log_prob
 from asrlm.ngramcore.smoothing import closed_form_discounts
 from asrlm.pruner import prune_entropy
-from asrlm.textcorpus import BOS, EOS, UNK, Vocabulary, build_vocabulary
+from asrlm.textcorpus import BOS, EOS, UNK, Corpus, Vocabulary, build_vocabulary
 from tests.conftest import corpus_of, random_corpus, train_on
 from tests.reference import BruteForceMKN
 
@@ -151,22 +151,35 @@ def test_train_mkn_uniform_symmetry():
 
 def test_mkn_oracle_equivalence_random_corpora():
     rng = random.Random(123)
+    other_rng = random.Random(456)
     for trial in range(10):
         order = 2 + trial % 3
         c = random_corpus(rng)
-        vocab = build_vocabulary([c])
-        lm = train_on(c, order, vocab)
-        oracle = BruteForceMKN(
-            [list(s) for s in c.sentences], order, [w for w in vocab.words if w not in (BOS, EOS, UNK)]
-        )
-        for k in range(1, order + 1):
-            for gram, (logp, _) in lm.tables[k].items():
-                if gram == (BOS,):
-                    continue
-                expected = oracle.prob(gram[-1], gram[:-1])
-                assert math.isclose(logp, math.log10(expected), abs_tol=1e-9), (
-                    f"order {order}, gram {gram}: {logp} vs {math.log10(expected)}"
-                )
+        # The pipeline shares one vocabulary across corpora: words of another
+        # corpus are predicted by this one's model with count 0.
+        other = random_corpus(other_rng, max_sentences=5)
+        other = Corpus(id="other", sentences=tuple(
+            tuple("x" + w for w in s) for s in other.sentences))
+        own, shared = build_vocabulary([c]), build_vocabulary([c, other])
+        assert len(shared) >= len(own) + 2
+        for vocab in (own, shared):
+            check_against_oracle(c, order, vocab)
+
+
+def check_against_oracle(c, order, vocab):
+    lm = train_on(c, order, vocab)
+    assert set(lm.tables[1]) == {(w,) for w in vocab.words}
+    oracle = BruteForceMKN(
+        [list(s) for s in c.sentences], order, [w for w in vocab.words if w not in (BOS, EOS, UNK)]
+    )
+    for k in range(1, order + 1):
+        for gram, (logp, _) in lm.tables[k].items():
+            if gram == (BOS,):
+                continue
+            expected = oracle.prob(gram[-1], gram[:-1])
+            assert math.isclose(logp, math.log10(expected), abs_tol=1e-9), (
+                f"order {order}, gram {gram}: {logp} vs {math.log10(expected)}"
+            )
 
 
 def test_scale_invariance_with_scaled_top_order_discount():

@@ -8,7 +8,8 @@ from pathlib import Path
 import pytest
 
 from asrlm.cli import main
-from asrlm.ngramcore import read_arpa
+from asrlm.mixture import interpolate_static, perplexity_mixture
+from asrlm.ngramcore import read_arpa, write_arpa
 from asrlm.pipeline import (
     PipelineConfig,
     PipelineError,
@@ -17,6 +18,7 @@ from asrlm.pipeline import (
     run_lexicon_pipeline,
     run_lm_pipeline,
 )
+from asrlm.textcorpus import load_corpus
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -288,13 +290,21 @@ def test_fixture_paths_resolve():
     assert config.mapping
 
 
-# SHA-256s of the fixture pipeline's merged and pruned models and prune
-# report. Any change to merge, back-off or pruning arithmetic that moves a
+# SHA-256s of every artifact of the fixture LM pipeline. Any change to
+# training, EM, merge, back-off, pruning or scoring arithmetic that moves a
 # byte of these artifacts fails here.
 PINNED_LM_ARTIFACTS = {
     "lm.combined.arpa": "dd3a9096e30ecc70c54b4e3dee1e671fc8ef1ed8f4bd1cdc146a6fb097f7fe07",
     "lm.pruned.arpa": "e34d967d506732d5c5828af2dca84478ae406eabc51c46238b6fdf8e4ac2c4e5",
     "prune_report.txt": "1d8f2f31341188c0a2dd3dc7e21b3d2f0179de11378be90733e740f015e06cec",
+    "vocab.txt": "00264d12388128e4871c60885a89124b8baaf40266f802988450d39e4d602161",
+    "lm.news.arpa": "d20dd0a9d66d419b1a5a7ef540347059f4ef6d1f9307d6932200c32e9034bdab",
+    "lm.medical.arpa": "54411f52c7f83c129c6d2d1a042b7497e7c232ac2224315ca94fe5a2c07bc544",
+    "lm.dialogue.arpa": "9db296eca6160d120862763f6f0e8c43649037b3f69e1986b7edc787ec2d90fb",
+    "lm.dialect.arpa": "0ac7b6a5f77c57bedc5c10ec9a4f6c5820e47c8e3792e6dd3acb6540d10514a0",
+    "weights.tsv": "c738082854d9a706c02dccd2e10a013967bfd89e8edfabaec473594c50b94c79",
+    "ppl_report.tsv": "ad7dd92b0cdaaf2229299beed03c07c07c4a9c5a3de58f0ce652936df357d460",
+    "oov_report.tsv": "aba1245c0a48a6d6dd0714c9912bfb3823858f54680c5be70d758ef931a2cdf3",
 }
 
 
@@ -312,6 +322,7 @@ PINNED_LEXICON_ARTIFACTS = {
     "training_lexicon.tsv": "6a4fa6df635d2e89ba4f1752fbf98ff2dd11d58be9129f791778ade8ed4a0894",
     "recognition_lexicon.tsv": "5eec6df24ce31168e082273d01b6ea96b1a73eb16966232f5b098b9e00c95063",
     "g2p_model.json": "ff61a3127ec2a79390d67b1c0881b52daa7380b47559c7dca6a98c976165dc66",
+    "lexicon_report.txt": "91e33b302d20bcdf211cd380fd0baa4a3a875f05327c460c2e14c408213f4d87",
 }
 
 
@@ -323,6 +334,20 @@ def test_fixture_lexicon_artifacts_match_pinned_hashes(tmp_path, monkeypatch):
         if name.endswith(".json"):
             data = json.dumps(json.loads(data), sort_keys=True).encode("utf-8")
         assert hashlib.sha256(data).hexdigest() == digest, name
+
+
+# SHA-256s of the fixture dialect pipeline's before/after perplexity and WER.
+PINNED_DIALECT_ARTIFACTS = {
+    "dialect_ppl.tsv": "c9d7d0f8697df1415b06153601f69e8a3017c8dff7261bb84275d76e28a913dd",
+    "dialect_wer.tsv": "1884bb209eb94deae51f3bb0541c22361481ace6a14156d180829363a96f48af",
+}
+
+
+def test_fixture_dialect_artifacts_match_pinned_hashes(tmp_path, monkeypatch):
+    monkeypatch.chdir(FIXTURES.parent)
+    run_dialect_pipeline(parse_config(FIXTURES / "pipeline.cfg", [f"out_dir={tmp_path}"]))
+    for name, digest in PINNED_DIALECT_ARTIFACTS.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
 
 def test_cli_g2p_apply_reports_bad_model(tmp_path, capsys):
@@ -389,6 +414,48 @@ def test_cli_mix_merge_rejects_nan_weight(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {weights}:1: weight 'nan' is not a finite number >= 0")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["ppl", "merge"])
+def test_cli_mix_refuses_weights_listed_in_another_order(tmp_path, monkeypatch, capsys, command):
+    # The pipeline's weights.tsv names its models by corpus id, beside the
+    # lm.<id>.arpa files it wrote; `mix em` names them by path.
+    monkeypatch.chdir(FIXTURES.parent)
+    run_lm_pipeline(parse_config(FIXTURES / "pipeline.cfg", [f"out_dir={tmp_path}"]))
+    by_id = tmp_path / "weights.tsv"
+    lines = by_id.read_text(encoding="utf-8").splitlines()
+    ids = [line.split("\t")[0] for line in lines]
+    lambdas = [float(line.split("\t")[1]) for line in lines]
+    models = [str(tmp_path / f"lm.{lm_id}.arpa") for lm_id in ids]
+    by_path = tmp_path / "by_path.tsv"  # the same files, spelled another way
+    by_path.write_text("".join(f"{tmp_path}/./lm.{lm_id}.arpa\t{lam!r}\n"
+                               for lm_id, lam in zip(ids, lambdas)), encoding="utf-8")
+    corpus = str(FIXTURES / "test.txt")
+    out = tmp_path / "merged.arpa"
+
+    def run(lms, weights):
+        if command == "ppl":
+            argv = ["mix", "ppl", "--lms", *lms, "--weights", str(weights), "--corpus", corpus]
+        else:
+            argv = ["mix", "merge", "--lms", *lms, "--weights", str(weights), "--out", str(out)]
+        return main(argv), capsys.readouterr()
+
+    for weights in (by_id, by_path):
+        for lms in ([models[1], models[0], *models[2:]], [*models[:3], models[0]]):
+            code, captured = run(lms, weights)
+            assert code == 1
+            assert captured.err.startswith(f"error: {weights}: weights list ")
+            assert not out.exists()
+
+    code, captured = run(models, by_id)
+    assert code == 0
+    lms = [read_arpa(m) for m in models]
+    if command == "ppl":
+        expected = perplexity_mixture(lms, lambdas, load_corpus(corpus))
+        assert captured.out == expected.format() + "\n"
+    else:
+        write_arpa(interpolate_static(lms, lambdas), tmp_path / "expected.arpa")
+        assert out.read_bytes() == (tmp_path / "expected.arpa").read_bytes()
 
 
 def test_synthetic_study_script_is_deterministic_and_names_fallback_corpora():

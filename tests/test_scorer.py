@@ -101,6 +101,20 @@ def test_wer_aggregates_counts_not_rates():
     assert report.wer == pytest.approx(1 / 11)
 
 
+@pytest.mark.parametrize("score", [wer, cer])
+def test_aggregate_is_per_utterance_sums_and_ops_in_sorted_id_order(score):
+    refs = {"u3": ("ab", "c"), "u1": ("x", "y", "z"), "u2": ("p",), "u10": ("q", "r")}
+    hyps = {"u3": ("ab",), "u1": ("x", "w", "z", "v"), "u10": ("r",)}
+    report = score(refs, hyps)
+    ids = sorted(refs)
+    per = [report.per_utterance[u] for u in ids]
+    total = report.aggregate
+    for field in ("substitutions", "deletions", "insertions", "hits", "ref_length"):
+        assert getattr(total, field) == sum(getattr(a, field) for a in per), field
+    assert total.ops == tuple(op for a in per for op in a.ops)
+    assert report.rate() == pytest.approx(total.errors / total.ref_length)
+
+
 def test_wer_missing_hyp_scored_as_deletions():
     report = wer({"a": ("x", "y"), "b": ("z",)}, {"a": ("x", "y")})
     assert report.missing_hyps == ("b",)
