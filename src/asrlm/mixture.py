@@ -111,8 +111,9 @@ def em_weights(
     weights = [1.0 / m] * m if init is None else list(_check_weights(init, m))
     # OOV positions are scored as `<unk>`, so each position has positive
     # probability under every open-vocabulary component.
+    order = max(lm.order for lm in lms)
     rows = [[10.0 ** lm.log_prob(token, history) for lm in lms]
-            for history, token, _ in iter_positions(dev, lms[0].vocab)]
+            for history, token, _ in iter_positions(dev, lms[0].vocab, order)]
     n_positions = len(rows)
 
     def log_likelihood_and_posteriors(ws):
@@ -157,7 +158,7 @@ def perplexity_mixture(
     """Perplexity of the position-wise weighted mixture of the components."""
     _check_components(lms, minimum=1)
     mix = partial(_mix_log10, lms, _check_weights(weights, len(lms)))
-    return score_corpus(mix, corpus, lms[0].vocab, oov_policy)
+    return score_corpus(mix, corpus, lms[0].vocab, oov_policy, max(lm.order for lm in lms))
 
 
 def interpolate_static(
@@ -222,7 +223,7 @@ def static_merge_divergence(
     if contexts is None:
         contexts = [()]
         for k in range(1, merged.order):
-            contexts.extend(sorted(merged.tables.get(k, {})))
+            contexts.extend(sorted(merged.tables[k]))
     worst = 0.0
     for ctx in contexts:
         for w in merged.vocab.predicted_words():

@@ -33,11 +33,11 @@ def format_log10(value: float) -> str:
 def write_arpa(lm: BackoffLM, path: str | Path) -> None:
     lines = ["\\data\\"]
     for k in range(1, lm.order + 1):
-        lines.append(f"ngram {k}={len(lm.tables.get(k, {}))}")
+        lines.append(f"ngram {k}={len(lm.tables[k])}")
     lines.append("")
     for k in range(1, lm.order + 1):
         lines.append(f"\\{k}-grams:")
-        table = lm.tables.get(k, {})
+        table = lm.tables[k]
         for gram in sorted(table):
             logp, bow = table[gram]
             line = f"{format_log10(logp)}\t{' '.join(gram)}"

@@ -26,24 +26,29 @@ class PerplexityReport:
         )
 
 
-def iter_positions(corpus: Corpus, vocab: Vocabulary):
-    """Yield (history_tokens, token, is_oov) for every predicted position.
+def iter_positions(corpus: Corpus, vocab: Vocabulary, order: int):
+    """Yield (history, token, is_oov) for every predicted position.
 
-    Histories carry the `<s>` pad and map OOV words to `<unk>`; predicted
-    positions are every word plus one `</s>` per sentence.
+    `history` is the tuple of the last `order - 1` tokens before the position
+    (fewer near a sentence start): the `<s>` pad and the words, OOV ones
+    mapped to `<unk>`. Predicted positions are every word plus one `</s>` per
+    sentence.
     """
+    n = order - 1
     for sent in corpus.sentences:
-        history: list[str] = [BOS]
+        history = (BOS,)[:n]
         for tok in sent:
             oov = tok not in vocab
-            yield tuple(history), tok, oov
-            history.append(UNK if oov else tok)
-        yield tuple(history), EOS, False
+            yield history, tok, oov
+            history = (*history, UNK if oov else tok)[-n:] if n else ()
+        yield history, EOS, False
 
 
-def score_corpus(log10_prob, corpus: Corpus, vocab: Vocabulary, oov_policy: str) -> PerplexityReport:
+def score_corpus(log10_prob, corpus: Corpus, vocab: Vocabulary, oov_policy: str,
+                 order: int) -> PerplexityReport:
     """The one corpus-scoring loop: sum `log10_prob(token, history)` over the
-    predicted positions. Under `exclude`, OOV positions are counted and
+    predicted positions, with the histories `iter_positions` gives for models
+    of order at most `order`. Under `exclude`, OOV positions are counted and
     skipped before anything is scored."""
     if oov_policy not in OOV_POLICIES:
         raise ValueError(f"unknown OOV policy {oov_policy!r}")
@@ -52,7 +57,7 @@ def score_corpus(log10_prob, corpus: Corpus, vocab: Vocabulary, oov_policy: str)
     total = 0.0
     scored = 0
     oov = 0
-    for history, token, is_oov in iter_positions(corpus, vocab):
+    for history, token, is_oov in iter_positions(corpus, vocab, order):
         if is_oov and oov_policy == "exclude":
             oov += 1
             continue
@@ -73,7 +78,7 @@ def require_unigrams(lm: BackoffLM, words, purpose: str) -> None:
     """Raise ValueError naming the model's source when one of `words` has no
     unigram, so scoring fails before its first position, not with a KeyError
     inside `log_prob`."""
-    missing = [w for w in words if (w,) not in lm.tables.get(1, {})]
+    missing = [w for w in words if (w,) not in lm.tables[1]]
     if missing:
         source = lm.metadata.get("source", "model")
         raise ValueError(f"{source}: no unigram entry for {', '.join(missing)}; "
@@ -89,7 +94,7 @@ def perplexity(lm: BackoffLM, corpus: Corpus, oov_policy: str = "exclude") -> Pe
     """
     require_unigrams(lm, (EOS, UNK) if oov_policy == "as_unk" else (EOS,),
                      f"under oov_policy {oov_policy!r}")
-    return score_corpus(lm.log_prob, corpus, lm.vocab, oov_policy)
+    return score_corpus(lm.log_prob, corpus, lm.vocab, oov_policy, lm.order)
 
 
 def oov_rate(vocab: Vocabulary, corpus: Corpus) -> float:

@@ -7,7 +7,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import partial
 
-from asrlm.textcorpus import Vocabulary
+from asrlm.textcorpus import UNK, Vocabulary
 
 NGram = tuple[str, ...]
 # Stored per n-gram: (log10 probability, log10 back-off weight or None).
@@ -21,10 +21,11 @@ BOS_LOG10_PROB = -99.0
 class BackoffLM:
     """ARPA-style back-off model: per order, n-gram -> (log10 p, log10 bow).
 
-    The back-off weight is absent (None) for the highest order and for
-    n-grams that never occur as the context of a stored higher-order n-gram.
-    Instances are treated as immutable after construction; concurrent reads
-    are safe.
+    `tables` holds a table, possibly empty, for every order 1..`order`; one
+    missing at construction is added. The back-off weight is absent (None)
+    for the highest order and for n-grams that never occur as the context of
+    a stored higher-order n-gram. Instances are treated as immutable after
+    construction; concurrent reads are safe.
     """
 
     order: int
@@ -32,8 +33,12 @@ class BackoffLM:
     vocab: Vocabulary
     metadata: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        for k in range(1, self.order + 1):
+            self.tables.setdefault(k, {})
+
     def size_by_order(self) -> dict[int, int]:
-        return {k: len(self.tables.get(k, {})) for k in range(1, self.order + 1)}
+        return {k: len(self.tables[k]) for k in range(1, self.order + 1)}
 
     def total_ngrams(self) -> int:
         return sum(len(t) for t in self.tables.values())
@@ -47,22 +52,27 @@ class BackoffLM:
     def log_prob(self, word: str, history=()) -> float:
         """log10 p(word | history) via the standard back-off recursion.
 
-        Unknown words (in `word` or `history`) are mapped to `<unk>` first;
-        the history is truncated to the model order.
+        Only the last `order - 1` tokens of `history` are read, so a caller
+        may pass just those. Unknown words (in `word` or in those tokens) are
+        mapped to `<unk>` first.
         """
-        map_token = self.vocab.map_token
-        w = map_token(word)
+        vocab = self.vocab
         n = self.order - 1
-        hist = tuple(map(map_token, history[-n:])) if n > 0 else ()
+        hist = tuple(history[-n:]) if n > 0 else ()
+        for t in hist:
+            if t not in vocab:
+                hist = tuple([u if u in vocab else UNK for u in hist])
+                break
+        w = word if word in vocab else UNK
         tables = self.tables
         acc = 0.0
         while True:
-            entry = tables.get(len(hist) + 1, {}).get(hist + (w,))
+            entry = tables[len(hist) + 1].get(hist + (w,))
             if entry is not None:
                 return acc + entry[0]
             if not hist:
                 raise KeyError(f"no unigram entry for {w!r}")
-            ctx = tables.get(len(hist), {}).get(hist)
+            ctx = tables[len(hist)].get(hist)
             if ctx is not None and ctx[1] is not None:
                 acc += ctx[1]
             hist = hist[1:]
@@ -88,7 +98,7 @@ def memoized_log_prob(lm: BackoffLM) -> Callable[[NGram], float]:
     its own and frees it on return. It stays valid while back-off weights
     change only for contexts longer than every gram evaluated so far.
     """
-    tables = [{}] + [lm.tables.get(k, {}) for k in range(1, lm.order + 1)]
+    tables = [{}] + [lm.tables[k] for k in range(1, lm.order + 1)]
     return partial(_memoized_value, tables, {})
 
 
@@ -152,7 +162,7 @@ def context_probability_sums(lm: BackoffLM):
     predicted = lm.vocab.predicted_words()
     contexts: list[NGram] = [()]
     for k in range(2, lm.order + 1):
-        contexts.extend(group_by_context(lm.tables.get(k, {})))
+        contexts.extend(group_by_context(lm.tables[k]))
     value = memoized_log_prob(lm)
     for ctx in contexts:
         total = 0.0
@@ -171,8 +181,8 @@ def rebuild_backoffs(lm: BackoffLM) -> None:
     """
     value = memoized_log_prob(lm)
     for ctx_len in range(1, lm.order):
-        ctx_table = lm.tables.get(ctx_len, {})
-        gram_table = lm.tables.get(ctx_len + 1, {})
+        ctx_table = lm.tables[ctx_len]
+        gram_table = lm.tables[ctx_len + 1]
         children = group_by_context(gram_table)
         for ctx, entry in ctx_table.items():
             grams = children.get(ctx)

@@ -56,46 +56,64 @@ def align(ref, hyp) -> EditAlignment:
     n, m = len(ref), len(hyp)
     # Pack (cost, substitutions) into one int; subs can never reach BIG.
     big = n + m + 1
-    dist = [[0] * (m + 1) for _ in range(n + 1)]
-    for i in range(1, n + 1):
-        dist[i][0] = i * big
-    for j in range(1, m + 1):
-        dist[0][j] = j * big
-    for i in range(1, n + 1):
-        row = dist[i]
-        prev = dist[i - 1]
-        r = ref[i - 1]
-        for j in range(1, m + 1):
-            diag = prev[j - 1] + (0 if r == hyp[j - 1] else big + 1)
-            row[j] = min(diag, prev[j] + big, row[j - 1] + big)
+    sub = big + 1
+    row = list(range(0, (m + 1) * big, big))
+    dist = [row]
+    for r in ref:
+        # Each cell is min(diag, up + big, left + big); `left` carries the
+        # cell just computed into the next column.
+        prev = row
+        left = prev[0] + big
+        row = [left]
+        j = 0
+        for y in hyp:
+            diag = prev[j]
+            if r != y:
+                diag += sub
+            j += 1
+            up = prev[j]
+            if up < left:
+                left = up
+            left += big
+            if diag < left:
+                left = diag
+            row.append(left)
+        dist.append(row)
     ops: list[tuple[str, str | None, str | None]] = []
     i, j = n, m
-    s = d = ins = h = 0
-    while i > 0 or j > 0:
-        here = dist[i][j]
-        if i > 0 and j > 0 and ref[i - 1] == hyp[j - 1] and here == dist[i - 1][j - 1]:
-            ops.append((_MATCH, ref[i - 1], hyp[j - 1]))
-            h += 1
-            i -= 1
-            j -= 1
-        elif i > 0 and j > 0 and ref[i - 1] != hyp[j - 1] and here == dist[i - 1][j - 1] + big + 1:
-            ops.append((_SUB, ref[i - 1], hyp[j - 1]))
+    s = h = 0
+    while i and j:
+        # Step back diagonally; a deletion or an insertion undoes half the step.
+        i -= 1
+        j -= 1
+        r, y = ref[i], hyp[j]
+        here, above = dist[i + 1][j + 1], dist[i]
+        if r == y:
+            if here == above[j]:
+                ops.append((_MATCH, r, y))
+                h += 1
+                continue
+        elif here == above[j] + sub:
+            ops.append((_SUB, r, y))
             s += 1
-            i -= 1
-            j -= 1
-        elif i > 0 and here == dist[i - 1][j] + big:
-            ops.append((_DEL, ref[i - 1], None))
-            d += 1
-            i -= 1
+            continue
+        if here == above[j + 1] + big:
+            ops.append((_DEL, r, None))
+            j += 1
         else:
-            ops.append((_INS, None, hyp[j - 1]))
-            ins += 1
-            j -= 1
+            ops.append((_INS, None, y))
+            i += 1
+    while i:
+        i -= 1
+        ops.append((_DEL, ref[i], None))
+    while j:
+        j -= 1
+        ops.append((_INS, None, hyp[j]))
     ops.reverse()
     return EditAlignment(
         substitutions=s,
-        deletions=d,
-        insertions=ins,
+        deletions=n - h - s,
+        insertions=m - h - s,
         hits=h,
         ref_length=n,
         ops=tuple(ops),
@@ -160,9 +178,16 @@ def relative_reduction(base: float, improved: float) -> float:
 
 
 def read_trn(path: str | Path) -> dict[str, tuple[str, ...]]:
-    """Read `utt_id<TAB>token token ...` lines; duplicate ids are an error."""
+    """Read `utt_id<TAB>token token ...` lines; duplicate ids and invalid
+    UTF-8 are errors at `path:line`."""
+    raw = Path(path).read_bytes()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = raw.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"{path}:{lineno}: invalid UTF-8 ({exc.reason})") from exc
     out: dict[str, tuple[str, ...]] = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(text.splitlines(), 1):
         if not line.strip():
             continue
         fields = line.split("\t")
@@ -175,13 +200,14 @@ def read_trn(path: str | Path) -> dict[str, tuple[str, ...]]:
 
 
 def format_report(report: ScoreReport, label: str = "wer") -> str:
-    """Human-readable per-utterance and aggregate table."""
+    """Human-readable per-utterance and aggregate table. An utterance with an
+    empty reference has no rate; its rate column reads `-`."""
     lines = [f"utt_id\tS\tD\tI\tN\t{label}%"]
     for utt_id in sorted(report.per_utterance):
         a = report.per_utterance[utt_id]
-        rate = 100.0 * a.errors / a.ref_length if a.ref_length else float("nan")
+        rate = f"{100.0 * a.errors / a.ref_length:.2f}" if a.ref_length else "-"
         lines.append(
-            f"{utt_id}\t{a.substitutions}\t{a.deletions}\t{a.insertions}\t{a.ref_length}\t{rate:.2f}"
+            f"{utt_id}\t{a.substitutions}\t{a.deletions}\t{a.insertions}\t{a.ref_length}\t{rate}"
         )
     a = report.aggregate
     lines.append(

@@ -2,12 +2,16 @@
 
 Everything here recomputes results directly from first principles (plain
 dicts, recursive definitions, exhaustive enumeration) and deliberately shares
-no code with the package under test.
+no code with the package under test. The one exception is the result type
+`EditAlignment`, which `reference_align` returns so that whole alignments can
+be compared with `==`.
 """
 
 from __future__ import annotations
 
 import math
+
+from asrlm.scorer import EditAlignment
 
 BOS = "<s>"
 EOS = "</s>"
@@ -117,6 +121,126 @@ def brute_edit_distance(ref, hyp):
             ))
         prev = cur
     return prev[-1]
+
+
+
+_MATCH, _SUB, _DEL, _INS = "match", "sub", "del", "ins"
+
+
+def reference_align(ref, hyp) -> EditAlignment:
+    """Minimal unit-cost alignment of two token sequences: the straightforward
+    full-matrix program, kept as the exact-output oracle of
+    `asrlm.scorer.align` (ops and counts included).
+
+    Among minimal-cost alignments the one with the fewest substitutions (most
+    matches) is chosen, realized by minimizing (cost, substitutions)
+    lexicographically; remaining ties during backtrace prefer match >
+    substitution > deletion > insertion. This keeps alignments deterministic
+    and makes swapping ref and hyp exchange deletions with insertions while
+    preserving substitutions.
+    """
+    ref = tuple(ref)
+    hyp = tuple(hyp)
+    n, m = len(ref), len(hyp)
+    # Pack (cost, substitutions) into one int; subs can never reach BIG.
+    big = n + m + 1
+    dist = [[0] * (m + 1) for _ in range(n + 1)]
+    for i in range(1, n + 1):
+        dist[i][0] = i * big
+    for j in range(1, m + 1):
+        dist[0][j] = j * big
+    for i in range(1, n + 1):
+        row = dist[i]
+        prev = dist[i - 1]
+        r = ref[i - 1]
+        for j in range(1, m + 1):
+            diag = prev[j - 1] + (0 if r == hyp[j - 1] else big + 1)
+            row[j] = min(diag, prev[j] + big, row[j - 1] + big)
+    ops: list[tuple[str, str | None, str | None]] = []
+    i, j = n, m
+    s = d = ins = h = 0
+    while i > 0 or j > 0:
+        here = dist[i][j]
+        if i > 0 and j > 0 and ref[i - 1] == hyp[j - 1] and here == dist[i - 1][j - 1]:
+            ops.append((_MATCH, ref[i - 1], hyp[j - 1]))
+            h += 1
+            i -= 1
+            j -= 1
+        elif i > 0 and j > 0 and ref[i - 1] != hyp[j - 1] and here == dist[i - 1][j - 1] + big + 1:
+            ops.append((_SUB, ref[i - 1], hyp[j - 1]))
+            s += 1
+            i -= 1
+            j -= 1
+        elif i > 0 and here == dist[i - 1][j] + big:
+            ops.append((_DEL, ref[i - 1], None))
+            d += 1
+            i -= 1
+        else:
+            ops.append((_INS, None, hyp[j - 1]))
+            ins += 1
+            j -= 1
+    ops.reverse()
+    return EditAlignment(
+        substitutions=s,
+        deletions=d,
+        insertions=ins,
+        hits=h,
+        ref_length=n,
+        ops=tuple(ops),
+    )
+
+
+def backoff_log10_prob(lm, word, history):
+    """log10 p(word | history) of a back-off model, read from its tables alone.
+
+    Tokens outside the model's vocabulary become `<unk>` and only the last
+    `order - 1` history tokens count. While the n-gram is not stored, the
+    back-off weight of its context (0 when absent) is added and the context's
+    first token dropped, longest context first; the stored log10 probability
+    is added last.
+    """
+    known = set(lm.vocab.words)
+    mapped = [t if t in known else UNK for t in history]
+    context = tuple(mapped[max(0, len(mapped) - (lm.order - 1)):]) if lm.order > 1 else ()
+    w = word if word in known else UNK
+    total = 0.0
+    while context + (w,) not in lm.tables.get(len(context) + 1, {}):
+        if not context:
+            raise KeyError(f"no unigram entry for {w!r}")
+        bow = lm.tables.get(len(context), {}).get(context, (0.0, None))[1]
+        if bow is not None:
+            total += bow
+        context = context[1:]
+    return total + lm.tables[len(context) + 1][context + (w,)][0]
+
+
+def naive_perplexity(lms, weights, sentences, oov_policy):
+    """(log10_prob_sum, scored, oov, sentences, ppl) of a single model
+    (`weights` None) or of the position-wise weighted mixture of `lms`.
+
+    Each position is scored from scratch against its full, unmapped history,
+    in corpus order. A mixture position scores
+    log10(sum of weight * 10 ** backoff_log10_prob) over the components. Under
+    `exclude`, out-of-vocabulary words are counted and not scored; `</s>`
+    closes every sentence.
+    """
+    known = set(lms[0].vocab.words)
+    total = 0.0
+    scored = oov = 0
+    for sent in sentences:
+        padded = [BOS, *sent, EOS]
+        for i in range(1, len(padded)):
+            token, history = padded[i], padded[:i]
+            if i < len(padded) - 1 and token not in known and oov_policy == "exclude":
+                oov += 1
+                continue
+            if weights is None:
+                total += backoff_log10_prob(lms[0], token, history)
+            else:
+                total += math.log10(sum(lam * 10.0 ** backoff_log10_prob(lm, token, history)
+                                        for lam, lm in zip(weights, lms)))
+            scored += 1
+    return total, scored, oov, len(sentences), 10.0 ** (-total / scored)
 
 
 def graphone_cond_prob(model, gid, history):

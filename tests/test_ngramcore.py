@@ -4,7 +4,7 @@ import warnings
 
 import pytest
 
-from asrlm.mixture import interpolate_static
+from asrlm.mixture import interpolate_static, perplexity_mixture
 from asrlm.ngramcore import (
     BackoffLM,
     DiscountSet,
@@ -21,7 +21,7 @@ from asrlm.ngramcore.smoothing import closed_form_discounts
 from asrlm.pruner import prune_entropy
 from asrlm.textcorpus import BOS, EOS, UNK, Corpus, Vocabulary, build_vocabulary
 from tests.conftest import corpus_of, random_corpus, train_on
-from tests.reference import BruteForceMKN
+from tests.reference import BruteForceMKN, naive_perplexity
 
 
 def test_count_ngrams_bigrams_and_unigrams():
@@ -323,3 +323,36 @@ def test_memoized_log_prob_matches_log_prob(seeded_models, kind):
             backed_off += gram not in lm.tables[len(gram)]
             assert abs(value(gram) - lm.log_prob(w, ctx)) <= 1e-12, gram
     assert backed_off > 0
+
+
+@pytest.mark.parametrize("policy", ["exclude", "as_unk"])
+@pytest.mark.parametrize("kind", ["trained", "merged", "pruned", "mixture"])
+def test_perplexity_reports_equal_naive_backoff_sum(seeded_models, kind, policy):
+    """Reports are float-equal, not just close, to scoring every position from
+    scratch against its full history and summing in corpus order: for the
+    whole corpus and for each sentence alone, where a one-ulp change at one
+    position is less likely to round away. The mixture adds a bigram
+    component, so its components read histories of two lengths."""
+    lm = seeded_models["trained"]
+    rng = random.Random(31)
+    words = [w for w in lm.vocab.words if w not in (BOS, EOS, UNK)] + ["oov1", "oov2"]
+    sentences = tuple(tuple(rng.choice(words) for _ in range(rng.randint(1, 14)))
+                      for _ in range(40))
+    assert max(len(s) for s in sentences) > 2 * lm.order
+    if kind == "mixture":
+        bigram = train_on(random_corpus(random.Random(7), max_vocab=12), 2, lm.vocab)
+        lms = [seeded_models[k] for k in ("trained", "merged", "pruned")] + [bigram]
+        weights = [0.4, 0.3, 0.2, 0.1]
+    else:
+        lms, weights = [seeded_models[kind]], None
+    oov = 0
+    for sents in [sentences] + [(s,) for s in sentences]:
+        corpus = Corpus(id="eval", sentences=sents)
+        if weights is None:
+            report = perplexity(lms[0], corpus, policy)
+        else:
+            report = perplexity_mixture(lms, weights, corpus, policy)
+        assert (report.log10_prob_sum, report.scored_tokens, report.oov_tokens, report.sentences,
+                report.ppl) == naive_perplexity(lms, weights, sents, policy)
+        oov += report.oov_tokens
+    assert oov > 0 if policy == "exclude" else oov == 0

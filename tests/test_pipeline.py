@@ -221,6 +221,15 @@ def test_cli_score_wer(tmp_path, capsys):
     assert "TOTAL\t0\t1\t0\t3\t33.33" in out
 
 
+def test_cli_score_wer_names_file_and_line_of_invalid_utf8(tmp_path, capsys):
+    ref = tmp_path / "ref.tsv"
+    hyp = tmp_path / "hyp.tsv"
+    ref.write_text("u1\tthe cat\nu2\tsat\n", encoding="utf-8")
+    hyp.write_bytes(b"u1\tthe cat\nu2\tsa\xfft\n")
+    assert main(["score", "wer", "--ref", str(ref), "--hyp", str(hyp)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {hyp}:2: invalid UTF-8")
+
+
 def test_cli_score_cer(tmp_path, capsys):
     ref = tmp_path / "ref.tsv"
     hyp = tmp_path / "hyp.tsv"

@@ -1,3 +1,7 @@
+import itertools
+import random
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,7 +14,7 @@ from asrlm.scorer import (
     relative_reduction,
     wer,
 )
-from tests.reference import brute_edit_distance
+from tests.reference import brute_edit_distance, reference_align
 
 tokens = st.lists(st.sampled_from(["a", "b", "c"]), min_size=0, max_size=8)
 
@@ -74,6 +78,25 @@ def test_align_symmetry_swaps_del_ins(ref, hyp):
     assert fwd.deletions == rev.insertions
     assert fwd.insertions == rev.deletions
     assert fwd.substitutions == rev.substitutions
+
+
+def test_align_equals_reference_alignment():
+    """Whole alignments, ops and counts included, equal the full-matrix
+    reference: every pair of {a,b,c} sequences up to length 4, then seeded
+    longer pairs, unrelated and near-copies, passed as lists."""
+    sequences = [seq for k in range(5) for seq in itertools.product("abc", repeat=k)]
+    pairs = [(ref, hyp) for ref in sequences for hyp in sequences]
+    rng = random.Random(8)
+    for _ in range(200):
+        ref = [rng.choice("abcd") for _ in range(rng.randint(5, 20))]
+        hyp = [rng.choice("abcd") for _ in range(rng.randint(0, 20))]
+        near = list(ref)
+        for _ in range(rng.randint(1, 3)):
+            k = rng.randrange(len(near) + 1)
+            near[k:k + rng.randint(0, 1)] = rng.choice(([], ["x"], ["x", "y"]))
+        pairs += [(ref, hyp), (ref, near), (near, ref)]
+    for ref, hyp in pairs:
+        assert align(ref, hyp) == reference_align(ref, hyp), (ref, hyp)
 
 
 def test_wer_perfect():
@@ -166,6 +189,23 @@ def test_read_trn_and_duplicate_ids(tmp_path):
     p.write_text("u1\ta\nu1\tb\n", encoding="utf-8")
     with pytest.raises(ValueError, match="duplicate"):
         read_trn(p)
+
+
+def test_read_trn_rejects_invalid_utf8_at_its_line(tmp_path):
+    p = tmp_path / "hyps.tsv"
+    p.write_bytes(b"u1\ta b\nu2\tx\xffy\n")
+    with pytest.raises(ValueError, match="^" + re.escape(f"{p}:2: invalid UTF-8")):
+        read_trn(p)
+
+
+def test_format_report_marks_empty_reference_rate():
+    report = wer({"u1": ("a", "b"), "u2": ()}, {"u1": ("a", "b"), "u2": ("z",)})
+    assert format_report(report).splitlines() == [
+        "utt_id\tS\tD\tI\tN\twer%",
+        "u1\t0\t0\t0\t2\t0.00",
+        "u2\t0\t0\t1\t0\t-",
+        "TOTAL\t0\t0\t1\t2\t50.00",
+    ]
 
 
 def test_format_report_contains_totals():
