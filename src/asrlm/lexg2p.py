@@ -82,9 +82,14 @@ def make_lexicon(pairs, inventory=None) -> Lexicon:
 
 
 def load_lexicon(path: str | Path, inventory=None) -> Lexicon:
-    """Read `word<TAB>ph1 ph2 ...` lines; repeated words add pronunciations."""
+    """Read `word<TAB>ph1 ph2 ...` lines; repeated words add pronunciations.
+
+    Lines end at a line feed only. The carriage return of a CRLF ending is
+    whitespace to the phoneme split; any other line separator, such as U+2028,
+    stays inside its line.
+    """
     pairs = []
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").split("\n"), 1):
         if not line.strip():
             continue
         fields = line.split("\t")
@@ -156,9 +161,10 @@ class JointSequenceModel:
     finally to a uniform distribution over the inventory plus the end marker,
     so every graphone sequence over the inventory has positive probability.
 
-    `__post_init__` derives a per-context back-off table for each order,
-    context -> (count total, gamma), where gamma is the discounted mass over
-    the total. It holds only contexts with a positive total; any other
+    `__post_init__` derives a per-context table for each order, context ->
+    (count total, gamma, followers), where gamma is the discounted mass over
+    the total and followers maps each graphone id seen after the context to
+    its count. It holds only contexts with a positive total; any other
     context passes the lower-order value through unchanged. It also indexes
     graphone ids by grapheme side and freezes the set of letters the
     inventory covers.
@@ -176,16 +182,19 @@ class JointSequenceModel:
     training_report: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self._contexts: dict[int, dict[tuple[int, ...], tuple[float, float]]] = {}
+        self._contexts: dict[int, dict[tuple[int, ...], tuple[float, float, dict[int, float]]]] = {}
         for k in range(1, self.order + 1):
             denoms: dict[tuple[int, ...], float] = {}
             gnum: dict[tuple[int, ...], float] = {}
+            followers: dict[tuple[int, ...], dict[int, float]] = {}
             for gram, c in self.counts.get(k, {}).items():
                 ctx = gram[:-1]
                 denoms[ctx] = denoms.get(ctx, 0.0) + c
                 gnum[ctx] = gnum.get(ctx, 0.0) + min(self.discount, c)
+                followers.setdefault(ctx, {})[gram[-1]] = c
             self._contexts[k] = {
-                ctx: (denom, gnum[ctx] / denom) for ctx, denom in denoms.items() if denom > 0.0
+                ctx: (denom, gnum[ctx] / denom, followers[ctx])
+                for ctx, denom in denoms.items() if denom > 0.0
             }
         self._uniform = 1.0 / (len(self.graphones) + 1)
         self.by_grapheme: dict[str, list[int]] = {}
@@ -221,12 +230,13 @@ class JointSequenceModel:
         if stats is None:
             probs = lower
         else:
-            denom, gamma = stats
-            table = self.counts[k]
+            denom, gamma, followers = stats
             d = self.discount
-            probs = []
-            for gid, low in zip(gids, lower):
-                probs.append(max(table.get(ctx + (gid,), 0.0) - d, 0.0) / denom + gamma * low)
+            count = followers.get
+            # An unseen gid's discounted count is 0.0, and 0.0 / denom + x == x.
+            probs = [gamma * low if (c := count(gid)) is None
+                     else max(c - d, 0.0) / denom + gamma * low
+                     for gid, low in zip(gids, lower)]
         memo[ctx] = probs
         return probs
 
@@ -423,6 +433,7 @@ def train_g2p(
         unseen = 0.0
     ll, _ = run_e_step(probs, unseen)
     trace.append(ll)
+    del graphs, probs  # free the E-step state before the model builds its index
 
     return JointSequenceModel(
         order=order,
@@ -450,6 +461,19 @@ def apply_g2p(model: JointSequenceModel, word: str, beam: int = 100, n_best: int
     yielding the same pronunciation are collapsed to the best-scoring one.
     Only graphones with a non-empty grapheme side are expanded, which keeps
     the search finite when the model was trained with min_letters=0.
+
+    Hypotheses are grouped by consumed-letter count into levels, and each
+    level is cut to its `beam` best (ties broken by phonemes, then history)
+    before it is expanded. Expansion skips what that cut would drop anyway:
+    once a target level holds at least `beam` distinct hypotheses, the
+    beam-th best of their scores is a bound, and a source hypothesis stops
+    at its first successor, taken best first, whose score is strictly below
+    it. This is exact. Until its cut a level only gains hypotheses and only
+    raises scores, so any bound taken from it, however stale, is at most its
+    final beam-th best score; a skipped successor would be cut, or would
+    lose to the score its hypothesis already holds. A tie with the bound is
+    expanded, since the cut's tie-break may keep it. The bound is refreshed
+    whenever the level has doubled in size since it was last taken.
     """
     if not word:
         raise G2PError("empty word")
@@ -458,13 +482,20 @@ def apply_g2p(model: JointSequenceModel, word: str, beam: int = 100, n_best: int
     unseen = sorted(set(word) - model.letters)
     if unseen:
         raise G2PError(f"letters never seen in any graphone: {unseen}")
+    n = len(word)
     # Hypotheses per consumed-letter count: (phones, history) -> score.
     levels: list[dict[tuple[tuple[str, ...], tuple[int, ...]], float]] = [
-        {} for _ in range(len(word) + 1)
+        {} for _ in range(n + 1)
     ]
     levels[0][((), model.start_history())] = 0.0
+    # Per level: the pruning bound, and the size at which to take it again.
+    bounds = [-math.inf] * (n + 1)
+    refresh_at = [beam] * (n + 1)
+    # history -> gid -> next history, which drops the oldest id.
+    next_hist: dict[tuple[int, ...], dict[int, tuple[int, ...]]] = {}
+    graphones = model.graphones
     max_letters = max(model.max_letters, 1)
-    for i in range(len(word) + 1):
+    for i in range(n + 1):
         hyps = levels[i]
         if not hyps:
             continue
@@ -472,10 +503,12 @@ def apply_g2p(model: JointSequenceModel, word: str, beam: int = 100, n_best: int
             hyps = dict(heapq.nsmallest(
                 beam, hyps.items(), key=lambda kv: (-kv[1], kv[0][0], kv[0][1])))
             levels[i] = hyps
-        if i == len(word):
+        if i == n:
             break
+        # Members best first, so a history stops at its first member that
+        # no successor can lift to the bound.
         by_history: dict[tuple[int, ...], list[tuple[tuple[str, ...], float]]] = {}
-        for (phones, hist), score in hyps.items():
+        for (phones, hist), score in sorted(hyps.items(), key=lambda kv: -kv[1]):
             by_history.setdefault(hist, []).append((phones, score))
         for lg in range(model.min_letters or 1, max_letters + 1):
             piece = word[i : i + lg]
@@ -485,20 +518,39 @@ def apply_g2p(model: JointSequenceModel, word: str, beam: int = 100, n_best: int
             if not gids:
                 continue
             lvl = levels[i + lg]
+            bound = bounds[i + lg]
+            grow_at = refresh_at[i + lg]
             memo: dict = {}
             for hist, members in by_history.items():
-                successors = [
-                    (model.graphones[gid].phonemes, model.shift(hist, gid), math.log10(p))
-                    for gid, p in zip(gids, model._cond_list(hist, gids, memo))
-                ]
+                # Successors are built only once they pass the bound.
+                logps = list(map(math.log10, model._cond_list(hist, gids, memo)))
+                best_first = sorted(range(len(gids)), key=logps.__getitem__, reverse=True)
+                top = logps[best_first[0]]
+                nexts = next_hist.setdefault(hist, {})
                 for phones, score in members:
-                    for phonemes, nhist, logp in successors:
-                        nscore = score + logp
-                        nkey = (phones + phonemes, nhist)
-                        if nkey not in lvl or nscore > lvl[nkey]:
+                    if score + top < bound:
+                        break
+                    for j in best_first:
+                        nscore = score + logps[j]
+                        if nscore < bound:
+                            break
+                        gid = gids[j]
+                        nhist = nexts.get(gid)
+                        if nhist is None:
+                            nhist = nexts[gid] = (hist + (gid,))[1:]
+                        nkey = (phones + graphones[gid].phonemes, nhist)
+                        old = lvl.get(nkey)
+                        if old is None:
                             lvl[nkey] = nscore
+                            if len(lvl) >= grow_at:
+                                bound = heapq.nlargest(beam, lvl.values())[-1]
+                                grow_at = 2 * len(lvl)
+                        elif nscore > old:
+                            lvl[nkey] = nscore
+            bounds[i + lg] = bound
+            refresh_at[i + lg] = grow_at
     best: dict[tuple[str, ...], float] = {}
-    for (phones, hist), score in levels[len(word)].items():
+    for (phones, hist), score in levels[n].items():
         total = score + model.cond_log10(EOS_ID, hist)
         if phones not in best or total > best[phones]:
             best[phones] = total
@@ -566,7 +618,7 @@ def save_g2p_model(model: JointSequenceModel, path: str | Path) -> None:
         "discount": model.discount,
         "graphones": [[g.graphemes, list(g.phonemes)] for g in model.graphones],
         "counts": {
-            str(k): [[list(gram), c] for gram, c in sorted(table.items())]
+            str(k): sorted(table.items())  # each (gram, count) is written as [[ids], count]
             for k, table in sorted(model.counts.items())
         },
         "log10_likelihood_trace": list(model.log10_likelihood_trace),
@@ -579,6 +631,11 @@ _MODEL_KEYS = ("order", "max_letters", "max_phones", "min_letters", "min_phones"
                "graphones", "counts", "log10_likelihood_trace", "training_report")
 # Integer model fields and the least value each may take.
 _INT_FIELDS = {"order": 1, "max_letters": 1, "max_phones": 1, "min_letters": 0, "min_phones": 0}
+
+
+def _is_number(x) -> bool:
+    """An int or float, but not a bool: JSON `true` is not a count."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
 def _is_graphone_gram(gram: tuple, k: int, ids: range) -> bool:
@@ -597,7 +654,8 @@ def load_g2p_model(path: str | Path) -> JointSequenceModel:
     graphone ids, a non-finite or negative count, a likelihood trace that is
     not a list of finite numbers, a discount outside (0, 1], an order or
     size limit that is not an integer in range, both minimum sizes 0, or
-    graphones that are not [graphemes, [phonemes, ...]] string pairs.
+    graphones that are not [graphemes, [phonemes, ...]] string pairs. A JSON
+    boolean is neither an integer nor a number here.
     """
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -609,10 +667,10 @@ def load_g2p_model(path: str | Path) -> JointSequenceModel:
     if missing:
         raise ValueError(f"{path}: model file lacks {', '.join(missing)}")
     discount = payload["discount"]
-    if not isinstance(discount, (int, float)) or not 0.0 < discount <= 1.0:
+    if not _is_number(discount) or not 0.0 < discount <= 1.0:
         raise ValueError(f"{path}: discount {discount!r} is outside (0, 1]")
     for key, least in _INT_FIELDS.items():
-        if not isinstance(payload[key], int) or payload[key] < least:
+        if type(payload[key]) is not int or payload[key] < least:
             raise ValueError(f"{path}: {key} {payload[key]!r} is not an integer >= {least}")
     if payload["min_letters"] == 0 and payload["min_phones"] == 0:
         raise ValueError(f"{path}: min_letters and min_phones are both 0")
@@ -637,12 +695,12 @@ def load_g2p_model(path: str | Path) -> JointSequenceModel:
             if not _is_graphone_gram(gram, k, ids):
                 raise ValueError(f"{path}: {k}-gram {list(gram)} is not {k} graphone ids "
                                  "(BOS_ID only before the last place, EOS_ID only in it)")
-            if not isinstance(c, (int, float)) or not math.isfinite(c) or c < 0.0:
+            if not _is_number(c) or not math.isfinite(c) or c < 0.0:
                 raise ValueError(f"{path}: count {c!r} of {k}-gram {list(gram)} "
                                  "is not a finite number >= 0")
     trace = payload["log10_likelihood_trace"]
     if not isinstance(trace, list) or not all(
-        isinstance(x, (int, float)) and math.isfinite(x) for x in trace
+        _is_number(x) and math.isfinite(x) for x in trace
     ):
         raise ValueError(f"{path}: log10_likelihood_trace {trace!r} is not a list of finite numbers")
     return JointSequenceModel(

@@ -179,7 +179,12 @@ def relative_reduction(base: float, improved: float) -> float:
 
 def read_trn(path: str | Path) -> dict[str, tuple[str, ...]]:
     """Read `utt_id<TAB>token token ...` lines; duplicate ids and invalid
-    UTF-8 are errors at `path:line`."""
+    UTF-8 are errors at `path:line`.
+
+    Lines end at a line feed only. The carriage return of a CRLF ending is
+    whitespace to the token split; any other line separator, such as U+2028,
+    stays inside its line.
+    """
     raw = Path(path).read_bytes()
     try:
         text = raw.decode("utf-8")
@@ -187,7 +192,7 @@ def read_trn(path: str | Path) -> dict[str, tuple[str, ...]]:
         lineno = raw.count(b"\n", 0, exc.start) + 1
         raise ValueError(f"{path}:{lineno}: invalid UTF-8 ({exc.reason})") from exc
     out: dict[str, tuple[str, ...]] = {}
-    for lineno, line in enumerate(text.splitlines(), 1):
+    for lineno, line in enumerate(text.split("\n"), 1):
         if not line.strip():
             continue
         fields = line.split("\t")

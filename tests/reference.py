@@ -2,15 +2,18 @@
 
 Everything here recomputes results directly from first principles (plain
 dicts, recursive definitions, exhaustive enumeration) and deliberately shares
-no code with the package under test. The one exception is the result type
+no code with the package under test. The exceptions are the result type
 `EditAlignment`, which `reference_align` returns so that whole alignments can
-be compared with `==`.
+be compared with `==`, and the G2P id markers and error type, which
+`reference_apply_g2p` uses so that its results and messages compare with `==`.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 
+from asrlm.lexg2p import BOS_ID, EOS_ID, G2PError
 from asrlm.scorer import EditAlignment
 
 BOS = "<s>"
@@ -294,6 +297,119 @@ def exhaustive_g2p(model, word):
         if phones not in best or score > best[phones]:
             best[phones] = score
     return sorted(best.items(), key=lambda kv: (-kv[1], kv[0]))
+
+
+def _reference_contexts(model):
+    """Per order, context -> (count total, discounted mass / total), for the
+    contexts with a positive total."""
+    contexts = {}
+    for k in range(1, model.order + 1):
+        denoms = {}
+        gnum = {}
+        for gram, c in model.counts.get(k, {}).items():
+            ctx = gram[:-1]
+            denoms[ctx] = denoms.get(ctx, 0.0) + c
+            gnum[ctx] = gnum.get(ctx, 0.0) + min(model.discount, c)
+        contexts[k] = {
+            ctx: (denom, gnum[ctx] / denom) for ctx, denom in denoms.items() if denom > 0.0
+        }
+    return contexts
+
+
+def _reference_cond_list(model, contexts, ctx, gids, memo):
+    """p(gid | ctx) for every gid in `gids`, looking each count up as the
+    full gram `ctx + (gid,)`; `memo` is shared only between equal `gids`."""
+    probs = memo.get(ctx)
+    if probs is not None:
+        return probs
+    k = len(ctx) + 1
+    if k > 1:
+        lower = _reference_cond_list(model, contexts, ctx[1:], gids, memo)
+    else:
+        lower = [1.0 / (len(model.graphones) + 1)] * len(gids)
+    stats = contexts[k].get(ctx)
+    if stats is None:
+        probs = lower
+    else:
+        denom, gamma = stats
+        table = model.counts[k]
+        d = model.discount
+        probs = []
+        for gid, low in zip(gids, lower):
+            probs.append(max(table.get(ctx + (gid,), 0.0) - d, 0.0) / denom + gamma * low)
+    memo[ctx] = probs
+    return probs
+
+
+def reference_apply_g2p(model, word, beam=100, n_best=1):
+    """The beam decoder without threshold pruning, kept as the exact-output
+    oracle of `asrlm.lexg2p.apply_g2p` (scores and tie order included).
+
+    Every successor of every kept hypothesis enters the next level; only
+    then is each level cut to its `beam` best by (-score, phonemes, history).
+    Pronunciations are collapsed to their best score after the end marker and
+    ranked by (-score, phonemes).
+    """
+    if not word:
+        raise G2PError("empty word")
+    if beam < 1:
+        raise ValueError("beam must be >= 1")
+    letters = {ch for g in model.graphones for ch in g.graphemes}
+    unseen = sorted(set(word) - letters)
+    if unseen:
+        raise G2PError(f"letters never seen in any graphone: {unseen}")
+    contexts = _reference_contexts(model)
+    by_grapheme = {}
+    for gid, g in enumerate(model.graphones):
+        by_grapheme.setdefault(g.graphemes, []).append(gid)
+
+    def shift(history, gid):
+        return (history + (gid,))[-(model.order - 1):] if model.order > 1 else ()
+
+    levels = [{} for _ in range(len(word) + 1)]
+    levels[0][((), (BOS_ID,) * (model.order - 1))] = 0.0
+    max_letters = max(model.max_letters, 1)
+    for i in range(len(word) + 1):
+        hyps = levels[i]
+        if not hyps:
+            continue
+        if len(hyps) > beam:
+            hyps = dict(heapq.nsmallest(
+                beam, hyps.items(), key=lambda kv: (-kv[1], kv[0][0], kv[0][1])))
+            levels[i] = hyps
+        if i == len(word):
+            break
+        by_history = {}
+        for (phones, hist), score in hyps.items():
+            by_history.setdefault(hist, []).append((phones, score))
+        for lg in range(model.min_letters or 1, max_letters + 1):
+            piece = word[i : i + lg]
+            if len(piece) < lg:
+                break
+            gids = by_grapheme.get(piece)
+            if not gids:
+                continue
+            lvl = levels[i + lg]
+            memo = {}
+            for hist, members in by_history.items():
+                successors = [
+                    (model.graphones[gid].phonemes, shift(hist, gid), math.log10(p))
+                    for gid, p in zip(gids, _reference_cond_list(model, contexts, hist, gids, memo))
+                ]
+                for phones, score in members:
+                    for phonemes, nhist, logp in successors:
+                        nscore = score + logp
+                        nkey = (phones + phonemes, nhist)
+                        if nkey not in lvl or nscore > lvl[nkey]:
+                            lvl[nkey] = nscore
+    best = {}
+    for (phones, hist), score in levels[len(word)].items():
+        p_end = _reference_cond_list(model, contexts, hist, (EOS_ID,), {})[0]
+        total = score + math.log10(p_end)
+        if phones not in best or total > best[phones]:
+            best[phones] = total
+    ranked = sorted(best.items(), key=lambda kv: (-kv[1], kv[0]))
+    return ranked[:n_best]
 
 
 def brute_force_g2p_em(lexicon, order, max_letters, max_phones, em_iters,

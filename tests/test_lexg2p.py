@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import re
 
 import pytest
 
@@ -22,7 +23,12 @@ from asrlm.lexg2p import (
     save_lexicon,
     train_g2p,
 )
-from tests.reference import brute_force_g2p_em, exhaustive_g2p, graphone_cond_prob
+from tests.reference import (
+    brute_force_g2p_em,
+    exhaustive_g2p,
+    graphone_cond_prob,
+    reference_apply_g2p,
+)
 
 
 def identity_lexicon(words):
@@ -61,6 +67,16 @@ def test_load_lexicon_rejects_bad_lines(tmp_path):
     p.write_text("word-without-pron\n", encoding="utf-8")
     with pytest.raises(LexiconError, match=":1:"):
         load_lexicon(p)
+
+
+def test_load_lexicon_splits_lines_at_line_feed_only(tmp_path):
+    p = tmp_path / "lex.tsv"
+    # U+2028 is a line break to str.splitlines, which would add an entry "ba".
+    p.write_text("ab\ta b\u2028ba\tb a\n", encoding="utf-8")
+    with pytest.raises(LexiconError, match="^" + re.escape(f"{p}:1: expected")):
+        load_lexicon(p)
+    p.write_bytes(b"ab\ta b\r\n\r\nba\tb a\r\n")
+    assert load_lexicon(p).entries == {"ab": (("a", "b"),), "ba": (("b", "a"),)}
 
 
 def test_load_inventory(tmp_path):
@@ -263,6 +279,51 @@ def test_beam_matches_exhaustive_search_at_order_3():
         assert apply_g2p(model, word, beam=100000, n_best=3) == exhaustive_g2p(model, word)[:3]
 
 
+def _decode(decoder, model, word, beam, n_best):
+    try:
+        return decoder(model, word, beam=beam, n_best=n_best)
+    except G2PError as exc:
+        return f"G2PError: {exc}"
+
+
+def test_apply_g2p_equals_reference_with_binding_beam():
+    # Threshold pruning must drop only what the beam cut drops. Models at
+    # orders 1-3 with 1- and 2-letter graphones; untrained ones, whose equal
+    # scores tie at every bound; one with empty-grapheme graphones; and two
+    # over two letters and two phonemes, where many segmentations reach the
+    # same hypothesis and raise its score. Beyond the top 1 and 3, the whole
+    # ranked list compares the cut of the last level.
+    rng = random.Random(47)
+    models = []
+    for order in (1, 2, 3):
+        for max_letters in (1, 2):
+            for em_iters in (0, 2):
+                lex = random_lexicon(rng, n_words=10, alphabet="abc", phones=("P", "Q", "R"))
+                models.append(train_g2p(lex, order=order, max_letters=max_letters,
+                                        max_phones=2, em_iters=em_iters))
+    lex = random_lexicon(rng, n_words=10, alphabet="abc", phones=("P", "Q", "R"))
+    models.append(train_g2p(lex, order=2, max_letters=2, max_phones=1, min_letters=0,
+                            em_iters=2))
+    for order in (1, 2):
+        lex = random_lexicon(rng, n_words=10, alphabet="ab", phones=("P", "Q"))
+        models.append(train_g2p(lex, order=order, max_letters=2, max_phones=2, em_iters=2))
+    binding = 0
+    for model in models:
+        alphabet = sorted(model.letters)
+        words = ["".join(rng.choice(alphabet) for _ in range(length)) for length in range(1, 9)]
+        words += ["abd", "dd"]  # letters no graphone covers
+        for word in words:
+            for n_best in (1, 3, 10**6):
+                outputs = []
+                for beam in (30, 5, 3, 2, 1):
+                    expected = _decode(reference_apply_g2p, model, word, beam, n_best)
+                    assert _decode(apply_g2p, model, word, beam, n_best) == expected, (
+                        model.order, model.max_letters, word, beam, n_best)
+                    outputs.append(expected)
+                binding += outputs[-1] != outputs[0]
+    assert binding > 100  # beam 1 and beam 30 disagree often: the cut binds
+
+
 def test_beam_scores_are_log10_of_sequence_probability():
     lex = identity_lexicon(["ab", "ba"])
     model = train_g2p(lex, order=2, max_letters=1, max_phones=1, em_iters=3)
@@ -358,6 +419,15 @@ def _set_count(order, value):
                  "2-gram [0, -1] is not 2 graphone ids", id="bos-last"),
     pytest.param(lambda payload: payload.update(counts={"2": [[[-2, 0], 1.0]]}),
                  "2-gram [-2, 0] is not 2 graphone ids", id="eos-in-history"),
+    pytest.param(lambda payload: payload.update(order=True),
+                 "order True is not an integer >= 1", id="bool-order"),
+    pytest.param(lambda payload: payload.update(min_letters=False),
+                 "min_letters False is not an integer >= 0", id="bool-min-letters"),
+    pytest.param(lambda payload: payload.update(discount=True), "discount True is outside",
+                 id="bool-discount"),
+    pytest.param(_set_count(1, True), "count True of 1-gram", id="bool-count"),
+    pytest.param(lambda payload: payload.update(log10_likelihood_trace=[True, False]),
+                 "log10_likelihood_trace [True, False] is not a list", id="bool-trace"),
 ])
 def test_load_g2p_model_rejects_bad_files(tmp_path, edit, message):
     model = train_g2p(identity_lexicon(["ab", "ba"]), order=2, max_letters=1,

@@ -198,6 +198,16 @@ def test_read_trn_rejects_invalid_utf8_at_its_line(tmp_path):
         read_trn(p)
 
 
+def test_read_trn_splits_lines_at_line_feed_only(tmp_path):
+    p = tmp_path / "hyps.tsv"
+    # U+0085 is a line break to str.splitlines, which would add an utterance "u3".
+    p.write_text("u1\ta b\u0085u3\tc\nu2\td\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="^" + re.escape(f"{p}:1: expected")):
+        read_trn(p)
+    p.write_bytes(b"u1\ta b c\r\n\r\nu2\td\r\n")
+    assert read_trn(p) == {"u1": ("a", "b", "c"), "u2": ("d",)}
+
+
 def test_format_report_marks_empty_reference_rate():
     report = wer({"u1": ("a", "b"), "u2": ()}, {"u1": ("a", "b"), "u2": ("z",)})
     assert format_report(report).splitlines() == [
