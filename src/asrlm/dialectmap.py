@@ -40,15 +40,22 @@ class MappingTable:
 
 
 def load_mapping(path: str | Path) -> MappingTable:
-    """Read `dialect<TAB>standard[<TAB>note]` lines; `#` lines are comments."""
+    """Read `dialect<TAB>standard[<TAB>note]` lines; `#` lines are comments.
+
+    Lines end at a line feed only, and the carriage return of a CRLF ending
+    is dropped. The dialect and standard sides are single words, so one that
+    holds whitespace, such as another line separator like U+2028, is an error.
+    """
     pairs: dict[str, str] = {}
     notes: dict[str, str] = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").split("\n"), 1):
+        line = line.removesuffix("\r")
         if not line.strip() or line.lstrip().startswith("#"):
             continue
         fields = line.split("\t")
-        if len(fields) not in (2, 3) or not fields[0] or not fields[1]:
-            raise MappingError(f"{path}:{lineno}: expected 'dialect<TAB>standard[<TAB>note]'")
+        if len(fields) not in (2, 3) or any(f.split() != [f] for f in fields[:2]):
+            raise MappingError(f"{path}:{lineno}: expected 'dialect<TAB>standard[<TAB>note]' "
+                               "with one word on each side")
         if fields[0] in pairs:
             raise MappingError(f"{path}:{lineno}: duplicate key {fields[0]!r}")
         pairs[fields[0]] = fields[1]

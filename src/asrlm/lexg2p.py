@@ -282,15 +282,19 @@ def _segmentation_lattice(word, pron, steps):
     }
 
 
-def _entry_graph(edges, end, order, gid_of):
+def _entry_graph(edges, end, order, gid_of, gram_ids):
     """The E-step graph of one entry over states (cell, graphone-id history).
 
     States reachable from ((0, 0), BOS history) through the lattice `edges`,
     with `gid_of` giving each Graphone's id, are numbered in sorted order: a
-    topological order, since every move advances the cell. Returns the
-    transitions (src, dst, history + (gid,)) in breadth-first discovery
-    order, each state's outgoing transition indices, and
-    (state, history + (EOS_ID,)) for the states at `end`.
+    topological order, since every move advances the cell. A full-order gram
+    (history + (gid,), or history + (EOS_ID,) at the end) is named by its id
+    in `gram_ids`, which gives each gram not yet in it the next free id.
+
+    Returns the graph as integer lists, transitions in breadth-first
+    discovery order: each transition's source state, destination state and
+    gram id; each state's outgoing transition indices; and (state, gram id)
+    of the end move of each state at `end`.
     """
     start = ((0, 0), (BOS_ID,) * (order - 1))
     states = [start]
@@ -301,18 +305,21 @@ def _entry_graph(edges, end, order, gid_of):
         for graphone, tgt in edges[cell]:
             gram = hist + (gid_of[graphone],)
             nstate = (tgt, gram[1:])
-            found.append((state, nstate, gram))
+            found.append((state, nstate, gram_ids.setdefault(gram, len(gram_ids))))
             if nstate not in seen:
                 seen.add(nstate)
                 states.append(nstate)
     states.sort()
     index = {state: s for s, state in enumerate(states)}
-    transitions = [(index[src], index[dst], gram) for src, dst, gram in found]
+    src = [index[state] for state, _, _ in found]
+    dst = [index[nstate] for _, nstate, _ in found]
+    grams = [g for _, _, g in found]
     out: list[list[int]] = [[] for _ in states]
-    for t, (src, _, _) in enumerate(transitions):
-        out[src].append(t)
-    finals = [(s, hist + (EOS_ID,)) for s, (cell, hist) in enumerate(states) if cell == end]
-    return transitions, out, finals
+    for t, s in enumerate(src):
+        out[s].append(t)
+    finals = [(s, gram_ids.setdefault(hist + (EOS_ID,), len(gram_ids)))
+              for s, (cell, hist) in enumerate(states) if cell == end]
+    return src, dst, grams, out, finals
 
 
 def train_g2p(
@@ -333,6 +340,19 @@ def train_g2p(
     by maximum likelihood, so the training log-likelihood never decreases.
     Entries that cannot be segmented within the limits are reported and
     skipped.
+
+    Every distinct full-order gram gets an integer id once, before EM, and
+    the entry graphs name grams only by id. Probabilities and expected counts
+    are lists indexed by id: `key_of[k][g]` is the id of gram g's order-k key
+    `gram[-k:]`, and `ctx_of[g]` that of its context `gram[:-1]`. Only the
+    M-steps read full-order counts, and only the model keeps the lower
+    orders, so the E-steps before the last M-step count the full order
+    alone, the last M-step's E-step counts every order, and the final E-step,
+    which only extends the likelihood trace, counts nothing. Each key's
+    posteriors are added in entry, transition, then end order, and each
+    order's counts keep the order in which their keys first had a non-zero
+    posterior, so the sums and the model's count tables do not depend on
+    which orders an E-step counts.
     """
     if len(lexicon) == 0:
         raise ValueError("lexicon is empty")
@@ -362,20 +382,37 @@ def train_g2p(
         raise ValueError("no lexicon entry can be segmented within the size limits")
     graphones = tuple(sorted(inventory, key=lambda g: (g.graphemes, g.phonemes)))
     gid_of = {g: i for i, g in enumerate(graphones)}
-    graphs = [_entry_graph(edges, (len(word), len(pron)), order, gid_of)
+    gram_ids: dict[tuple[int, ...], int] = {}
+    graphs = [_entry_graph(edges, (len(word), len(pron)), order, gid_of, gram_ids)
               for word, pron, edges in entry_list]
+    words = [word for word, _, _ in entry_list]
+    del entry_list
+    grams = list(gram_ids)
+    del gram_ids
+    # Per order: its key tuples and each gram's key id; the full order's key is the gram.
+    keys: dict[int, list[tuple[int, ...]]] = {order: grams}
+    key_of: dict[int, list[int] | None] = {order: None}
+    for k in range(1, order):
+        ids: dict[tuple[int, ...], int] = {}
+        key_of[k] = [ids.setdefault(gram[-k:], len(ids)) for gram in grams]
+        keys[k] = list(ids)
+    ctx_ids: dict[tuple[int, ...], int] = {}
+    ctx_of = [ctx_ids.setdefault(gram[:-1], len(ctx_ids)) for gram in grams]
+    n_ctx = len(ctx_ids)
+    del ctx_ids
 
-    def run_e_step(probs, unseen):
-        """One forward-backward pass; returns (log10 likelihood, expected counts).
+    def run_e_step(pv, tallies):
+        """One forward-backward pass; returns the log10 likelihood.
 
-        A full-order gram's probability is `probs.get(gram, unseen)`.
+        Gram g has probability `pv[g]`. Each transition's and end move's
+        posterior is added into every (k, sums, first) of `tallies`: into
+        `sums` at its order-k key id, which is appended to `first` the
+        first time it gets a non-zero posterior. Without tallies only the
+        forward pass runs.
         """
-        expected: dict[int, dict[tuple[int, ...], float]] = {
-            k: {} for k in range(1, order + 1)
-        }
         total_ll = 0.0
-        for (word, _, _), (transitions, out, finals) in zip(entry_list, graphs):
-            ps = [probs.get(gram, unseen) for _, _, gram in transitions]
+        for word, (src, dst, tgrams, out, finals) in zip(words, graphs):
+            ps = [pv[g] for g in tgrams]
             alpha = [0.0] * len(out)
             alpha[0] = 1.0
             for s, ts in enumerate(out):
@@ -383,19 +420,21 @@ def train_g2p(
                 if a == 0.0:
                     continue
                 for t in ts:
-                    alpha[transitions[t][1]] += a * ps[t]
+                    alpha[dst[t]] += a * ps[t]
             z = 0.0
             ends = []
-            for s, gram in finals:
-                p_end = probs.get(gram, unseen)
+            for s, g in finals:
+                p_end = pv[g]
                 if p_end > 0.0 and alpha[s] > 0.0:
                     z += alpha[s] * p_end
-                    ends.append((s, gram, p_end))
+                    ends.append((s, g, p_end))
             if z <= 0.0:
                 # Every path died under the current parameters; cannot happen
                 # after a uniform first iteration.
                 raise ArithmeticError(f"entry {word!r} has zero likelihood")
             total_ll += math.log10(z)
+            if not tallies:
+                continue
             # Backward pass; beta of an end state starts at its EOS factor.
             beta = [0.0] * len(out)
             for s, _, p_end in ends:
@@ -403,37 +442,41 @@ def train_g2p(
             for s in range(len(out) - 1, -1, -1):
                 acc = beta[s]
                 for t in out[s]:
-                    acc += ps[t] * beta[transitions[t][1]]
+                    acc += ps[t] * beta[dst[t]]
                 beta[s] = acc
             inv_z = 1.0 / z
-            posteriors = [(alpha[src] * p * beta[dst] * inv_z, gram)
-                          for (src, dst, gram), p in zip(transitions, ps)]
-            posteriors += [(alpha[s] * p_end * inv_z, gram) for s, gram, p_end in ends]
-            for post, gram in posteriors:
-                if post == 0.0:
-                    continue
-                for k, tab in expected.items():
-                    key = gram[-k:]
-                    tab[key] = tab.get(key, 0.0) + post
-        return total_ll, expected
+            posts = [alpha[s] * p * beta[d] * inv_z for s, d, p in zip(src, dst, ps)]
+            posts += [alpha[s] * p_end * inv_z for s, _, p_end in ends]
+            gids = tgrams + [g for _, g, _ in ends]
+            for k, sums, first in tallies:
+                ids = gids if key_of[k] is None else map(key_of[k].__getitem__, gids)
+                for i, post in zip(ids, posts):
+                    if post == 0.0:
+                        continue
+                    if not sums[i]:
+                        first.append(i)
+                    sums[i] += post
+        return total_ll
 
     # The first E-step is uniform; each later one uses the last M-step's conditionals.
-    probs: dict[tuple[int, ...], float] = {}
-    unseen = 1.0 / (len(graphones) + 1)
+    pv = [1.0 / (len(graphones) + 1)] * len(grams)
     trace = []
-    final_counts: dict[int, dict[tuple[int, ...], float]] = {}
-    for _ in range(em_iters):
-        ll, final_counts = run_e_step(probs, unseen)
-        trace.append(ll)
-        top = final_counts[order]
-        denoms: dict[tuple[int, ...], float] = {}
-        for gram, c in top.items():
-            denoms[gram[:-1]] = denoms.get(gram[:-1], 0.0) + c
-        probs = {gram: c / denoms[gram[:-1]] for gram, c in top.items()}
-        unseen = 0.0
-    ll, _ = run_e_step(probs, unseen)
-    trace.append(ll)
-    del graphs, probs  # free the E-step state before the model builds its index
+    tallies = []
+    for it in range(1, em_iters + 1):
+        counted = range(1, order + 1) if it == em_iters else (order,)
+        tallies = [(k, [0.0] * len(keys[k]), []) for k in counted]
+        trace.append(run_e_step(pv, tallies))
+        _, sums, first = tallies[-1]
+        denoms = [0.0] * n_ctx
+        for g in first:
+            denoms[ctx_of[g]] += sums[g]
+        pv = [0.0] * len(grams)
+        for g in first:
+            pv[g] = sums[g] / denoms[ctx_of[g]]
+    trace.append(run_e_step(pv, ()))
+    counts = {k: {keys[k][i]: sums[i] for i in first} for k, sums, first in tallies if first}
+    # Free the E-step state before the model builds its index.
+    del graphs, pv, keys, key_of, ctx_of, tallies
 
     return JointSequenceModel(
         order=order,
@@ -442,11 +485,11 @@ def train_g2p(
         min_letters=min_letters,
         min_phones=min_phones,
         graphones=graphones,
-        counts={k: t for k, t in final_counts.items() if t},
+        counts=counts,
         discount=discount,
         log10_likelihood_trace=tuple(trace),
         training_report={
-            "entries": len(entry_list),
+            "entries": len(words),
             "skipped": [(w, " ".join(p), why) for w, p, why in skipped],
             "em_iters": em_iters,
         },

@@ -241,14 +241,19 @@ def save_weights(weights: InterpolationWeights, path: str | Path) -> None:
 
 def load_weights(path: str | Path, lms: list[BackoffLM]) -> InterpolationWeights:
     """Read `lm_id<TAB>lambda` lines. Weights apply to `lms` in file order, so
-    if any id names one of `lms`, each id must name the model at its line."""
+    if any id names one of `lms`, each id must name the model at its line.
+
+    Lines end at a line feed only; the carriage return of a CRLF ending is
+    whitespace around the weight. An empty id, or one that holds another line
+    separator such as U+2028, is an error.
+    """
     ids = []
     lambdas = []
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").split("\n"), 1):
         if not line.strip():
             continue
         fields = line.split("\t")
-        if len(fields) != 2:
+        if len(fields) != 2 or fields[0].splitlines() != [fields[0]]:
             raise ValueError(f"{path}:{lineno}: expected 'lm_id<TAB>lambda'")
         try:
             lam = float(fields[1])

@@ -24,13 +24,15 @@ class ArpaError(ValueError):
         self.lineno = lineno
 
 
-def format_log10(value: float) -> str:
-    if value == 0.0:  # avoid "-0"
-        value = 0.0
-    return format(value, ".7g")
+def _non_finite(path, k: int, gram: NGram, field: str, value: float) -> ValueError:
+    return ValueError(f"{path}: {k}-gram {' '.join(gram)!r} has non-finite {field} "
+                      f"{value!r}; no file written")
 
 
 def write_arpa(lm: BackoffLM, path: str | Path) -> None:
+    """Write `lm` as an ARPA file. A non-finite log-prob or back-off weight,
+    which `read_arpa` would refuse, is a ValueError naming its order and
+    n-gram, and no file is written."""
     lines = ["\\data\\"]
     for k in range(1, lm.order + 1):
         lines.append(f"ngram {k}={len(lm.tables[k])}")
@@ -40,9 +42,17 @@ def write_arpa(lm: BackoffLM, path: str | Path) -> None:
         table = lm.tables[k]
         for gram in sorted(table):
             logp, bow = table[gram]
-            line = f"{format_log10(logp)}\t{' '.join(gram)}"
+            # Adding 0.0 writes -0.0 as "0". A finite value's text ends in a
+            # digit; "nan", "inf" and "-inf" end in a letter, above "9".
+            text = f"{logp + 0.0:.7g}"
+            if text[-1] > "9":
+                raise _non_finite(path, k, gram, "log-prob", logp)
+            line = f"{text}\t{' '.join(gram)}"
             if k < lm.order and gram[-1] != EOS and bow is not None:
-                line += f"\t{format_log10(bow)}"
+                text = f"{bow + 0.0:.7g}"
+                if text[-1] > "9":
+                    raise _non_finite(path, k, gram, "back-off weight", bow)
+                line += f"\t{text}"
             lines.append(line)
         lines.append("")
     lines.append("\\end\\")

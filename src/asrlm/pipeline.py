@@ -126,7 +126,12 @@ def _parse_value(key: str, raw: str):
 
 
 def parse_config(path: str | Path | None = None, overrides=()) -> PipelineConfig:
-    """Read `key = value` lines (# comments allowed) plus key=value overrides."""
+    """Read `key = value` lines (# comments allowed) plus key=value overrides.
+
+    Lines end at a line feed only; surrounding whitespace, such as the
+    carriage return of a CRLF ending, is ignored. A line that holds another
+    line separator, such as U+2028, is an error.
+    """
     known = {f.name for f in fields(PipelineConfig)} - {"corpora"}
     corpora: list[tuple[str, str]] = []
     values: dict = {}
@@ -144,11 +149,11 @@ def parse_config(path: str | Path | None = None, overrides=()) -> PipelineConfig
         values[key] = _parse_value(key, raw)
 
     if path is not None:
-        for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+        for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").split("\n"), 1):
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):
                 continue
-            if "=" not in stripped:
+            if "=" not in stripped or stripped.splitlines() != [stripped]:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value'")
             key, raw = stripped.split("=", 1)
             absorb(key, raw, f"{path}:{lineno}")

@@ -183,8 +183,20 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path: str | Path) -> "Vocabulary":
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
-        return cls([w for w in (line.strip() for line in lines) if w])
+        """Read one word per line; blank lines are skipped.
+
+        Lines end at a line feed only, and surrounding whitespace, such as the
+        carriage return of a CRLF ending, is ignored. A line whose word holds
+        whitespace, such as another line separator like U+2028, is an error.
+        """
+        words = []
+        for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").split("\n"), 1):
+            word = line.strip()
+            if len(word.split()) > 1:
+                raise ValueError(f"{path}:{lineno}: expected one word per line")
+            if word:
+                words.append(word)
+        return cls(words)
 
 
 def build_vocabulary(

@@ -4,8 +4,10 @@ Everything here recomputes results directly from first principles (plain
 dicts, recursive definitions, exhaustive enumeration) and deliberately shares
 no code with the package under test. The exceptions are the result type
 `EditAlignment`, which `reference_align` returns so that whole alignments can
-be compared with `==`, and the G2P id markers and error type, which
-`reference_apply_g2p` uses so that its results and messages compare with `==`.
+be compared with `==`; the G2P id markers and error type, which
+`reference_apply_g2p` uses so that its results and messages compare with `==`;
+and the G2P segmentation lattice, `Graphone` and `JointSequenceModel`, which
+`reference_train_g2p` builds its graphs and result from.
 """
 
 from __future__ import annotations
@@ -13,7 +15,14 @@ from __future__ import annotations
 import heapq
 import math
 
-from asrlm.lexg2p import BOS_ID, EOS_ID, G2PError
+from asrlm.lexg2p import (
+    BOS_ID,
+    EOS_ID,
+    G2PError,
+    Graphone,
+    JointSequenceModel,
+    _segmentation_lattice,
+)
 from asrlm.scorer import EditAlignment
 
 BOS = "<s>"
@@ -479,3 +488,176 @@ def brute_force_g2p_em(lexicon, order, max_letters, max_phones, em_iters,
             context_totals[gram[:-1]] = context_totals.get(gram[:-1], 0.0) + c
         cond = {gram: c / context_totals[gram[:-1]] for gram, c in expected[order].items()}
     return inventory, trace, counts
+
+
+def _reference_entry_graph(edges, end, order, gid_of):
+    """The E-step graph of one entry over states (cell, graphone-id history).
+
+    States reachable from ((0, 0), BOS history) through the lattice `edges`,
+    with `gid_of` giving each Graphone's id, are numbered in sorted order: a
+    topological order, since every move advances the cell. Returns the
+    transitions (src, dst, history + (gid,)) in breadth-first discovery
+    order, each state's outgoing transition indices, and
+    (state, history + (EOS_ID,)) for the states at `end`.
+    """
+    start = ((0, 0), (BOS_ID,) * (order - 1))
+    states = [start]
+    seen = {start}
+    found = []
+    for state in states:  # grows while it is walked
+        cell, hist = state
+        for graphone, tgt in edges[cell]:
+            gram = hist + (gid_of[graphone],)
+            nstate = (tgt, gram[1:])
+            found.append((state, nstate, gram))
+            if nstate not in seen:
+                seen.add(nstate)
+                states.append(nstate)
+    states.sort()
+    index = {state: s for s, state in enumerate(states)}
+    transitions = [(index[src], index[dst], gram) for src, dst, gram in found]
+    out: list[list[int]] = [[] for _ in states]
+    for t, (src, _, _) in enumerate(transitions):
+        out[src].append(t)
+    finals = [(s, hist + (EOS_ID,)) for s, (cell, hist) in enumerate(states) if cell == end]
+    return transitions, out, finals
+
+
+def reference_train_g2p(
+    lexicon,
+    order: int = 3,
+    max_letters: int = 2,
+    max_phones: int = 2,
+    em_iters: int = 5,
+    min_letters: int = 1,
+    min_phones: int = 1,
+    discount: float = 0.5,
+):
+    """`asrlm.lexg2p.train_g2p` as it was before its EM ran over interned
+    gram ids, kept as the exact-output oracle of that rewrite (float sums,
+    count-table order and likelihood trace included).
+
+    EM training over latent graphone segmentations.
+
+    The E-step sums over every segmentation within the size limits by
+    forward-backward dynamic programming over (letters consumed, phonemes
+    consumed, graphone history); the M-step re-estimates the graphone n-gram
+    by maximum likelihood, so the training log-likelihood never decreases.
+    Entries that cannot be segmented within the limits are reported and
+    skipped.
+    """
+    if len(lexicon) == 0:
+        raise ValueError("lexicon is empty")
+    if order < 1 or max_letters < 1 or max_phones < 1:
+        raise ValueError("order, max_letters and max_phones must be >= 1")
+    if min_letters < 0 or min_phones < 0 or (min_letters == 0 and min_phones == 0):
+        raise ValueError("graphone sides may not both be allowed empty")
+
+    steps = [(lg, lp) for lg in range(min_letters, max_letters + 1)
+             for lp in range(min_phones, max_phones + 1) if lg or lp]
+    entry_list = []
+    skipped = []
+    inventory: dict[Graphone, None] = {}
+    for word in sorted(lexicon.entries):
+        for pron in lexicon.entries[word]:
+            edges = _segmentation_lattice(word, pron, steps)
+            if edges is None:
+                skipped.append((word, pron, "no segmentation within size limits"))
+                continue
+            entry_list.append((word, pron, edges))
+            for moves in edges.values():
+                for graphone, _ in moves:
+                    inventory.setdefault(graphone)
+    if not entry_list:
+        raise ValueError("no lexicon entry can be segmented within the size limits")
+    graphones = tuple(sorted(inventory, key=lambda g: (g.graphemes, g.phonemes)))
+    gid_of = {g: i for i, g in enumerate(graphones)}
+    graphs = [_reference_entry_graph(edges, (len(word), len(pron)), order, gid_of)
+              for word, pron, edges in entry_list]
+
+    def run_e_step(probs, unseen):
+        """One forward-backward pass; returns (log10 likelihood, expected counts).
+
+        A full-order gram's probability is `probs.get(gram, unseen)`.
+        """
+        expected: dict[int, dict[tuple[int, ...], float]] = {
+            k: {} for k in range(1, order + 1)
+        }
+        total_ll = 0.0
+        for (word, _, _), (transitions, out, finals) in zip(entry_list, graphs):
+            ps = [probs.get(gram, unseen) for _, _, gram in transitions]
+            alpha = [0.0] * len(out)
+            alpha[0] = 1.0
+            for s, ts in enumerate(out):
+                a = alpha[s]
+                if a == 0.0:
+                    continue
+                for t in ts:
+                    alpha[transitions[t][1]] += a * ps[t]
+            z = 0.0
+            ends = []
+            for s, gram in finals:
+                p_end = probs.get(gram, unseen)
+                if p_end > 0.0 and alpha[s] > 0.0:
+                    z += alpha[s] * p_end
+                    ends.append((s, gram, p_end))
+            if z <= 0.0:
+                # Every path died under the current parameters; cannot happen
+                # after a uniform first iteration.
+                raise ArithmeticError(f"entry {word!r} has zero likelihood")
+            total_ll += math.log10(z)
+            # Backward pass; beta of an end state starts at its EOS factor.
+            beta = [0.0] * len(out)
+            for s, _, p_end in ends:
+                beta[s] = p_end
+            for s in range(len(out) - 1, -1, -1):
+                acc = beta[s]
+                for t in out[s]:
+                    acc += ps[t] * beta[transitions[t][1]]
+                beta[s] = acc
+            inv_z = 1.0 / z
+            posteriors = [(alpha[src] * p * beta[dst] * inv_z, gram)
+                          for (src, dst, gram), p in zip(transitions, ps)]
+            posteriors += [(alpha[s] * p_end * inv_z, gram) for s, gram, p_end in ends]
+            for post, gram in posteriors:
+                if post == 0.0:
+                    continue
+                for k, tab in expected.items():
+                    key = gram[-k:]
+                    tab[key] = tab.get(key, 0.0) + post
+        return total_ll, expected
+
+    # The first E-step is uniform; each later one uses the last M-step's conditionals.
+    probs: dict[tuple[int, ...], float] = {}
+    unseen = 1.0 / (len(graphones) + 1)
+    trace = []
+    final_counts: dict[int, dict[tuple[int, ...], float]] = {}
+    for _ in range(em_iters):
+        ll, final_counts = run_e_step(probs, unseen)
+        trace.append(ll)
+        top = final_counts[order]
+        denoms: dict[tuple[int, ...], float] = {}
+        for gram, c in top.items():
+            denoms[gram[:-1]] = denoms.get(gram[:-1], 0.0) + c
+        probs = {gram: c / denoms[gram[:-1]] for gram, c in top.items()}
+        unseen = 0.0
+    ll, _ = run_e_step(probs, unseen)
+    trace.append(ll)
+    del graphs, probs  # free the E-step state before the model builds its index
+
+    return JointSequenceModel(
+        order=order,
+        max_letters=max_letters,
+        max_phones=max_phones,
+        min_letters=min_letters,
+        min_phones=min_phones,
+        graphones=graphones,
+        counts={k: t for k, t in final_counts.items() if t},
+        discount=discount,
+        log10_likelihood_trace=tuple(trace),
+        training_report={
+            "entries": len(entry_list),
+            "skipped": [(w, " ".join(p), why) for w, p, why in skipped],
+            "em_iters": em_iters,
+        },
+    )

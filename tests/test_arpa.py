@@ -136,6 +136,23 @@ def test_non_finite_or_positive_values_report_line_number(tmp_path, entry, messa
         read_arpa(p)
 
 
+@pytest.mark.parametrize("slot, value, field", [
+    (0, math.nan, "log-prob nan"),
+    (1, math.inf, "back-off weight inf"),
+    (0, -math.inf, "log-prob -inf"),
+])
+def test_write_arpa_refuses_non_finite_values(tmp_path, slot, value, field):
+    lm = train_on(corpus_of("a b a\nb c a\nc"), 3)
+    entry = list(lm.tables[2][("b", "a")])
+    entry[slot] = value
+    lm.tables[2][("b", "a")] = tuple(entry)
+    p = tmp_path / "m.arpa"
+    with pytest.raises(ValueError) as exc:
+        write_arpa(lm, p)
+    assert str(exc.value) == f"{p}: 2-gram 'b a' has non-finite {field}; no file written"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_backoff_omitted_for_eos_and_top_order(tmp_path):
     lm = train_on(corpus_of("a b a\nb a"), 2)
     p = tmp_path / "m.arpa"

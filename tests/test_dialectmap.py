@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -40,6 +41,18 @@ def test_mapping_file_rejects_duplicates(tmp_path):
     p.write_text("x\ta\nx\tb\n", encoding="utf-8")
     with pytest.raises(MappingError, match="duplicate"):
         load_mapping(p)
+
+
+def test_load_mapping_splits_lines_at_line_feed_only(tmp_path):
+    p = tmp_path / "map.tsv"
+    # U+2028 is a line break to str.splitlines, which would add a pair ef -> gh.
+    p.write_text("ab\tcd\u2028ef\tgh\n", encoding="utf-8")
+    with pytest.raises(MappingError, match="^" + re.escape(f"{p}:1: expected")):
+        load_mapping(p)
+    p.write_bytes(b"# note\r\nab\tcd\tseen\r\n\r\nef\tgh\r\n")
+    table = load_mapping(p)
+    assert table.pairs == {"ab": "cd", "ef": "gh"}
+    assert table.notes == {"ab": "seen"}
 
 
 def test_select_candidates_filters_and_ranks():

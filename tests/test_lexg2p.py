@@ -28,6 +28,7 @@ from tests.reference import (
     exhaustive_g2p,
     graphone_cond_prob,
     reference_apply_g2p,
+    reference_train_g2p,
 )
 
 
@@ -218,6 +219,32 @@ def test_train_g2p_matches_brute_force_em(order, min_letters, min_phones):
         for gram, c in counts[k].items():
             assert named[k][gram] == pytest.approx(c, rel=1e-9), (k, gram)
     assert model.log10_likelihood_trace == pytest.approx(trace, abs=1e-9)
+
+
+def test_train_g2p_equals_reference():
+    # EM over interned gram ids must give the tuple-keyed EM's model bit for
+    # bit: the same float sums, and each count table in the same order, since
+    # the model sums its context totals in that order. "abcab" has one
+    # phoneme, so no size limit up to 3 letters segments it.
+    rng = random.Random(53)
+    for order in (1, 2, 3, 4):
+        for size in (1, 2, 3):
+            for min_letters in (0, 1):
+                pairs = [(w, p) for w, ps in random_lexicon(rng, n_words=8).entries.items()
+                         for p in ps]
+                lex = make_lexicon(pairs + [("abcab", ("P",))])
+                for em_iters in (0, 1, 3):
+                    kwargs = dict(order=order, max_letters=size, max_phones=size,
+                                  min_letters=min_letters, em_iters=em_iters)
+                    model = train_g2p(lex, **kwargs)
+                    expected = reference_train_g2p(lex, **kwargs)
+                    assert model.graphones == expected.graphones, kwargs
+                    assert model.log10_likelihood_trace == expected.log10_likelihood_trace, kwargs
+                    assert model.training_report == expected.training_report, kwargs
+                    assert "abcab" in [w for w, _, _ in model.training_report["skipped"]]
+                    assert list(model.counts) == list(expected.counts), kwargs
+                    for k, table in expected.counts.items():
+                        assert list(model.counts[k].items()) == list(table.items()), (kwargs, k)
 
 
 def test_unsegmentable_entries_reported_and_skipped():

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import pytest
 
@@ -176,6 +177,18 @@ def test_weights_file_rejects_bad_weight_at_its_line(tmp_path, value, opposed_un
     with pytest.raises(ValueError) as exc:
         load_weights(p, list(opposed_unigram_pair))
     assert str(exc.value) == f"{p}:2: weight {value!r} is not a finite number >= 0"
+
+
+def test_load_weights_splits_lines_at_line_feed_only(tmp_path, opposed_unigram_pair):
+    p = tmp_path / "weights.tsv"
+    # U+0085 is a line break to str.splitlines, which would read two weights.
+    p.write_text("x\t0.25\u0085y\t0.75\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="^" + re.escape(f"{p}:1: expected")):
+        load_weights(p, list(opposed_unigram_pair))
+    p.write_bytes(b"one\t0.25\r\n\r\ntwo\t0.75\r\n")
+    loaded = load_weights(p, list(opposed_unigram_pair))
+    assert loaded.lm_ids == ("one", "two")
+    assert loaded.lambdas == pytest.approx((0.25, 0.75))
 
 
 @pytest.mark.parametrize("ids, refused", [

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -50,6 +51,17 @@ def test_parse_config_file_and_overrides(tmp_path):
     assert config.theta == 0.5
     assert config.lowercase is True
     assert config.seed == 9
+
+
+def test_parse_config_splits_lines_at_line_feed_only(tmp_path):
+    cfg_file = tmp_path / "p.cfg"
+    # U+2028 is a line break to str.splitlines, which would set the seed too.
+    cfg_file.write_text("language = xx\norder = 3\u2028seed = 5\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="^" + re.escape(f"{cfg_file}:2: expected")):
+        parse_config(cfg_file)
+    cfg_file.write_bytes(b"# comment\r\nlanguage = xx\r\n\r\norder = 2\r\n")
+    config = parse_config(cfg_file)
+    assert (config.language, config.order) == ("xx", 2)
 
 
 def test_parse_config_rejects_unknown_keys(tmp_path):

@@ -1,4 +1,5 @@
 import os
+import re
 
 import pytest
 from hypothesis import given
@@ -140,6 +141,16 @@ def test_vocabulary_save_load_preserves_order(tmp_path):
     p = tmp_path / "vocab.txt"
     v.save(p)
     assert Vocabulary.load(p).words == v.words
+
+
+def test_vocabulary_load_splits_lines_at_line_feed_only(tmp_path):
+    p = tmp_path / "vocab.txt"
+    # U+2028 is a line break to str.splitlines, which would add a word "c".
+    p.write_text("a\nb\u2028c\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="^" + re.escape(f"{p}:2: expected one word")):
+        Vocabulary.load(p)
+    p.write_bytes(b"b\r\n\r\na\r\n")
+    assert Vocabulary.load(p).words == Vocabulary(["b", "a"]).words
 
 
 @given(
