@@ -17,7 +17,6 @@ from asrlm.ngramcore.evaluate import (
 from asrlm.ngramcore.model import (
     BOS_LOG10_PROB,
     BackoffLM,
-    Entry,
     NGram,
     memoized_log_prob,
     rebuild_backoffs,
@@ -102,8 +101,13 @@ def em_weights(
     Each iteration sets every weight to the average posterior responsibility
     of its component over all predicted positions, which cannot decrease the
     dev log-likelihood. Stops when the log10-likelihood improves by less
-    than `tol` or after `max_iter` iterations.
+    than `tol` or after `max_iter` iterations; `max_iter` must be >= 1 and
+    `tol` a number >= 0.
     """
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter!r}")
+    if not tol >= 0.0:  # also refuses NaN
+        raise ValueError(f"tol must be a number >= 0, got {tol!r}")
     _check_components(lms)
     if len(dev) == 0:
         raise ValueError("dev corpus is empty")
@@ -191,19 +195,19 @@ def interpolate_static(
         return clone
 
     values = [memoized_log_prob(lm) for lm in lms]
-    tables: dict[int, dict[NGram, Entry]] = {}
+    tables: dict[int, dict[NGram, float]] = {}
     for k in range(1, order + 1):
         union: dict[NGram, None] = {}
         for lm in lms:
-            for gram in sorted(lm.tables.get(k, {})):
+            for gram in sorted(lm.tables[k]):
                 union.setdefault(gram)
-        tk: dict[NGram, Entry] = {}
+        tk: dict[NGram, float] = {}
         for gram in union:
             if gram == (BOS,):
-                tk[gram] = (BOS_LOG10_PROB, None)
+                tk[gram] = BOS_LOG10_PROB
                 continue
             mix = sum(lam * 10.0 ** value(gram) for lam, value in zip(lambdas, values))
-            tk[gram] = (math.log10(mix), None)
+            tk[gram] = math.log10(mix)
         tables[k] = tk
     merged = BackoffLM(order=order, tables=tables, vocab=lms[0].vocab, metadata=merged_meta)
     rebuild_backoffs(merged)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from pathlib import Path
 
-from asrlm.ngramcore.model import BackoffLM, Entry, NGram
+from asrlm.ngramcore.model import BackoffLM, NGram
 from asrlm.textcorpus import EOS, Vocabulary, write_text_atomic
 
 
@@ -40,18 +40,19 @@ def write_arpa(lm: BackoffLM, path: str | Path) -> None:
     for k in range(1, lm.order + 1):
         lines.append(f"\\{k}-grams:")
         table = lm.tables[k]
+        bows = lm.backoffs[k] if k < lm.order else {}
         for gram in sorted(table):
-            logp, bow = table[gram]
+            logp = table[gram]
             # Adding 0.0 writes -0.0 as "0". A finite value's text ends in a
             # digit; "nan", "inf" and "-inf" end in a letter, above "9".
             text = f"{logp + 0.0:.7g}"
             if text[-1] > "9":
                 raise _non_finite(path, k, gram, "log-prob", logp)
             line = f"{text}\t{' '.join(gram)}"
-            if k < lm.order and gram[-1] != EOS and bow is not None:
-                text = f"{bow + 0.0:.7g}"
+            if gram in bows and gram[-1] != EOS:
+                text = f"{bows[gram] + 0.0:.7g}"
                 if text[-1] > "9":
-                    raise _non_finite(path, k, gram, "back-off weight", bow)
+                    raise _non_finite(path, k, gram, "back-off weight", bows[gram])
                 line += f"\t{text}"
             lines.append(line)
         lines.append("")
@@ -62,7 +63,8 @@ def write_arpa(lm: BackoffLM, path: str | Path) -> None:
 def read_arpa(path: str | Path) -> BackoffLM:
     path = Path(path)
     declared: dict[int, int] = {}
-    tables: dict[int, dict[NGram, Entry]] = {}
+    tables: dict[int, dict[NGram, float]] = {}
+    backoffs: dict[int, dict[NGram, float]] = {}
     state = "preamble"
     current_k = 0
     lines = path.read_text(encoding="utf-8").split("\n")
@@ -117,7 +119,6 @@ def read_arpa(path: str | Path) -> BackoffLM:
             gram = tuple(fields[1].split(" "))
             if len(gram) != current_k or any(not w for w in gram):
                 raise ArpaError(path, lineno, f"expected a {current_k}-gram, got {fields[1]!r}")
-            bow: float | None = None
             if len(fields) == 3:
                 try:
                     bow = float(fields[2])
@@ -125,9 +126,10 @@ def read_arpa(path: str | Path) -> BackoffLM:
                     raise ArpaError(path, lineno, f"bad back-off weight {fields[2]!r}") from exc
                 if not math.isfinite(bow):
                     raise ArpaError(path, lineno, f"back-off weight {fields[2]!r} is not finite")
+                backoffs.setdefault(current_k, {})[gram] = bow  # a duplicate raises below
             if gram in tables[current_k]:
                 raise ArpaError(path, lineno, f"duplicate n-gram {fields[1]!r}")
-            tables[current_k][gram] = (logp, bow)
+            tables[current_k][gram] = logp
             continue
     if state != "done":
         raise ArpaError(path, len(lines), "missing \\end\\ footer")
@@ -144,4 +146,5 @@ def read_arpa(path: str | Path) -> BackoffLM:
                 f"header declares ngram {k}={declared[k]} but section has {actual} entries",
             )
     vocab = Vocabulary(w for (w,) in sorted(tables.get(1, {})))
-    return BackoffLM(order=order, tables=tables, vocab=vocab, metadata={"source": str(path)})
+    return BackoffLM(order=order, tables=tables, vocab=vocab, metadata={"source": str(path)},
+                     backoffs=backoffs)

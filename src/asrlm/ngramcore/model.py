@@ -10,8 +10,6 @@ from functools import partial
 from asrlm.textcorpus import UNK, Vocabulary
 
 NGram = tuple[str, ...]
-# Stored per n-gram: (log10 probability, log10 back-off weight or None).
-Entry = tuple[float, float | None]
 
 # Conventional stand-in log10 probability for the never-predicted `<s>` entry.
 BOS_LOG10_PROB = -99.0
@@ -19,35 +17,33 @@ BOS_LOG10_PROB = -99.0
 
 @dataclass
 class BackoffLM:
-    """ARPA-style back-off model: per order, n-gram -> (log10 p, log10 bow).
-
-    `tables` holds a table, possibly empty, for every order 1..`order`; one
-    missing at construction is added. The back-off weight is absent (None)
-    for the highest order and for n-grams that never occur as the context of
-    a stored higher-order n-gram. Instances are treated as immutable after
+    """ARPA-style back-off model: per order k, `tables[k]` maps each stored
+    k-gram to its log10 probability and `backoffs[k]` maps a k-gram to its
+    log10 back-off weight. Below the top order, whose weights are never
+    read, a weight implies a stored gram: the keys of `backoffs[k]` are keys
+    of `tables[k]`. A gram without a weight, such as the context of no
+    stored gram, is no key, and backing off through it adds 0. Both hold a
+    dict, possibly empty, for every order 1..`order`; one missing at
+    construction is added. Instances are treated as immutable after
     construction; concurrent reads are safe.
     """
 
     order: int
-    tables: dict[int, dict[NGram, Entry]]
+    tables: dict[int, dict[NGram, float]]
     vocab: Vocabulary
     metadata: dict = field(default_factory=dict)
+    backoffs: dict[int, dict[NGram, float]] = field(default_factory=dict)
 
     def __post_init__(self):
         for k in range(1, self.order + 1):
             self.tables.setdefault(k, {})
+            self.backoffs.setdefault(k, {})
 
     def size_by_order(self) -> dict[int, int]:
         return {k: len(self.tables[k]) for k in range(1, self.order + 1)}
 
     def total_ngrams(self) -> int:
         return sum(len(t) for t in self.tables.values())
-
-    def stored_backoff(self, gram: NGram) -> float:
-        entry = self.tables.get(len(gram), {}).get(gram)
-        if entry is None or entry[1] is None:
-            return 0.0
-        return entry[1]
 
     def log_prob(self, word: str, history=()) -> float:
         """log10 p(word | history) via the standard back-off recursion.
@@ -65,16 +61,15 @@ class BackoffLM:
                 break
         w = word if word in vocab else UNK
         tables = self.tables
+        backoffs = self.backoffs
         acc = 0.0
         while True:
-            entry = tables[len(hist) + 1].get(hist + (w,))
-            if entry is not None:
-                return acc + entry[0]
+            logp = tables[len(hist) + 1].get(hist + (w,))
+            if logp is not None:
+                return acc + logp
             if not hist:
                 raise KeyError(f"no unigram entry for {w!r}")
-            ctx = tables[len(hist)].get(hist)
-            if ctx is not None and ctx[1] is not None:
-                acc += ctx[1]
+            acc += backoffs[len(hist)].get(hist, 0.0)
             hist = hist[1:]
 
     def clone(self) -> "BackoffLM":
@@ -83,6 +78,7 @@ class BackoffLM:
             tables={k: dict(t) for k, t in self.tables.items()},
             vocab=self.vocab,
             metadata=dict(self.metadata),
+            backoffs={k: dict(b) for k, b in self.backoffs.items()},
         )
 
 
@@ -99,31 +95,31 @@ def memoized_log_prob(lm: BackoffLM) -> Callable[[NGram], float]:
     change only for contexts longer than every gram evaluated so far.
     """
     tables = [{}] + [lm.tables[k] for k in range(1, lm.order + 1)]
-    return partial(_memoized_value, tables, {})
+    backoffs = [{}] + [lm.backoffs[k] for k in range(1, lm.order + 1)]
+    return partial(_memoized_value, tables, backoffs, {})
 
 
-def _memoized_value(tables: list[dict[NGram, Entry]], memo: dict[NGram, float], gram: NGram) -> float:
+def _memoized_value(tables: list[dict[NGram, float]], backoffs: list[dict[NGram, float]],
+                    memo: dict[NGram, float], gram: NGram) -> float:
     # A module-level function, not a closure: a closure that calls itself is
     # a reference cycle, and its memo would outlive the call until the next
     # full garbage collection.
     n = len(gram)
-    entry = tables[n].get(gram)
-    if entry is not None:
-        return entry[0]
+    logp = tables[n].get(gram)
+    if logp is not None:
+        return logp
     backed_off = memo.get(gram)
     if backed_off is None:
         if n == 1:
             raise KeyError(f"no unigram entry for {gram[0]!r}")
-        ctx = tables[n - 1].get(gram[:-1])
-        backed_off = _memoized_value(tables, memo, gram[1:])
-        if ctx is not None and ctx[1] is not None:
-            backed_off = ctx[1] + backed_off
+        backed_off = (backoffs[n - 1].get(gram[:-1], 0.0)
+                      + _memoized_value(tables, backoffs, memo, gram[1:]))
         if n < len(tables) - 1:  # a top-order value is never the suffix of a longer gram
             memo[gram] = backed_off
     return backed_off
 
 
-def group_by_context(table: dict[NGram, Entry]) -> dict[NGram, list[NGram]]:
+def group_by_context(table: dict[NGram, float]) -> dict[NGram, list[NGram]]:
     """Group one order's stored grams by their context, in table order."""
     children: dict[NGram, list[NGram]] = {}
     for gram in table:
@@ -131,7 +127,7 @@ def group_by_context(table: dict[NGram, Entry]) -> dict[NGram, list[NGram]]:
     return children
 
 
-def leftover_masses(table: dict[NGram, Entry], value: Callable[[NGram], float],
+def leftover_masses(table: dict[NGram, float], value: Callable[[NGram], float],
                     grams: list[NGram]) -> tuple[float, float]:
     """For the stored `grams` of one context h: (1 - sum p(w|h), 1 - sum
     p(w|h minus first word)), with `value` from `memoized_log_prob`. One
@@ -139,7 +135,7 @@ def leftover_masses(table: dict[NGram, Entry], value: Callable[[NGram], float],
     stored_sum = 0.0
     lower_sum = 0.0
     for gram in grams:
-        stored_sum += 10.0 ** table[gram][0]
+        stored_sum += 10.0 ** table[gram]
         lower_sum += 10.0 ** value(gram[1:])
     return 1.0 - stored_sum, 1.0 - lower_sum
 
@@ -174,20 +170,18 @@ def context_probability_sums(lm: BackoffLM):
 def rebuild_backoffs(lm: BackoffLM) -> None:
     """Recompute every back-off weight so all stored contexts normalize to 1.
 
-    A context with stored continuations gets `log_backoff` of its
-    `leftover_masses`; one with none loses its back-off weight. Processed
-    from short contexts to long ones, so the lower-order weights a value
-    reads are final before it is computed, and no memoized value goes stale.
+    A stored context with stored continuations gets `log_backoff` of its
+    `leftover_masses`; any other gram below the top order has no weight.
+    Processed from short contexts to long ones, so the lower-order weights a
+    value reads are final before it is computed, and no memoized value goes
+    stale. Each order's weights are replaced in place, because the memo
+    holds the per-order dicts.
     """
     value = memoized_log_prob(lm)
     for ctx_len in range(1, lm.order):
         ctx_table = lm.tables[ctx_len]
         gram_table = lm.tables[ctx_len + 1]
-        children = group_by_context(gram_table)
-        for ctx, entry in ctx_table.items():
-            grams = children.get(ctx)
-            if grams:
-                num, den = leftover_masses(gram_table, value, grams)
-                ctx_table[ctx] = (entry[0], log_backoff(num, den))
-            elif entry[1] is not None:
-                ctx_table[ctx] = (entry[0], None)
+        weights = {ctx: log_backoff(*leftover_masses(gram_table, value, grams))
+                   for ctx, grams in group_by_context(gram_table).items() if ctx in ctx_table}
+        lm.backoffs[ctx_len].clear()
+        lm.backoffs[ctx_len].update(weights)

@@ -7,7 +7,7 @@ import warnings
 from dataclasses import dataclass
 
 from asrlm.ngramcore.counts import NGram, NGramCountTable, effective_counts
-from asrlm.ngramcore.model import BOS_LOG10_PROB, BackoffLM, Entry
+from asrlm.ngramcore.model import BOS_LOG10_PROB, BackoffLM
 from asrlm.textcorpus import BOS
 
 FALLBACK_DISCOUNT = 0.5
@@ -67,16 +67,6 @@ def estimate_discounts(table: NGramCountTable) -> DiscountSet:
     return DiscountSet(by_order=by_order, fallback_orders=frozenset(fallback))
 
 
-def _entries(probs: dict[NGram, float], gammas: dict[NGram, float]) -> dict[NGram, Entry]:
-    """One order's stored entries: log10 p, and log10 gamma for a gram that
-    is the context of the order above."""
-    entries: dict[NGram, Entry] = {}
-    for gram, p in probs.items():
-        gamma = gammas.get(gram)
-        entries[gram] = (math.log10(p), math.log10(gamma) if gamma is not None else None)
-    return entries
-
-
 def train_mkn(table: NGramCountTable, discounts: DiscountSet) -> BackoffLM:
     """Interpolated modified Kneser-Ney estimation.
 
@@ -86,7 +76,8 @@ def train_mkn(table: NGramCountTable, discounts: DiscountSet) -> BackoffLM:
     leftover discount mass, so every stored context normalizes exactly.
     """
     predicted = table.vocab.predicted_words()
-    tables: dict[int, dict[NGram, Entry]] = {}
+    tables: dict[int, dict[NGram, float]] = {}
+    backoffs: dict[int, dict[NGram, float]] = {}
     # Linear-space interpolated probabilities of the order below; below
     # order 1 is the uniform distribution over the predicted words.
     lower: dict[NGram, float] = {(): 1.0 / len(predicted)}
@@ -111,12 +102,14 @@ def train_mkn(table: NGramCountTable, discounts: DiscountSet) -> BackoffLM:
             probs[gram] = (max(c - d[c if c < 3 else 3], 0.0) / denoms[ctx]
                            + gammas[ctx] * lower[gram[1:]])
         if k > 1:
-            tables[k - 1] = _entries(lower, gammas)
+            tables[k - 1] = {gram: math.log10(p) for gram, p in lower.items()}
+            backoffs[k - 1] = {ctx: math.log10(gamma) for ctx, gamma in gammas.items()}
         if k == 2:
-            # `<s>` opens contexts but is never predicted.
-            tables[1][(BOS,)] = (BOS_LOG10_PROB, math.log10(gammas[(BOS,)]))
+            # `<s>` opens contexts but is never predicted; its weight is
+            # gammas[(BOS,)], stored above.
+            tables[1][(BOS,)] = BOS_LOG10_PROB
         lower = probs
-    tables[table.order] = _entries(lower, {})
+    tables[table.order] = {gram: math.log10(p) for gram, p in lower.items()}
     return BackoffLM(
         order=table.order,
         tables=tables,
@@ -127,4 +120,5 @@ def train_mkn(table: NGramCountTable, discounts: DiscountSet) -> BackoffLM:
             "discounts": {k: discounts.by_order[k] for k in sorted(discounts.by_order)},
             "fallback_orders": sorted(discounts.fallback_orders),
         },
+        backoffs=backoffs,
     )

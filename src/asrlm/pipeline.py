@@ -85,6 +85,15 @@ class PipelineConfig:
             raise ValueError("at least one corpus is required (corpus.<id> = <path>)")
         if not self.dev:
             raise ValueError("a dev corpus is required")
+        # `not x >= 0.0` also refuses NaN, which every comparison fails.
+        if self.theta is not None and not self.theta >= 0.0:
+            raise ValueError(f"theta must be a number >= 0, got {self.theta!r}")
+        if self.em_tol is None or not self.em_tol >= 0.0:
+            raise ValueError(f"em_tol must be a number >= 0, got {self.em_tol!r}")
+        for key in ("em_max_iter", "g2p_order", "g2p_max_letters", "g2p_max_phones", "g2p_beam"):
+            value = getattr(self, key)
+            if value is None or value < 1:
+                raise ValueError(f"{key} must be an integer >= 1, got {value!r}")
         paths = [p for _, p in self.corpora] + [self.dev]
         paths += [getattr(self, key) for key in _OPTIONAL_PATH_KEYS if getattr(self, key)]
         dupes = {p for p in paths if paths.count(p) > 1}
@@ -110,19 +119,26 @@ _INT_KEYS = {"order", "min_count", "max_size", "em_max_iter", "seed", "g2p_order
 _FLOAT_KEYS = {"theta", "em_tol"}
 
 
-def _parse_value(key: str, raw: str):
+def _parse_value(key: str, raw: str, where: str):
+    """The value of `key` from its text `raw`; a malformed one is a
+    ValueError naming `where` (`path:line` or the override)."""
     raw = raw.strip()
     if key in _BOOL_KEYS:
         if raw.lower() in ("true", "1", "yes"):
             return True
         if raw.lower() in ("false", "0", "no"):
             return False
-        raise ValueError(f"{key}: expected a boolean, got {raw!r}")
-    if key in _INT_KEYS:
-        return int(raw) if raw else None
-    if key in _FLOAT_KEYS:
-        return float(raw) if raw else None
-    return raw or None
+        raise ValueError(f"{where}: {key}: expected a boolean, got {raw!r}")
+    number = int if key in _INT_KEYS else float if key in _FLOAT_KEYS else None
+    if number is None:
+        return raw or None
+    if not raw and getattr(PipelineConfig, key) is None:
+        return None  # an optional number left empty, such as `theta =`
+    try:
+        return number(raw)
+    except ValueError:
+        kind = "an integer" if number is int else "a number"
+        raise ValueError(f"{where}: {key}: expected {kind}, got {raw!r}") from None
 
 
 def parse_config(path: str | Path | None = None, overrides=()) -> PipelineConfig:
@@ -146,7 +162,7 @@ def parse_config(path: str | Path | None = None, overrides=()) -> PipelineConfig
             return
         if key not in known:
             raise ValueError(f"{where}: unknown configuration key {key!r}")
-        values[key] = _parse_value(key, raw)
+        values[key] = _parse_value(key, raw, where)
 
     if path is not None:
         for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").split("\n"), 1):

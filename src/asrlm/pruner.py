@@ -9,6 +9,7 @@ sets: raising theta never retains an n-gram that a lower theta removed.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -74,8 +75,11 @@ def prune_entropy(lm: BackoffLM, theta: float) -> tuple[BackoffLM, PruneReport]:
     Orders are processed highest first; an n-gram serving as the context of a
     retained higher-order n-gram is never removed. Back-off weights are
     recomputed afterwards so the pruned model still normalizes. Unigrams are
-    never touched. A negative theta is a no-op with a warning.
+    never touched. A negative theta is a no-op with a warning; a NaN theta,
+    which no delta is below, is a ValueError.
     """
+    if math.isnan(theta):
+        raise ValueError(f"pruning threshold must be a number, got {theta!r}")
     size_before = lm.size_by_order()
     if theta < 0:
         warnings.warn(f"negative pruning threshold {theta!r}; model left unchanged", stacklevel=2)
@@ -98,14 +102,14 @@ def prune_entropy(lm: BackoffLM, theta: float) -> tuple[BackoffLM, PruneReport]:
         to_remove = []
         for history, log_marginal in _log_marginals(value, sorted(siblings)):
             grams = siblings[history]
-            log_bow = lm.stored_backoff(history)
+            log_bow = lm.backoffs[k - 1].get(history, 0.0)
             num, den = leftover_masses(table, value, grams)
             h_marginal = 10.0 ** log_marginal
             for gram in grams:
                 if gram in protected:
                     continue
                 log_plower = value(gram[1:])
-                logp = table[gram][0]
+                logp = table[gram]
                 p = 10.0 ** logp
                 # The context's weight once this gram is left out.
                 new_log_bow = log_backoff(num + p, den + 10.0 ** log_plower)

@@ -219,11 +219,41 @@ def backoff_log10_prob(lm, word, history):
     while context + (w,) not in lm.tables.get(len(context) + 1, {}):
         if not context:
             raise KeyError(f"no unigram entry for {w!r}")
-        bow = lm.tables.get(len(context), {}).get(context, (0.0, None))[1]
+        bow = lm.backoffs.get(len(context), {}).get(context)
         if bow is not None:
             total += bow
         context = context[1:]
-    return total + lm.tables[len(context) + 1][context + (w,)][0]
+    return total + lm.tables[len(context) + 1][context + (w,)]
+
+
+def brute_force_prune_delta(lm, gram):
+    """Relative-entropy cost, in log10 units, of deleting the stored `gram`.
+
+    The model without `gram` keeps every other stored probability, and the
+    weight of the context h = gram[:-1] is recomputed from its definition:
+    the mass h's remaining stored words leave, 1 - sum of their p(w|h), over
+    the sum of p(w | h minus its first word) for the words h no longer
+    stores. The cost is p(h) * sum over every predicted w of
+    p(w|h) * (log10 p(w|h) - log10 p'(w|h)), with p(h) by the chain rule and
+    a leading `<s>` taking p(`</s>`).
+    """
+    history = gram[:-1]
+    predicted = [w for w in lm.vocab.words if w != BOS]
+    table = lm.tables[len(gram)]
+    stored = {w for w in predicted if history + (w,) in table and history + (w,) != gram}
+    kept_mass = sum(10.0 ** backoff_log10_prob(lm, w, history) for w in stored)
+    lower_mass = sum(10.0 ** backoff_log10_prob(lm, w, history[1:])
+                     for w in predicted if w not in stored)
+    new_log_bow = math.log10(1.0 - kept_mass) - math.log10(lower_mass)
+    delta = 0.0  # a word h still stores keeps its p(w|h) and adds 0
+    for w in predicted:
+        if w not in stored:
+            logp = backoff_log10_prob(lm, w, history)
+            delta += 10.0 ** logp * (logp - new_log_bow - backoff_log10_prob(lm, w, history[1:]))
+    log_marginal = 0.0
+    for i, token in enumerate(history):
+        log_marginal += backoff_log10_prob(lm, EOS if i == 0 and token == BOS else token, history[:i])
+    return 10.0 ** log_marginal * delta
 
 
 def naive_perplexity(lms, weights, sentences, oov_policy):

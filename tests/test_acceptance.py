@@ -47,7 +47,7 @@ def test_criterion_01_smoothing_oracle_equivalence():
             [w for w in vocab.words if w not in (UNK, BOS, EOS)],
         )
         for k in range(1, order + 1):
-            for gram, (logp, _) in lm.tables[k].items():
+            for gram, logp in lm.tables[k].items():
                 if gram == (BOS,):
                     continue
                 expected = math.log10(oracle.prob(gram[-1], gram[:-1]))

@@ -15,11 +15,12 @@ def models_equal_within(lm1, lm2, tol=1e-6):
         t1, t2 = lm1.tables.get(k, {}), lm2.tables.get(k, {})
         if set(t1) != set(t2):
             return False
-        for gram, (p1, b1) in t1.items():
-            p2, b2 = t2[gram]
-            if abs(p1 - p2) > tol:
+        for gram, p1 in t1.items():
+            if abs(p1 - t2[gram]) > tol:
                 return False
-            if (b1 or 0.0) - (b2 or 0.0) and abs((b1 or 0.0) - (b2 or 0.0)) > tol:
+        b1, b2 = lm1.backoffs.get(k, {}), lm2.backoffs.get(k, {})
+        for gram in t1:
+            if abs(b1.get(gram, 0.0) - b2.get(gram, 0.0)) > tol:
                 return False
     return True
 
@@ -50,8 +51,8 @@ def test_read_hand_written_unigram_file(tmp_path):
     )
     lm = read_arpa(p)
     assert lm.order == 1
-    assert lm.tables[1][("a",)] == (-0.30103, None)
-    assert lm.tables[1][(EOS,)] == (-0.4, None)
+    assert lm.tables[1] == {("a",): -0.30103, (EOS,): -0.4}
+    assert lm.backoffs[1] == {}
 
 
 def test_header_count_mismatch_names_both_numbers(tmp_path):
@@ -143,9 +144,8 @@ def test_non_finite_or_positive_values_report_line_number(tmp_path, entry, messa
 ])
 def test_write_arpa_refuses_non_finite_values(tmp_path, slot, value, field):
     lm = train_on(corpus_of("a b a\nb c a\nc"), 3)
-    entry = list(lm.tables[2][("b", "a")])
-    entry[slot] = value
-    lm.tables[2][("b", "a")] = tuple(entry)
+    assert ("b", "a") in lm.backoffs[2]
+    (lm.tables, lm.backoffs)[slot][2][("b", "a")] = value
     p = tmp_path / "m.arpa"
     with pytest.raises(ValueError) as exc:
         write_arpa(lm, p)
@@ -176,5 +176,5 @@ def test_written_probs_have_seven_significant_digits(tmp_path):
     p = tmp_path / "m.arpa"
     write_arpa(lm, p)
     reread = read_arpa(p)
-    for gram, (logp, _) in lm.tables[1].items():
-        assert math.isclose(reread.tables[1][gram][0], logp, abs_tol=1e-6)
+    for gram, logp in lm.tables[1].items():
+        assert math.isclose(reread.tables[1][gram], logp, abs_tol=1e-6)

@@ -20,7 +20,7 @@ from tests.conftest import corpus_of, random_corpus, train_on
 
 
 def unigram_lm(probs: dict[str, float], vocab: Vocabulary, lm_id: str) -> BackoffLM:
-    tables = {1: {(w,): (math.log10(probs[w]), None) for w in vocab.predicted_words()}}
+    tables = {1: {(w,): math.log10(probs[w]) for w in vocab.predicted_words()}}
     return BackoffLM(order=1, tables=tables, vocab=vocab, metadata={"corpus_id": lm_id})
 
 
@@ -78,6 +78,17 @@ def test_em_log_likelihood_monotone_random_mixtures():
         assert traces == sorted(traces)
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"max_iter": 0}, "max_iter must be >= 1, got 0"),
+    ({"max_iter": -5}, "max_iter must be >= 1, got -5"),
+    ({"tol": math.nan}, "tol must be a number >= 0, got nan"),
+    ({"tol": -1.0}, "tol must be a number >= 0, got -1.0"),
+])
+def test_em_refuses_bad_iteration_parameters(opposed_unigram_pair, kwargs, message):
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        em_weights(list(opposed_unigram_pair), corpus_of("a b b"), **kwargs)
+
+
 def test_em_requires_shared_vocabulary():
     lm1 = train_on(corpus_of("a b"), 2)
     lm2 = train_on(corpus_of("c d"), 2)
@@ -125,6 +136,7 @@ def test_static_merge_identity():
     merged = interpolate_static([lm], [1.0])
     for k in lm.tables:
         assert merged.tables[k] == lm.tables[k]
+        assert merged.backoffs[k] == lm.backoffs[k]
 
 
 def test_static_merge_normalizes_and_matches_dynamic_on_stored():
@@ -138,7 +150,7 @@ def test_static_merge_normalizes_and_matches_dynamic_on_stored():
     for ctx, total in context_probability_sums(merged):
         assert abs(total - 1.0) <= 1e-6
     for k in range(1, 3):
-        for gram, (logp, _) in merged.tables[k].items():
+        for gram, logp in merged.tables[k].items():
             if gram == ("<s>",):
                 continue
             dyn = mixture_log_prob(lms, lambdas, gram[-1], gram[:-1])

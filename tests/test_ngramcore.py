@@ -129,7 +129,7 @@ def test_train_mkn_small_corpus_normalizes_and_matches_oracle():
     assert_normalized(lm)
     oracle = BruteForceMKN([s for s in c.sentences], 2, ["a", "b"])
     for k in range(1, 3):
-        for gram, (logp, _) in lm.tables[k].items():
+        for gram, logp in lm.tables[k].items():
             if gram == (BOS,):
                 continue
             expected = oracle.prob(gram[-1], gram[:-1])
@@ -173,7 +173,7 @@ def check_against_oracle(c, order, vocab):
         [list(s) for s in c.sentences], order, [w for w in vocab.words if w not in (BOS, EOS, UNK)]
     )
     for k in range(1, order + 1):
-        for gram, (logp, _) in lm.tables[k].items():
+        for gram, logp in lm.tables[k].items():
             if gram == (BOS,):
                 continue
             expected = oracle.prob(gram[-1], gram[:-1])
@@ -198,22 +198,22 @@ def test_scale_invariance_with_scaled_top_order_discount():
     compared = 0
     for k in lm1.tables:
         assert set(lm1.tables[k]) == set(lm2.tables[k])
-        for gram, (logp, _) in lm1.tables[k].items():
+        for gram, logp in lm1.tables[k].items():
             if gram == (BOS,) or (k < 3 and gram[0] == BOS):
                 continue
-            assert logp == pytest.approx(lm2.tables[k][gram][0], abs=1e-12), gram
+            assert logp == pytest.approx(lm2.tables[k][gram], abs=1e-12), gram
             compared += 1
     assert compared > 10
 
 
 def test_prob_lookup_and_backoff_recursion():
     lm = train_on(corpus_of("a b a\nb c"), 2)
-    stored = lm.tables[2][("a", "b")][0]
+    stored = lm.tables[2][("a", "b")]
     assert lm.log_prob("b", ["a"]) == stored
     # Unseen bigram backs off: bow(c) + p(a)
-    expected = lm.stored_backoff(("c",)) + lm.tables[1][("a",)][0]
+    expected = lm.backoffs[1][("c",)] + lm.tables[1][("a",)]
     assert lm.log_prob("a", ["c"]) == pytest.approx(expected, abs=1e-12)
-    assert lm.log_prob("a", []) == lm.tables[1][("a",)][0]
+    assert lm.log_prob("a", []) == lm.tables[1][("a",)]
 
 
 def test_prob_maps_unknowns_to_unk():
@@ -227,7 +227,7 @@ def test_perplexity_uniform_model_is_vocab_size():
     words = ["u1", "u2", "u3", "u4", "u5", "u6"]
     vocab = Vocabulary(words)
     logp = math.log10(1.0 / 8.0)
-    tables = {1: {(w,): (logp, None) for w in vocab.predicted_words()}}
+    tables = {1: {(w,): logp for w in vocab.predicted_words()}}
     lm = BackoffLM(order=1, tables=tables, vocab=vocab)
     report = perplexity(lm, corpus_of("u1 u2 u3\nu4"), oov_policy="exclude")
     assert report.ppl == pytest.approx(8.0, abs=1e-9)
@@ -287,11 +287,12 @@ def test_stored_values_are_sane():
     for trial in range(3):
         lm = train_on(random_corpus(rng, max_sentences=20, max_vocab=10), 3)
         for k, table in lm.tables.items():
-            for gram, (logp, bow) in table.items():
+            for gram, logp in table.items():
                 assert logp <= 0.0
                 assert math.isfinite(logp) or gram == (BOS,)
-                if bow is not None:
-                    assert math.isfinite(bow)
+            assert lm.backoffs[k].keys() <= table.keys()
+            for bow in lm.backoffs[k].values():
+                assert math.isfinite(bow)
 
 
 @pytest.fixture(scope="module")

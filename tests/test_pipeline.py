@@ -81,6 +81,49 @@ def test_config_validation_distinct_paths(small_setup):
         config.validate()
 
 
+@pytest.mark.parametrize("line, message", [
+    ("order = abc", "order: expected an integer, got 'abc'"),
+    ("theta = 1e-3x", "theta: expected a number, got '1e-3x'"),
+    ("min_count =", "min_count: expected an integer, got ''"),
+])
+def test_parse_config_malformed_number_names_its_location(tmp_path, line, message):
+    cfg_file = tmp_path / "p.cfg"
+    cfg_file.write_text(f"language = xx\n{line}\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="^" + re.escape(f"{cfg_file}:2: {message}") + "$"):
+        parse_config(cfg_file)
+    override = line.replace(" ", "")
+    with pytest.raises(ValueError, match="^" + re.escape(f"override {override!r}: {message}") + "$"):
+        parse_config(None, [override])
+
+
+def test_parse_config_empty_optional_number_is_none():
+    config = parse_config(None, ["theta=", "max_size= "])
+    assert (config.theta, config.max_size) == (None, None)
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("theta", "nan", "theta must be a number >= 0, got nan"),
+    ("theta", "-1", "theta must be a number >= 0, got -1.0"),
+    ("em_tol", "nan", "em_tol must be a number >= 0, got nan"),
+    ("em_tol", "-1", "em_tol must be a number >= 0, got -1.0"),
+    ("em_max_iter", "0", "em_max_iter must be an integer >= 1, got 0"),
+    ("em_max_iter", "-5", "em_max_iter must be an integer >= 1, got -5"),
+    ("g2p_beam", "0", "g2p_beam must be an integer >= 1, got 0"),
+    ("g2p_order", "0", "g2p_order must be an integer >= 1, got 0"),
+    ("g2p_max_letters", "0", "g2p_max_letters must be an integer >= 1, got 0"),
+    ("g2p_max_phones", "0", "g2p_max_phones must be an integer >= 1, got 0"),
+])
+def test_config_validation_refuses_bad_parameters_before_any_stage(
+        monkeypatch, tmp_path, capsys, key, value, message):
+    monkeypatch.chdir(FIXTURES.parent)
+    out = tmp_path / "out"
+    argv = ["pipeline", "run", "--config", str(FIXTURES / "pipeline.cfg"),
+            "--set", f"{key}={value}", "--set", f"out_dir={out}"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_single_corpus_combined_equals_component(small_setup):
     c1, _, dev, tmp = small_setup
     config = PipelineConfig(
@@ -255,6 +298,30 @@ def test_cli_error_exit_code(tmp_path, capsys):
     missing = str(tmp_path / "missing.arpa")
     assert main(["lm", "ppl", "--lm", missing, "--corpus", missing]) == 1
     assert "error" in capsys.readouterr().err
+
+
+def test_cli_prune_refuses_nan_theta(small_setup, capsys):
+    c1, _, _, tmp = small_setup
+    arpa = str(tmp / "m.arpa")
+    out = tmp / "pruned.arpa"
+    assert main(["lm", "train", "--corpus", c1, "--order", "2", "--out", arpa]) == 0
+    capsys.readouterr()
+    assert main(["prune", "--lm", arpa, "--theta", "nan", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: pruning threshold must be a number, got nan\n"
+    assert not out.exists()
+
+
+def test_cli_mix_em_refuses_zero_iterations(small_setup, capsys):
+    c1, c2, dev, tmp = small_setup
+    models = [str(tmp / "one.arpa"), str(tmp / "two.arpa")]
+    for corpus, model in zip((c1, c2), models):
+        assert main(["lm", "train", "--corpus", corpus, "--order", "2", "--out", model]) == 0
+    capsys.readouterr()
+    weights = tmp / "weights.tsv"
+    argv = ["mix", "em", "--lms", *models, "--dev", dev, "--out", str(weights), "--max-iter", "0"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: max_iter must be >= 1, got 0\n"
+    assert not weights.exists()
 
 
 def test_cli_dialect_and_g2p_round_trip(tmp_path, capsys):

@@ -7,6 +7,7 @@ from asrlm.ngramcore import context_probability_sums, perplexity
 from asrlm.pruner import prune_entropy
 from asrlm.textcorpus import build_vocabulary
 from tests.conftest import corpus_of, random_corpus, train_on
+from tests.reference import brute_force_prune_delta
 
 
 def retained_set(lm):
@@ -19,6 +20,12 @@ def test_negative_theta_is_noop_with_warning():
         pruned, report = prune_entropy(lm, -1.0)
     assert retained_set(pruned) == retained_set(lm)
     assert sum(report.removed_by_order.values()) == 0
+
+
+def test_nan_theta_is_an_error():
+    lm = train_on(corpus_of("a b a\nb c a"), 2)
+    with pytest.raises(ValueError, match="^pruning threshold must be a number, got nan$"):
+        prune_entropy(lm, math.nan)
 
 
 def test_theta_zero_removes_at_most_zero_impact():
@@ -123,3 +130,41 @@ def test_reprune_only_shrinks():
         assert retained_set(twice)[k] <= retained_set(once)[k]
     for ctx, total in context_probability_sums(twice):
         assert abs(total - 1.0) <= 1e-6
+
+
+def separated_thetas(deltas, quantiles=(0.1, 0.3, 0.5, 0.7, 0.9)):
+    """Thresholds between sorted relative deltas, each at least 1e-9 relative
+    (and 1e-15 absolute, above float noise near 0) away from every delta, so
+    that rounding cannot decide which side of a threshold a gram falls on."""
+    thetas = []
+    for q in quantiles:
+        for i in range(int(q * (len(deltas) - 1)), len(deltas) - 1):
+            theta = (deltas[i] + deltas[i + 1]) / 2.0
+            if all(abs(theta - d) > 1e-9 * max(abs(d), 1e-6) for d in deltas):
+                thetas.append(theta)
+                break
+    return sorted(set(thetas))
+
+
+def test_removed_sets_equal_brute_force_oracle():
+    rng = random.Random(606)
+    removed_total = 0
+    for trial in range(15):
+        lm = train_on(random_corpus(rng, max_sentences=25, max_vocab=10), 2 + trial % 3)
+        grams = [g for k in range(2, lm.order + 1) for g in lm.tables[k]]
+        relative = {g: 10.0 ** brute_force_prune_delta(lm, g) - 1.0 for g in grams}
+        thetas = separated_thetas(sorted(relative.values()))
+        assert len(thetas) >= 3
+        for theta in thetas:
+            # Highest order first; a context of a retained gram stays.
+            kept = {k: set(lm.tables[k]) for k in range(2, lm.order + 1)}
+            expected = set()
+            for k in range(lm.order, 1, -1):
+                protected = {g[:-1] for g in kept.get(k + 1, ())}
+                removed = {g for g in kept[k] if g not in protected and relative[g] < theta}
+                kept[k] -= removed
+                expected |= removed
+            pruned, _ = prune_entropy(lm, theta)
+            assert {g for g in grams if g not in pruned.tables[len(g)]} == expected, theta
+            removed_total += len(expected)
+    assert removed_total > 100
