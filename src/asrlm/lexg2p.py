@@ -164,10 +164,12 @@ class JointSequenceModel:
     `__post_init__` derives a per-context table for each order, context ->
     (count total, gamma, followers), where gamma is the discounted mass over
     the total and followers maps each graphone id seen after the context to
-    its count. It holds only contexts with a positive total; any other
-    context passes the lower-order value through unchanged. It also indexes
-    graphone ids by grapheme side and freezes the set of letters the
-    inventory covers.
+    its count. It groups each order's counts by context first, in count
+    order, then adds each context's total and discounted mass over its
+    followers in that order. The table holds only contexts with a positive
+    total; any other context passes the lower-order value through unchanged.
+    It also indexes graphone ids by grapheme side and freezes the set of
+    letters the inventory covers.
     """
 
     order: int
@@ -183,19 +185,21 @@ class JointSequenceModel:
 
     def __post_init__(self):
         self._contexts: dict[int, dict[tuple[int, ...], tuple[float, float, dict[int, float]]]] = {}
+        d = self.discount
         for k in range(1, self.order + 1):
-            denoms: dict[tuple[int, ...], float] = {}
-            gnum: dict[tuple[int, ...], float] = {}
             followers: dict[tuple[int, ...], dict[int, float]] = {}
             for gram, c in self.counts.get(k, {}).items():
-                ctx = gram[:-1]
-                denoms[ctx] = denoms.get(ctx, 0.0) + c
-                gnum[ctx] = gnum.get(ctx, 0.0) + min(self.discount, c)
-                followers.setdefault(ctx, {})[gram[-1]] = c
-            self._contexts[k] = {
-                ctx: (denom, gnum[ctx] / denom, followers[ctx])
-                for ctx, denom in denoms.items() if denom > 0.0
-            }
+                followers.setdefault(gram[:-1], {})[gram[-1]] = c
+            table = self._contexts[k] = {}
+            for ctx, follow in followers.items():
+                # An explicit loop, not sum(): the totals must add in count
+                # order from 0.0, and float sum() compensates on Python 3.12.
+                denom = gnum = 0.0
+                for c in follow.values():
+                    denom += c
+                    gnum += min(d, c)
+                if denom > 0.0:
+                    table[ctx] = (denom, gnum / denom, follow)
         self._uniform = 1.0 / (len(self.graphones) + 1)
         self.by_grapheme: dict[str, list[int]] = {}
         for gid, g in enumerate(self.graphones):
@@ -356,6 +360,8 @@ def train_g2p(
     """
     if len(lexicon) == 0:
         raise ValueError("lexicon is empty")
+    if em_iters < 0:
+        raise ValueError(f"em_iters must be >= 0, got {em_iters}")
     if order < 1 or max_letters < 1 or max_phones < 1:
         raise ValueError("order, max_letters and max_phones must be >= 1")
     if min_letters < 0 or min_phones < 0 or (min_letters == 0 and min_phones == 0):
@@ -650,7 +656,13 @@ def extend_lexicon(
     )
 
 
+# Count items per chunk handed to the writer: bounds the text held at once.
+_CHUNK_GRAMS = 1024
+
+
 def save_g2p_model(model: JointSequenceModel, path: str | Path) -> None:
+    """Write `model` as the JSON text of `json.dumps(payload, sort_keys=True)`,
+    with the counts streamed in chunks of `_CHUNK_GRAMS` items."""
     payload = {
         "format": "graphone-ngram-v1",
         "order": model.order,
@@ -660,14 +672,26 @@ def save_g2p_model(model: JointSequenceModel, path: str | Path) -> None:
         "min_phones": model.min_phones,
         "discount": model.discount,
         "graphones": [[g.graphemes, list(g.phonemes)] for g in model.graphones],
-        "counts": {
-            str(k): sorted(table.items())  # each (gram, count) is written as [[ids], count]
-            for k, table in sorted(model.counts.items())
-        },
         "log10_likelihood_trace": list(model.log10_likelihood_trace),
         "training_report": model.training_report,
     }
-    write_text_atomic(path, json.dumps(payload, sort_keys=True))
+    write_text_atomic(path, _model_chunks(model.counts, json.dumps(payload, sort_keys=True)))
+
+
+def _model_chunks(counts: dict[int, dict[tuple[int, ...], float]], rest: str):
+    """The text of `{"counts": {str(k): [[gram, count], ...]}, **rest}` under
+    `sort_keys`: "counts" sorts before every other key, the orders sort as
+    strings ("10" before "2"), and each table by gram."""
+    yield '{"counts": {'
+    for i, k in enumerate(sorted(counts, key=str)):
+        table = counts[k]
+        yield f'{", " if i else ""}"{k}": ['
+        grams = sorted(table)
+        for start in range(0, len(grams), _CHUNK_GRAMS):
+            part = [(gram, table[gram]) for gram in grams[start:start + _CHUNK_GRAMS]]
+            yield (", " if start else "") + json.dumps(part)[1:-1]
+        yield "]"
+    yield "}, " + rest[1:]
 
 
 _MODEL_KEYS = ("order", "max_letters", "max_phones", "min_letters", "min_phones", "discount",

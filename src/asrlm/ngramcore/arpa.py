@@ -29,10 +29,18 @@ def _non_finite(path, k: int, gram: NGram, field: str, value: float) -> ValueErr
                       f"{value!r}; no file written")
 
 
+# Lines per chunk handed to the writer: bounds the text held at once.
+_CHUNK_LINES = 1024
+
+
 def write_arpa(lm: BackoffLM, path: str | Path) -> None:
-    """Write `lm` as an ARPA file. A non-finite log-prob or back-off weight,
-    which `read_arpa` would refuse, is a ValueError naming its order and
-    n-gram, and no file is written."""
+    """Write `lm` as an ARPA file, streamed in chunks of `_CHUNK_LINES` lines.
+    A non-finite log-prob or back-off weight, which `read_arpa` would refuse,
+    is a ValueError naming its order and n-gram, and no file is written."""
+    write_text_atomic(path, _arpa_chunks(lm, path))
+
+
+def _arpa_chunks(lm: BackoffLM, path: str | Path):
     lines = ["\\data\\"]
     for k in range(1, lm.order + 1):
         lines.append(f"ngram {k}={len(lm.tables[k])}")
@@ -55,9 +63,12 @@ def write_arpa(lm: BackoffLM, path: str | Path) -> None:
                     raise _non_finite(path, k, gram, "back-off weight", bows[gram])
                 line += f"\t{text}"
             lines.append(line)
+            if len(lines) == _CHUNK_LINES:
+                yield "\n".join(lines) + "\n"
+                lines = []
         lines.append("")
     lines.append("\\end\\")
-    write_text_atomic(path, "\n".join(lines) + "\n")
+    yield "\n".join(lines) + "\n"
 
 
 def read_arpa(path: str | Path) -> BackoffLM:

@@ -94,6 +94,8 @@ class PipelineConfig:
             value = getattr(self, key)
             if value is None or value < 1:
                 raise ValueError(f"{key} must be an integer >= 1, got {value!r}")
+        if self.g2p_em_iters is None or self.g2p_em_iters < 0:
+            raise ValueError(f"g2p_em_iters must be an integer >= 0, got {self.g2p_em_iters!r}")
         paths = [p for _, p in self.corpora] + [self.dev]
         paths += [getattr(self, key) for key in _OPTIONAL_PATH_KEYS if getattr(self, key)]
         dupes = {p for p in paths if paths.count(p) > 1}
@@ -182,7 +184,12 @@ def parse_config(path: str | Path | None = None, overrides=()) -> PipelineConfig
 
 
 def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        # read(n) allocates n bytes even when less is left, so blocks stay small.
+        while block := fh.read(1 << 16):
+            digest.update(block)
+    return digest.hexdigest()
 
 
 def _lock_is_stale(lock: Path) -> bool:

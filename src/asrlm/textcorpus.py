@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import os
 import unicodedata
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -82,16 +83,21 @@ def load_corpus(
     return Corpus(id=corpus_id or path.stem, sentences=tuple(sentences))
 
 
-def write_text_atomic(path: str | Path, text: str) -> None:
-    """Write `text` as UTF-8 so that a killed process never leaves `path` half written.
+def write_text_atomic(path: str | Path, text: str | Iterable[str]) -> None:
+    """Write `text`, a string or an iterable of string chunks, as UTF-8 so that
+    a killed process never leaves `path` half written.
 
-    The text goes to a hidden sibling temp file that then replaces `path`; the
-    new file gets the umask's mode. A symlink, or an existing target that is
-    not a regular file (such as `/dev/stdout`), is written in place instead.
+    The chunks go to a hidden sibling temp file, one at a time, that then
+    replaces `path`; the new file gets the umask's mode. A symlink, or an
+    existing target that is not a regular file (such as `/dev/stdout`), is
+    written in place instead, from the chunks joined first. Either way a chunk
+    source that raises leaves `path` as it was.
     """
     path = Path(path)
+    if isinstance(text, str):
+        text = (text,)
     if path.is_symlink() or (path.exists() and not path.is_file()):
-        path.write_text(text, encoding="utf-8", newline="")
+        path.write_text("".join(text), encoding="utf-8", newline="")
         return
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
@@ -100,7 +106,7 @@ def write_text_atomic(path: str | Path, text: str) -> None:
         raise OSError(exc.errno, exc.strerror, str(path)) from None
     try:
         with fh:
-            fh.write(text)
+            fh.writelines(text)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)

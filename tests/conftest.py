@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -37,6 +38,16 @@ def train_on(corpus: Corpus, order: int, vocab: Vocabulary | None = None):
         warnings.simplefilter("ignore")
         discounts = estimate_discounts(counts)
     return train_mkn(counts, discounts)
+
+
+def traced_peak(write) -> int:
+    """Peak bytes that tracemalloc saw allocated while `write()` ran."""
+    tracemalloc.start()
+    try:
+        write()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture

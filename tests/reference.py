@@ -13,7 +13,9 @@ and the G2P segmentation lattice, `Graphone` and `JointSequenceModel`, which
 from __future__ import annotations
 
 import heapq
+import json
 import math
+from pathlib import Path
 
 from asrlm.lexg2p import (
     BOS_ID,
@@ -338,21 +340,49 @@ def exhaustive_g2p(model, word):
     return sorted(best.items(), key=lambda kv: (-kv[1], kv[0]))
 
 
-def _reference_contexts(model):
-    """Per order, context -> (count total, discounted mass / total), for the
-    contexts with a positive total."""
+def reference_contexts(model):
+    """Per order, context -> (count total, discounted mass / total, followers),
+    for the contexts with a positive total: the per-context table that
+    `JointSequenceModel.__post_init__` built with two running-sum dicts
+    before it grouped followers first."""
     contexts = {}
     for k in range(1, model.order + 1):
         denoms = {}
         gnum = {}
+        followers = {}
         for gram, c in model.counts.get(k, {}).items():
             ctx = gram[:-1]
             denoms[ctx] = denoms.get(ctx, 0.0) + c
             gnum[ctx] = gnum.get(ctx, 0.0) + min(model.discount, c)
+            followers.setdefault(ctx, {})[gram[-1]] = c
         contexts[k] = {
-            ctx: (denom, gnum[ctx] / denom) for ctx, denom in denoms.items() if denom > 0.0
+            ctx: (denom, gnum[ctx] / denom, followers[ctx])
+            for ctx, denom in denoms.items() if denom > 0.0
         }
     return contexts
+
+
+def reference_save_g2p_model(model, path):
+    """The G2P model saver that encoded the whole payload with one
+    `json.dumps(payload, sort_keys=True)`, kept as the byte oracle of the
+    streamed `asrlm.lexg2p.save_g2p_model`."""
+    payload = {
+        "format": "graphone-ngram-v1",
+        "order": model.order,
+        "max_letters": model.max_letters,
+        "max_phones": model.max_phones,
+        "min_letters": model.min_letters,
+        "min_phones": model.min_phones,
+        "discount": model.discount,
+        "graphones": [[g.graphemes, list(g.phonemes)] for g in model.graphones],
+        "counts": {
+            str(k): sorted(table.items())  # each (gram, count) is written as [[ids], count]
+            for k, table in sorted(model.counts.items())
+        },
+        "log10_likelihood_trace": list(model.log10_likelihood_trace),
+        "training_report": model.training_report,
+    }
+    Path(path).write_text(json.dumps(payload, sort_keys=True), encoding="utf-8", newline="")
 
 
 def _reference_cond_list(model, contexts, ctx, gids, memo):
@@ -370,7 +400,7 @@ def _reference_cond_list(model, contexts, ctx, gids, memo):
     if stats is None:
         probs = lower
     else:
-        denom, gamma = stats
+        denom, gamma, _ = stats
         table = model.counts[k]
         d = model.discount
         probs = []
@@ -397,7 +427,7 @@ def reference_apply_g2p(model, word, beam=100, n_best=1):
     unseen = sorted(set(word) - letters)
     if unseen:
         raise G2PError(f"letters never seen in any graphone: {unseen}")
-    contexts = _reference_contexts(model)
+    contexts = reference_contexts(model)
     by_grapheme = {}
     for gid, g in enumerate(model.graphones):
         by_grapheme.setdefault(g.graphemes, []).append(gid)

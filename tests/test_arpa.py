@@ -3,9 +3,9 @@ import random
 
 import pytest
 
-from asrlm.ngramcore import ArpaError, read_arpa, write_arpa
-from asrlm.textcorpus import BOS, EOS
-from tests.conftest import corpus_of, random_corpus, train_on
+from asrlm.ngramcore import ArpaError, BackoffLM, arpa, read_arpa, write_arpa
+from asrlm.textcorpus import BOS, EOS, Vocabulary
+from tests.conftest import corpus_of, random_corpus, traced_peak, train_on
 
 
 def models_equal_within(lm1, lm2, tol=1e-6):
@@ -151,6 +151,43 @@ def test_write_arpa_refuses_non_finite_values(tmp_path, slot, value, field):
         write_arpa(lm, p)
     assert str(exc.value) == f"{p}: 2-gram 'b a' has non-finite {field}; no file written"
     assert list(tmp_path.iterdir()) == []
+
+
+def wide_lm(n_trigrams: int) -> BackoffLM:
+    """300 ten-letter words with back-off weights and `n_trigrams` trigrams
+    over them, with values that 7 significant digits write exactly."""
+    words = [f"word{i:06d}" for i in range(300)]
+    trigrams = {(words[i % 300], words[i // 300 % 300], words[i // 90_000]): -(i % 997) / 100
+                for i in range(n_trigrams)}
+    return BackoffLM(order=3, tables={1: {(w,): -2.5 for w in words}, 3: trigrams},
+                     vocab=Vocabulary(words), backoffs={1: {(w,): -0.25 for w in words}})
+
+
+def test_write_arpa_refuses_non_finite_value_past_first_chunk(tmp_path):
+    lm = wide_lm(3 * arpa._CHUNK_LINES)
+    p = tmp_path / "m.arpa"
+    write_arpa(lm, p)
+    again = read_arpa(p)
+    assert (again.tables, again.backoffs) == (lm.tables, lm.backoffs)
+    old = p.read_bytes()
+    last = max(lm.tables[3])
+    lm.tables[3][last] = math.nan
+    with pytest.raises(ValueError) as exc:
+        write_arpa(lm, p)
+    assert str(exc.value) == (f"{p}: 3-gram {' '.join(last)!r} has non-finite log-prob nan; "
+                              "no file written")
+    assert p.read_bytes() == old
+    assert [q.name for q in tmp_path.iterdir()] == ["m.arpa"]
+
+
+def test_write_arpa_memory_is_bounded(tmp_path):
+    # Joining every line before the write peaked at about 5.6x the file size.
+    lm = wide_lm(66_000)
+    p = tmp_path / "m.arpa"
+    peak = traced_peak(lambda: write_arpa(lm, p))
+    size = p.stat().st_size
+    assert size >= 2_500_000
+    assert peak < size / 2, (peak, size)
 
 
 def test_backoff_omitted_for_eos_and_top_order(tmp_path):

@@ -5,11 +5,13 @@ import re
 
 import pytest
 
+from asrlm import lexg2p
 from asrlm.lexg2p import (
     BOS_ID,
     EOS_ID,
     G2PError,
     Graphone,
+    JointSequenceModel,
     Lexicon,
     LexiconError,
     apply_g2p,
@@ -23,11 +25,14 @@ from asrlm.lexg2p import (
     save_lexicon,
     train_g2p,
 )
+from tests.conftest import traced_peak
 from tests.reference import (
     brute_force_g2p_em,
     exhaustive_g2p,
     graphone_cond_prob,
     reference_apply_g2p,
+    reference_contexts,
+    reference_save_g2p_model,
     reference_train_g2p,
 )
 
@@ -403,6 +408,69 @@ def test_model_json_round_trip(tmp_path):
     assert apply_g2p(again, word, beam=50) == apply_g2p(model, word, beam=50)
 
 
+def hand_built_model(rng, sizes, n_ids=60):
+    """A model with `sizes[k - 1]` random k-grams at each order k, inserted
+    in random order; an order of size 0 has an empty table."""
+    counts = {}
+    for k, size in enumerate(sizes, start=1):
+        table = {}
+        while len(table) < size:
+            gram = tuple(rng.randrange(-1, n_ids) for _ in range(k - 1)) + (rng.randrange(-2, n_ids),)
+            table[gram] = rng.choice([0.0, 1e-300, 2.0, 1 / 3, rng.random() * 7])
+        counts[k] = table
+    graphones = tuple(Graphone(chr(97 + i % 26), (f"P{i}",)) for i in range(n_ids))
+    return JointSequenceModel(order=len(sizes), max_letters=1, max_phones=1, min_letters=1,
+                              min_phones=1, graphones=graphones, counts=counts, discount=0.5,
+                              log10_likelihood_trace=(-3.5, -2.25),
+                              training_report={"entries": 3, "skipped": []})
+
+
+def test_save_g2p_model_equals_reference_bytes(tmp_path):
+    # The streamed saver must write the bytes of the whole-payload dump:
+    # "counts" first, orders in string order ("10" before "2"), and tables
+    # split across several chunks, one exactly a chunk long, one empty.
+    rng = random.Random(61)
+    chunk = lexg2p._CHUNK_GRAMS
+    models = [train_g2p(random_lexicon(rng, n_words=10), order=order, em_iters=iters)
+              for order in (1, 2, 3) for iters in (0, 2)]
+    assert models[0].counts == {}
+    models.append(hand_built_model(rng, [30, 2 * chunk + 1, chunk, 0, 50, 7, 3, 1, 9, 20, 4]))
+    for i, model in enumerate(models):
+        save_g2p_model(model, tmp_path / f"{i}.json")
+        reference_save_g2p_model(model, tmp_path / f"{i}.ref.json")
+        assert (tmp_path / f"{i}.json").read_bytes() == (tmp_path / f"{i}.ref.json").read_bytes(), i
+
+
+def test_save_g2p_model_memory_is_bounded(tmp_path):
+    # The whole-payload dump peaked at about 4x the file size.
+    counts = {3: {(i % 997, i // 997 % 997, i // 994_009): (i % 1013 + 1) / 7e5
+                  for i in range(82_000)}}
+    model = JointSequenceModel(order=3, max_letters=1, max_phones=1, min_letters=1, min_phones=1,
+                               graphones=(Graphone("a", ("A",)),) * 997, counts=counts, discount=0.5)
+    p = tmp_path / "g2p.json"
+    peak = traced_peak(lambda: save_g2p_model(model, p))
+    size = p.stat().st_size
+    assert size >= 3_000_000
+    assert peak < size / 2, (peak, size)
+
+
+def test_model_contexts_equal_reference():
+    # One pass that groups followers first must build the table the two
+    # running-sum dicts built: equal totals bit for bit, same key orders.
+    def listed(contexts):
+        return {k: [(ctx, denom, gamma, list(follow.items()))
+                    for ctx, (denom, gamma, follow) in table.items()]
+                for k, table in contexts.items()}
+
+    rng = random.Random(67)
+    models = [train_g2p(random_lexicon(rng, n_words=10), order=order, max_letters=size,
+                        max_phones=size, em_iters=2)
+              for order in (1, 2, 3, 4) for size in (1, 2)]
+    models.append(hand_built_model(rng, [8, 50, 0, 400], n_ids=6))
+    for model in models:
+        assert listed(model._contexts) == listed(reference_contexts(model))
+
+
 def _set_count(order, value):
     def edit(payload):
         payload["counts"][str(order)][0][1] = value
@@ -477,3 +545,5 @@ def test_train_g2p_validation():
         train_g2p(lex, order=0)
     with pytest.raises(ValueError, match="empty"):
         train_g2p(lex, min_letters=0, min_phones=0)
+    with pytest.raises(ValueError, match="^em_iters must be >= 0, got -1$"):
+        train_g2p(lex, em_iters=-1)

@@ -112,6 +112,7 @@ def test_parse_config_empty_optional_number_is_none():
     ("g2p_order", "0", "g2p_order must be an integer >= 1, got 0"),
     ("g2p_max_letters", "0", "g2p_max_letters must be an integer >= 1, got 0"),
     ("g2p_max_phones", "0", "g2p_max_phones must be an integer >= 1, got 0"),
+    ("g2p_em_iters", "-1", "g2p_em_iters must be an integer >= 0, got -1"),
 ])
 def test_config_validation_refuses_bad_parameters_before_any_stage(
         monkeypatch, tmp_path, capsys, key, value, message):
@@ -344,6 +345,29 @@ def test_cli_dialect_and_g2p_round_trip(tmp_path, capsys):
         "--words", str(words), "--out", extended,
     ]) == 0
     assert "bb\tb b" in Path(extended).read_text(encoding="utf-8")
+
+
+def test_cli_g2p_train_refuses_negative_em_iterations(tmp_path, capsys):
+    out = tmp_path / "m.json"
+    argv = ["g2p", "train", "--lexicon", str(FIXTURES / "seed_lexicon.tsv"),
+            "--em-iters", "-2", "--out", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: em_iters must be >= 0, got -2\n"
+    assert not out.exists()
+
+
+def test_cli_g2p_apply_refuses_zero_beam(tmp_path, capsys):
+    lex = tmp_path / "lex.tsv"
+    lex.write_text("ab\ta b\nba\tb a\n", encoding="utf-8")
+    model = str(tmp_path / "g2p.json")
+    assert main(["g2p", "train", "--lexicon", str(lex), "--order", "2", "--max-letters", "1",
+                 "--max-phones", "1", "--em-iters", "1", "--out", model]) == 0
+    words = tmp_path / "words.txt"
+    words.write_text("ab\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["g2p", "apply", "--model", model, "--words", str(words), "--beam", "0"]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: beam must be >= 1\n")
 
 
 def test_cli_fixture_pipeline_smoke(tmp_path):

@@ -199,6 +199,27 @@ def test_write_text_atomic_error_names_the_target(tmp_path):
     assert info.value.filename == str(target)
 
 
+@pytest.mark.parametrize("through_link", [False, True])
+def test_write_text_atomic_chunk_source_that_raises_keeps_old_bytes(tmp_path, through_link):
+    real = tmp_path / "model.arpa"
+    real.write_bytes(b"old bytes\n")
+    target = tmp_path / "link.arpa" if through_link else real
+    if through_link:
+        target.symlink_to(real)
+
+    def chunks():
+        yield "new text\n"
+        raise ValueError("bad value in the second chunk")
+
+    with pytest.raises(ValueError, match="second chunk"):
+        write_text_atomic(target, chunks())
+    assert real.read_bytes() == b"old bytes\n"
+    assert target.is_symlink() == through_link
+    assert list(tmp_path.glob(".*.tmp")) == []
+    write_text_atomic(target, iter(["new ", "", "text\n"]))
+    assert real.read_bytes() == b"new text\n"
+
+
 def test_write_text_atomic_writes_through_symlink(tmp_path):
     real = tmp_path / "real.txt"
     real.write_text("old", encoding="utf-8")
