@@ -81,41 +81,13 @@ def read_arpa(path: str | Path) -> BackoffLM:
     lines = path.read_text(encoding="utf-8").split("\n")
     for lineno, line in enumerate(lines, start=1):
         line = line.rstrip("\r")
-        if state == "preamble":
-            if line.strip() == "\\data\\":
-                state = "counts"
-            continue
-        if state == "done":
-            if line.strip():
-                raise ArpaError(path, lineno, f"text after \\end\\: {line!r}")
-            continue
-        if state in ("counts", "entries") and line.startswith("\\") and line.endswith("-grams:"):
-            try:
-                current_k = int(line[1:-len("-grams:")])
-            except ValueError as exc:
-                raise ArpaError(path, lineno, f"bad section header {line!r}") from exc
-            if current_k not in declared:
-                raise ArpaError(path, lineno, f"section {current_k} not declared in header")
-            if current_k in tables:
-                raise ArpaError(path, lineno, f"repeated section header {line!r}")
-            tables[current_k] = {}
-            state = "entries"
-            continue
-        if state == "counts":
-            if not line.strip():
+        header = line.startswith("\\") and line.endswith("-grams:")
+        # Entry lines are nearly all the lines, so their state is tested first.
+        if state == "entries" and not header:
+            stripped = line.strip()
+            if not stripped:
                 continue
-            if not line.startswith("ngram "):
-                raise ArpaError(path, lineno, f"expected 'ngram k=COUNT' or a section header, got {line!r}")
-            try:
-                k_str, count_str = line[len("ngram "):].split("=")
-                declared[int(k_str)] = int(count_str)
-            except ValueError as exc:
-                raise ArpaError(path, lineno, f"bad count line {line!r}") from exc
-            continue
-        if state == "entries":
-            if not line.strip():
-                continue
-            if line.strip() == "\\end\\":
+            if stripped == "\\end\\":
                 state = "done"
                 continue
             fields = line.split("\t")
@@ -128,7 +100,7 @@ def read_arpa(path: str | Path) -> BackoffLM:
             if not math.isfinite(logp) or logp > 0.0:
                 raise ArpaError(path, lineno, f"log-probability {fields[0]!r} is not a finite value <= 0")
             gram = tuple(fields[1].split(" "))
-            if len(gram) != current_k or any(not w for w in gram):
+            if len(gram) != current_k or "" in gram:
                 raise ArpaError(path, lineno, f"expected a {current_k}-gram, got {fields[1]!r}")
             if len(fields) == 3:
                 try:
@@ -142,6 +114,36 @@ def read_arpa(path: str | Path) -> BackoffLM:
                 raise ArpaError(path, lineno, f"duplicate n-gram {fields[1]!r}")
             tables[current_k][gram] = logp
             continue
+        if state == "preamble":
+            if line.strip() == "\\data\\":
+                state = "counts"
+            continue
+        if state == "done":
+            if line.strip():
+                raise ArpaError(path, lineno, f"text after \\end\\: {line!r}")
+            continue
+        if state == "counts" and not header:
+            if not line.strip():
+                continue
+            if not line.startswith("ngram "):
+                raise ArpaError(path, lineno, f"expected 'ngram k=COUNT' or a section header, got {line!r}")
+            try:
+                k_str, count_str = line[len("ngram "):].split("=")
+                declared[int(k_str)] = int(count_str)
+            except ValueError as exc:
+                raise ArpaError(path, lineno, f"bad count line {line!r}") from exc
+            continue
+        # A section header, in the counts or the entries state.
+        try:
+            current_k = int(line[1:-len("-grams:")])
+        except ValueError as exc:
+            raise ArpaError(path, lineno, f"bad section header {line!r}") from exc
+        if current_k not in declared:
+            raise ArpaError(path, lineno, f"section {current_k} not declared in header")
+        if current_k in tables:
+            raise ArpaError(path, lineno, f"repeated section header {line!r}")
+        tables[current_k] = {}
+        state = "entries"
     if state != "done":
         raise ArpaError(path, len(lines), "missing \\end\\ footer")
     if not declared:

@@ -35,10 +35,11 @@ def iter_positions(corpus: Corpus, vocab: Vocabulary, order: int):
     sentence.
     """
     n = order - 1
+    ids = vocab.ids
     for sent in corpus.sentences:
         history = (BOS,)[:n]
         for tok in sent:
-            oov = tok not in vocab
+            oov = tok not in ids
             yield history, tok, oov
             history = (*history, UNK if oov else tok)[-n:] if n else ()
         yield history, EOS, False
@@ -52,13 +53,15 @@ def score_corpus(log10_prob, corpus: Corpus, vocab: Vocabulary, oov_policy: str,
     skipped before anything is scored."""
     if oov_policy not in OOV_POLICIES:
         raise ValueError(f"unknown OOV policy {oov_policy!r}")
-    if len(corpus) == 0:
+    sentences = len(corpus.sentences)
+    if sentences == 0:
         raise ValueError(f"corpus {corpus.id!r} is empty")
+    exclude = oov_policy == "exclude"
     total = 0.0
     scored = 0
     oov = 0
     for history, token, is_oov in iter_positions(corpus, vocab, order):
-        if is_oov and oov_policy == "exclude":
+        if is_oov and exclude:
             oov += 1
             continue
         total += log10_prob(token, history)
@@ -69,7 +72,7 @@ def score_corpus(log10_prob, corpus: Corpus, vocab: Vocabulary, oov_policy: str,
         log10_prob_sum=total,
         scored_tokens=scored,
         oov_tokens=oov,
-        sentences=len(corpus),
+        sentences=sentences,
         ppl=10.0 ** (-total / scored),
     )
 

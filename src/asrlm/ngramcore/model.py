@@ -52,14 +52,14 @@ class BackoffLM:
         may pass just those. Unknown words (in `word` or in those tokens) are
         mapped to `<unk>` first.
         """
-        vocab = self.vocab
+        ids = self.vocab.ids
         n = self.order - 1
         hist = tuple(history[-n:]) if n > 0 else ()
         for t in hist:
-            if t not in vocab:
-                hist = tuple([u if u in vocab else UNK for u in hist])
+            if t not in ids:
+                hist = tuple([u if u in ids else UNK for u in hist])
                 break
-        w = word if word in vocab else UNK
+        w = word if word in ids else UNK
         tables = self.tables
         backoffs = self.backoffs
         acc = 0.0

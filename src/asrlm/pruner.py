@@ -69,6 +69,35 @@ def _log_marginals(value, histories):
         yield history, sums[-1]
 
 
+def _entropy_deltas(lm: BackoffLM, value, k: int, protected):
+    """Yield (gram, delta) for every stored k-gram of `lm` not in `protected`:
+    the relative-entropy cost, in log10 units, of removing that gram alone
+    and recomputing its context's back-off weight (Stolcke 1998).
+
+    `value` is `memoized_log_prob(lm)`. The cost is p(h) * sum over the
+    predicted words w of p(w|h) * (log10 p(w|h) - log10 p'(w|h)), in closed
+    form: only the removed gram and the words h does not store change their
+    probability.
+    """
+    table = lm.tables[k]
+    siblings = group_by_context(table)
+    for history, log_marginal in _log_marginals(value, sorted(siblings)):
+        grams = siblings[history]
+        log_bow = lm.backoffs[k - 1].get(history, 0.0)
+        num, den = leftover_masses(table, value, grams)
+        h_marginal = 10.0 ** log_marginal
+        for gram in grams:
+            if gram in protected:
+                continue
+            log_plower = value(gram[1:])
+            logp = table[gram]
+            p = 10.0 ** logp
+            # The context's weight once this gram is left out.
+            new_log_bow = log_backoff(num + p, den + 10.0 ** log_plower)
+            delta_logp = log_plower + new_log_bow - logp
+            yield gram, -h_marginal * (p * delta_logp + num * (new_log_bow - log_bow))
+
+
 def prune_entropy(lm: BackoffLM, theta: float) -> tuple[BackoffLM, PruneReport]:
     """Remove n-grams of order >= 2 whose relative perplexity increase is < theta.
 
@@ -97,26 +126,9 @@ def prune_entropy(lm: BackoffLM, theta: float) -> tuple[BackoffLM, PruneReport]:
         # Deltas come from the original model: removals at higher orders do
         # not touch the stored probabilities, weights or marginals they use.
         protected = {g[:-1] for g in pruned.tables.get(k + 1, {})}
+        to_remove = [gram for gram, delta_entropy in _entropy_deltas(lm, value, k, protected)
+                     if 10.0 ** delta_entropy - 1.0 < theta]
         table = pruned.tables[k]
-        siblings = group_by_context(table)
-        to_remove = []
-        for history, log_marginal in _log_marginals(value, sorted(siblings)):
-            grams = siblings[history]
-            log_bow = lm.backoffs[k - 1].get(history, 0.0)
-            num, den = leftover_masses(table, value, grams)
-            h_marginal = 10.0 ** log_marginal
-            for gram in grams:
-                if gram in protected:
-                    continue
-                log_plower = value(gram[1:])
-                logp = table[gram]
-                p = 10.0 ** logp
-                # The context's weight once this gram is left out.
-                new_log_bow = log_backoff(num + p, den + 10.0 ** log_plower)
-                delta_logp = log_plower + new_log_bow - logp
-                delta_entropy = -h_marginal * (p * delta_logp + num * (new_log_bow - log_bow))
-                if 10.0 ** delta_entropy - 1.0 < theta:
-                    to_remove.append(gram)
         for gram in to_remove:
             del table[gram]
         removed_by_order[k] = len(to_remove)

@@ -50,23 +50,49 @@ def align(ref, hyp) -> EditAlignment:
     substitution > deletion > insertion. This keeps alignments deterministic
     and makes swapping ref and hyp exchange deletions with insertions while
     preserving substitutions.
+
+    Matched ends skip the dynamic program, which runs only on the middle
+    that differs. A common suffix is always matched: when the last tokens are
+    equal, the diagonal cell is at most either neighbour plus one unit, so
+    the backtrace's match test fires first. A common prefix is matched only
+    when none of its tokens occurs again in the middles. Otherwise the
+    backtrace may match a prefix token with a later copy of it: `("a", "a",
+    "b")` against `("a",)` aligns as deletion, match, deletion. With no
+    recurrence, a backtrace that reaches the prefix can only delete or insert
+    up to it, as the program on the middles alone does.
     """
     ref = tuple(ref)
     hyp = tuple(hyp)
     n, m = len(ref), len(hyp)
+    short = n if n < m else m
+    tail = 0
+    while tail < short and ref[-1 - tail] == hyp[-1 - tail]:
+        tail += 1
+    head = 0
+    while head < short - tail and ref[head] == hyp[head]:
+        head += 1
+    core_ref, core_hyp = ref, hyp
+    if head or tail:
+        core_ref, core_hyp = ref[head:n - tail], hyp[head:m - tail]
+        for t in ref[:head]:
+            if t in core_ref or t in core_hyp:
+                head = 0
+                core_ref, core_hyp = ref[:n - tail], hyp[:m - tail]
+                break
+    ci, cj = len(core_ref), len(core_hyp)
     # Pack (cost, substitutions) into one int; subs can never reach BIG.
-    big = n + m + 1
+    big = ci + cj + 1
     sub = big + 1
-    row = list(range(0, (m + 1) * big, big))
+    row = list(range(0, (cj + 1) * big, big))
     dist = [row]
-    for r in ref:
+    for r in core_ref:
         # Each cell is min(diag, up + big, left + big); `left` carries the
         # cell just computed into the next column.
         prev = row
         left = prev[0] + big
         row = [left]
         j = 0
-        for y in hyp:
+        for y in core_hyp:
             diag = prev[j]
             if r != y:
                 diag += sub
@@ -79,14 +105,17 @@ def align(ref, hyp) -> EditAlignment:
                 left = diag
             row.append(left)
         dist.append(row)
-    ops: list[tuple[str, str | None, str | None]] = []
-    i, j = n, m
-    s = h = 0
+    # Built back to front: the suffix, the middle, then the prefix.
+    ops: list[tuple[str, str | None, str | None]] = (
+        [(_MATCH, ref[-k], hyp[-k]) for k in range(1, tail + 1)] if tail else [])
+    i, j = ci, cj
+    s = 0
+    h = head + tail
     while i and j:
         # Step back diagonally; a deletion or an insertion undoes half the step.
         i -= 1
         j -= 1
-        r, y = ref[i], hyp[j]
+        r, y = core_ref[i], core_hyp[j]
         here, above = dist[i + 1][j + 1], dist[i]
         if r == y:
             if here == above[j]:
@@ -105,10 +134,12 @@ def align(ref, hyp) -> EditAlignment:
             i += 1
     while i:
         i -= 1
-        ops.append((_DEL, ref[i], None))
+        ops.append((_DEL, core_ref[i], None))
     while j:
         j -= 1
-        ops.append((_INS, None, hyp[j]))
+        ops.append((_INS, None, core_hyp[j]))
+    if head:
+        ops += [(_MATCH, ref[k], hyp[k]) for k in range(head - 1, -1, -1)]
     ops.reverse()
     return EditAlignment(
         substitutions=s,

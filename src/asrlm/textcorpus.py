@@ -153,7 +153,9 @@ class Vocabulary:
             ordered.append(w)
             seen.add(w)
         self._words: tuple[str, ...] = tuple(ordered)
-        self._index: dict[str, int] = {w: i for i, w in enumerate(ordered)}
+        # word -> index. Hot loops test membership with `in ids`, which is
+        # cheaper than a `__contains__` call per token; never mutate it.
+        self.ids: dict[str, int] = {w: i for i, w in enumerate(ordered)}
 
     @property
     def words(self) -> tuple[str, ...]:
@@ -164,7 +166,7 @@ class Vocabulary:
         return tuple(w for w in self._words if w != BOS)
 
     def __contains__(self, word: str) -> bool:
-        return word in self._index
+        return word in self.ids
 
     def __len__(self) -> int:
         return len(self._words)
@@ -176,13 +178,13 @@ class Vocabulary:
         return hash(self._words)
 
     def index(self, word: str) -> int:
-        return self._index[word]
+        return self.ids[word]
 
     def word(self, idx: int) -> str:
         return self._words[idx]
 
     def map_token(self, token: str) -> str:
-        return token if token in self._index else UNK
+        return token if token in self.ids else UNK
 
     def save(self, path: str | Path) -> None:
         write_text_atomic(path, "".join(w + "\n" for w in self._words))

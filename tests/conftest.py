@@ -2,9 +2,15 @@ import random
 import tracemalloc
 
 import pytest
+from hypothesis import settings
 
 from asrlm.ngramcore import count_ngrams, estimate_discounts, train_mkn
 from asrlm.textcorpus import Corpus, Vocabulary, build_vocabulary
+
+# Every property test draws the same examples on every run, so tier-1 passes
+# or fails the same way each time. Tests keep their own `max_examples`.
+settings.register_profile("deterministic", derandomize=True)
+settings.load_profile("deterministic")
 
 
 def corpus_of(text: str, corpus_id: str = "test") -> Corpus:

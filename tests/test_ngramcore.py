@@ -14,14 +14,16 @@ from asrlm.ngramcore import (
     estimate_discounts,
     oov_rate,
     perplexity,
+    read_arpa,
     train_mkn,
+    write_arpa,
 )
 from asrlm.ngramcore.model import memoized_log_prob
 from asrlm.ngramcore.smoothing import closed_form_discounts
 from asrlm.pruner import prune_entropy
 from asrlm.textcorpus import BOS, EOS, UNK, Corpus, Vocabulary, build_vocabulary
 from tests.conftest import corpus_of, random_corpus, train_on
-from tests.reference import BruteForceMKN, naive_perplexity
+from tests.reference import BruteForceMKN, backoff_log10_prob, naive_perplexity
 
 
 def test_count_ngrams_bigrams_and_unigrams():
@@ -296,7 +298,7 @@ def test_stored_values_are_sane():
 
 
 @pytest.fixture(scope="module")
-def seeded_models():
+def seeded_models(tmp_path_factory):
     rng = random.Random(23)
     corpora = [random_corpus(rng, max_sentences=40, max_vocab=12, corpus_id=f"c{i}") for i in range(3)]
     vocab = build_vocabulary(corpora)
@@ -304,7 +306,36 @@ def seeded_models():
     merged = interpolate_static(lms, [0.5, 0.3, 0.2])
     pruned, report = prune_entropy(merged, 1e-3)
     assert sum(report.removed_by_order.values()) > 0
-    return {"trained": lms[0], "merged": merged, "pruned": pruned}
+    path = tmp_path_factory.mktemp("arpa") / "pruned.arpa"
+    write_arpa(pruned, path)
+    # A small vocabulary puts `<unk>` into stored contexts.
+    with_unk = train_on(corpora[0], 4, Vocabulary(["w0", "w1", "w2", "w3"]))
+    assert any(UNK in gram[:-1] for gram in with_unk.tables[3])
+    return {"trained": lms[0], "merged": merged, "pruned": pruned, "read_arpa": read_arpa(path),
+            "with_unk": with_unk}
+
+
+@pytest.mark.parametrize("kind", ["trained", "merged", "pruned", "read_arpa", "with_unk"])
+def test_log_prob_equals_backoff_oracle(seeded_models, kind):
+    """`log_prob` is float-equal to the table-only oracle: both add the
+    back-off weights first and the stored value last. Histories are lists
+    and tuples longer than `order - 1`, with OOV tokens and `<s>` in them."""
+    lm = seeded_models[kind]
+    rng = random.Random(41)
+    words = [w for w in lm.vocab.words if w not in (BOS, UNK)]
+    tokens = words + [BOS, "oov1", "oov2"]
+    mapped = backed_off = 0
+    for _ in range(1500):
+        history = [rng.choice(tokens) for _ in range(rng.randint(0, lm.order + 2))]
+        word = rng.choice(words + ["oov3"])
+        expected = backoff_log10_prob(lm, word, history)
+        assert lm.log_prob(word, history) == expected, (word, history)
+        assert lm.log_prob(word, tuple(history)) == expected, (word, history)
+        recent = history[max(0, len(history) - lm.order + 1):]
+        mapped += any(t not in lm.vocab for t in recent)
+        gram = tuple(t if t in lm.vocab else UNK for t in recent + [word])
+        backed_off += gram not in lm.tables[len(gram)]
+    assert mapped > 300 and backed_off > 300
 
 
 @pytest.mark.parametrize("kind", ["trained", "merged", "pruned"])

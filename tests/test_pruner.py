@@ -4,7 +4,8 @@ import random
 import pytest
 
 from asrlm.ngramcore import context_probability_sums, perplexity
-from asrlm.pruner import prune_entropy
+from asrlm.ngramcore.model import memoized_log_prob
+from asrlm.pruner import _entropy_deltas, prune_entropy
 from asrlm.textcorpus import build_vocabulary
 from tests.conftest import corpus_of, random_corpus, train_on
 from tests.reference import brute_force_prune_delta
@@ -130,6 +131,23 @@ def test_reprune_only_shrinks():
         assert retained_set(twice)[k] <= retained_set(once)[k]
     for ctx, total in context_probability_sums(twice):
         assert abs(total - 1.0) <= 1e-6
+
+
+def test_entropy_deltas_equal_brute_force_oracle():
+    """The pruner's own closed-form cost of every gram of orders 2..order
+    agrees with the exhaustive sum over every predicted word."""
+    rng = random.Random(607)
+    compared = 0
+    for trial in range(15):
+        lm = train_on(random_corpus(rng, max_sentences=25, max_vocab=10), 2 + trial % 3)
+        value = memoized_log_prob(lm)
+        for k in range(2, lm.order + 1):
+            deltas = dict(_entropy_deltas(lm, value, k, set()))
+            assert deltas.keys() == lm.tables[k].keys()
+            for gram, delta in deltas.items():
+                assert abs(delta - brute_force_prune_delta(lm, gram)) <= 1e-12, gram
+            compared += len(deltas)
+    assert compared > 600
 
 
 def separated_thetas(deltas, quantiles=(0.1, 0.3, 0.5, 0.7, 0.9)):

@@ -99,6 +99,42 @@ def test_align_equals_reference_alignment():
         assert align(ref, hyp) == reference_align(ref, hyp), (ref, hyp)
 
 
+def test_align_pins_tie_breaks_at_repeated_ends():
+    """Repeated tokens at a matched end keep the full program's tie-breaks."""
+    assert align(("a", "a"), ("a",)).ops == (("del", "a", None), ("match", "a", "a"))
+    assert align(("a",), ("a", "a")).ops == (("ins", None, "a"), ("match", "a", "a"))
+    assert align(("a", "b", "a"), ("a", "c")).ops == (
+        ("match", "a", "a"), ("del", "b", None), ("sub", "a", "c"))
+    assert align(("a", "a", "b"), ("a",)).ops == (
+        ("del", "a", None), ("match", "a", "a"), ("del", "b", None))
+
+
+ab = st.sampled_from("ab")
+# A one-token edit: replace the token at a position (taken modulo the length
+# plus one, so the end is an insertion point) with zero to two tokens.
+edits = st.lists(st.tuples(st.integers(0, 12), st.lists(ab, max_size=2)), max_size=3)
+
+
+def _edited(middle, ops):
+    middle = list(middle)
+    for pos, new in ops:
+        k = pos % (len(middle) + 1)
+        middle[k:k + 1] = new
+    return middle
+
+
+@given(st.lists(ab, max_size=3), st.lists(ab, max_size=3), st.lists(ab, max_size=3), edits, edits)
+@settings(max_examples=250)
+def test_align_with_shared_ends_equals_reference(prefix, middle, suffix, ref_edits, hyp_edits):
+    """A shared prefix and suffix around middles edited independently, at
+    most 12 tokens over two symbols, so prefix tokens often occur again in
+    the middles."""
+    ref = prefix + _edited(middle, ref_edits) + suffix
+    hyp = prefix + _edited(middle, hyp_edits) + suffix
+    assert len(ref) <= 12 and len(hyp) <= 12
+    assert align(ref, hyp) == reference_align(ref, hyp)
+
+
 def test_wer_perfect():
     report = wer({"u1": ("a", "b")}, {"u1": ("a", "b")})
     assert report.wer == 0.0
