@@ -27,7 +27,7 @@ from asrlm.ngramcore import (
 from asrlm.pipeline import PipelineError, parse_config, run_dialect_pipeline, run_lexicon_pipeline, run_lm_pipeline
 from asrlm.pruner import prune_entropy
 from asrlm.textcorpus import (
-    Vocabulary, build_vocabulary, load_corpus, save_corpus, word_frequencies, write_text_atomic,
+    Vocabulary, build_vocabulary, load_corpus, read_text, save_corpus, word_frequencies, write_text_atomic,
 )
 
 
@@ -153,7 +153,7 @@ def cmd_g2p_train(args) -> int:
 
 def cmd_g2p_apply(args) -> int:
     model = lexg2p.load_g2p_model(args.model)
-    words = [w for w in Path(args.words).read_text(encoding="utf-8").split() if w]
+    words = read_text(args.words).split()
     failures = 0
     for word in words:
         try:
@@ -170,7 +170,7 @@ def cmd_g2p_apply(args) -> int:
 def cmd_lexicon_extend(args) -> int:
     lexicon = lexg2p.load_lexicon(args.lexicon)
     model = lexg2p.load_g2p_model(args.model)
-    words = [w for w in Path(args.words).read_text(encoding="utf-8").split() if w]
+    words = read_text(args.words).split()
     extended, report = lexg2p.extend_lexicon(
         lexicon, words, model, beam=args.beam, n_best=args.n_best
     )

@@ -9,7 +9,7 @@ from asrlm.mixture import em_weights, perplexity_mixture
 from asrlm.ngramcore import count_ngrams, estimate_discounts, perplexity, train_mkn
 from asrlm.ngramcore.evaluate import PerplexityReport
 from asrlm.textcorpus import (
-    Corpus, Vocabulary, build_vocabulary, concatenate, word_frequencies, write_text_atomic,
+    Corpus, Vocabulary, build_vocabulary, concatenate, read_text, word_frequencies, write_text_atomic,
 )
 
 
@@ -48,7 +48,7 @@ def load_mapping(path: str | Path) -> MappingTable:
     """
     pairs: dict[str, str] = {}
     notes: dict[str, str] = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").split("\n"), 1):
+    for lineno, line in enumerate(read_text(path).split("\n"), 1):
         line = line.removesuffix("\r")
         if not line.strip() or line.lstrip().startswith("#"):
             continue
@@ -58,6 +58,8 @@ def load_mapping(path: str | Path) -> MappingTable:
                                "with one word on each side")
         if fields[0] in pairs:
             raise MappingError(f"{path}:{lineno}: duplicate key {fields[0]!r}")
+        if fields[0] == fields[1]:
+            raise MappingError(f"{path}:{lineno}: {fields[0]!r} maps to itself")
         pairs[fields[0]] = fields[1]
         if len(fields) == 3 and fields[2]:
             notes[fields[0]] = fields[2]

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
 
-from asrlm.textcorpus import write_text_atomic
+from asrlm.textcorpus import read_text, write_text_atomic
 
 log = logging.getLogger(__name__)
 
@@ -89,7 +89,7 @@ def load_lexicon(path: str | Path, inventory=None) -> Lexicon:
     stays inside its line.
     """
     pairs = []
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").split("\n"), 1):
+    for lineno, line in enumerate(read_text(path).split("\n"), 1):
         if not line.strip():
             continue
         fields = line.split("\t")
@@ -108,8 +108,7 @@ def save_lexicon(lexicon: Lexicon, path: str | Path) -> None:
 
 
 def load_inventory(path: str | Path) -> frozenset[str]:
-    symbols = [s for s in Path(path).read_text(encoding="utf-8").split() if s]
-    return frozenset(symbols)
+    return frozenset(read_text(path).split())
 
 
 def merge_lexicons(base: Lexicon, addon: Lexicon, policy: str = "union", symbol_map=None) -> Lexicon:
@@ -528,6 +527,8 @@ def apply_g2p(model: JointSequenceModel, word: str, beam: int = 100, n_best: int
         raise G2PError("empty word")
     if beam < 1:
         raise ValueError("beam must be >= 1")
+    if n_best < 1:
+        raise ValueError("n_best must be >= 1")
     unseen = sorted(set(word) - model.letters)
     if unseen:
         raise G2PError(f"letters never seen in any graphone: {unseen}")
@@ -725,7 +726,7 @@ def load_g2p_model(path: str | Path) -> JointSequenceModel:
     boolean is neither an integer nor a number here.
     """
     try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        payload = json.loads(read_text(path))
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: not a graphone model file: {exc}") from exc
     if not isinstance(payload, dict) or payload.get("format") != "graphone-ngram-v1":

@@ -21,7 +21,7 @@ from asrlm.ngramcore.model import (
     memoized_log_prob,
     rebuild_backoffs,
 )
-from asrlm.textcorpus import BOS, EOS, UNK, Corpus, write_text_atomic
+from asrlm.textcorpus import BOS, EOS, UNK, Corpus, read_text, write_text_atomic
 
 WEIGHT_FILE_TOLERANCE = 1e-6
 
@@ -253,7 +253,7 @@ def load_weights(path: str | Path, lms: list[BackoffLM]) -> InterpolationWeights
     """
     ids = []
     lambdas = []
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").split("\n"), 1):
+    for lineno, line in enumerate(read_text(path).split("\n"), 1):
         if not line.strip():
             continue
         fields = line.split("\t")

@@ -13,7 +13,7 @@ import math
 from pathlib import Path
 
 from asrlm.ngramcore.model import BackoffLM, NGram
-from asrlm.textcorpus import EOS, Vocabulary, write_text_atomic
+from asrlm.textcorpus import EOS, Vocabulary, read_text, write_text_atomic
 
 
 class ArpaError(ValueError):
@@ -78,7 +78,7 @@ def read_arpa(path: str | Path) -> BackoffLM:
     backoffs: dict[int, dict[NGram, float]] = {}
     state = "preamble"
     current_k = 0
-    lines = path.read_text(encoding="utf-8").split("\n")
+    lines = read_text(path).split("\n")
     for lineno, line in enumerate(lines, start=1):
         line = line.rstrip("\r")
         header = line.startswith("\\") and line.endswith("-grams:")

@@ -32,7 +32,7 @@ from asrlm.ngramcore import (
     write_arpa,
 )
 from asrlm.pruner import prune_entropy
-from asrlm.textcorpus import build_vocabulary, load_corpus, word_frequencies, write_text_atomic
+from asrlm.textcorpus import build_vocabulary, concatenate, load_corpus, read_text, word_frequencies, write_text_atomic
 
 
 class PipelineError(RuntimeError):
@@ -167,7 +167,7 @@ def parse_config(path: str | Path | None = None, overrides=()) -> PipelineConfig
         values[key] = _parse_value(key, raw, where)
 
     if path is not None:
-        for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").split("\n"), 1):
+        for lineno, line in enumerate(read_text(path).split("\n"), 1):
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):
                 continue
@@ -389,13 +389,9 @@ def run_lexicon_pipeline(config: PipelineConfig) -> dict[str, Path]:
 
         run.begin("extend")
         if config.word_list:
-            wanted = [w for w in Path(config.word_list).read_text(encoding="utf-8").split() if w]
+            wanted = read_text(config.word_list).split()
         else:
-            counts: dict[str, int] = {}
-            for corpus in corpora:
-                for word, count in word_frequencies(corpus):
-                    counts[word] = counts.get(word, 0) + count
-            wanted = [w for w, _ in sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))]
+            wanted = [w for w, _ in word_frequencies(concatenate("all", corpora))]
         missing = [w for w in wanted if w not in seed.entries]
         extended, report = lexg2p.extend_lexicon(seed, missing, model, beam=config.g2p_beam)
         lexg2p.save_lexicon(extended, run.path("training_lexicon.tsv"))

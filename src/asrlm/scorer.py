@@ -5,6 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
+from asrlm.textcorpus import read_text
+
 # Backtrace preference at equal cost, best first.
 _MATCH, _SUB, _DEL, _INS = "match", "sub", "del", "ins"
 
@@ -216,14 +218,8 @@ def read_trn(path: str | Path) -> dict[str, tuple[str, ...]]:
     whitespace to the token split; any other line separator, such as U+2028,
     stays inside its line.
     """
-    raw = Path(path).read_bytes()
-    try:
-        text = raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        lineno = raw.count(b"\n", 0, exc.start) + 1
-        raise ValueError(f"{path}:{lineno}: invalid UTF-8 ({exc.reason})") from exc
     out: dict[str, tuple[str, ...]] = {}
-    for lineno, line in enumerate(text.split("\n"), 1):
+    for lineno, line in enumerate(read_text(path).split("\n"), 1):
         if not line.strip():
             continue
         fields = line.split("\t")

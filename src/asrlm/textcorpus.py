@@ -18,7 +18,7 @@ Sentence = tuple[str, ...]
 
 
 class CorpusError(ValueError):
-    """Unreadable or malformed corpus input."""
+    """Unreadable or malformed input text."""
 
 
 @dataclass(frozen=True)
@@ -65,15 +65,11 @@ def load_corpus(
     """
     path = Path(path)
     try:
-        raw = path.read_bytes()
+        text = read_text(path)
     except OSError as exc:
         raise CorpusError(f"cannot read corpus file {path}: {exc}") from exc
     sentences = []
-    for lineno, chunk in enumerate(raw.split(b"\n"), start=1):
-        try:
-            line = chunk.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise CorpusError(f"{path}:{lineno}: invalid UTF-8 ({exc.reason})") from exc
+    for lineno, line in enumerate(text.split("\n"), start=1):
         sent = normalize_line(line, lowercase=lowercase, strip_punct=strip_punct)
         for tok in sent:
             if tok in RESERVED:
@@ -81,6 +77,17 @@ def load_corpus(
         if sent:
             sentences.append(sent)
     return Corpus(id=corpus_id or path.stem, sentences=tuple(sentences))
+
+
+def read_text(path: str | Path) -> str:
+    """Decode the file at `path` as UTF-8, line endings untouched; every input
+    reader reads through here. Invalid UTF-8 is a CorpusError at `path:line`."""
+    raw = Path(path).read_bytes()
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = raw.count(b"\n", 0, exc.start) + 1
+        raise CorpusError(f"{path}:{lineno}: invalid UTF-8 ({exc.reason})") from exc
 
 
 def write_text_atomic(path: str | Path, text: str | Iterable[str]) -> None:
@@ -198,7 +205,7 @@ class Vocabulary:
         whitespace, such as another line separator like U+2028, is an error.
         """
         words = []
-        for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").split("\n"), 1):
+        for lineno, line in enumerate(read_text(path).split("\n"), 1):
             word = line.strip()
             if len(word.split()) > 1:
                 raise ValueError(f"{path}:{lineno}: expected one word per line")

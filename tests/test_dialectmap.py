@@ -43,6 +43,13 @@ def test_mapping_file_rejects_duplicates(tmp_path):
         load_mapping(p)
 
 
+def test_mapping_file_names_line_of_self_mapping(tmp_path):
+    p = tmp_path / "map.tsv"
+    p.write_text("x\ta\nsame\tsame\n", encoding="utf-8")
+    with pytest.raises(MappingError, match="^" + re.escape(f"{p}:2: 'same' maps to itself")):
+        load_mapping(p)
+
+
 def test_load_mapping_splits_lines_at_line_feed_only(tmp_path):
     p = tmp_path / "map.tsv"
     # U+2028 is a line break to str.splitlines, which would add a pair ef -> gh.

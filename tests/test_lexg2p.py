@@ -274,6 +274,13 @@ def test_apply_unseen_letter_lists_letters():
         apply_g2p(model, "aqz", beam=10)
 
 
+@pytest.mark.parametrize("n_best", [0, -1])
+def test_apply_refuses_n_best_below_one(n_best):
+    model = train_g2p(identity_lexicon(["ab"]), order=1, max_letters=1, max_phones=1, em_iters=1)
+    with pytest.raises(ValueError, match="n_best must be >= 1"):
+        apply_g2p(model, "ab", n_best=n_best)
+
+
 def test_beam_matches_exhaustive_search():
     rng = random.Random(23)
     configs = [

@@ -370,6 +370,26 @@ def test_cli_g2p_apply_refuses_zero_beam(tmp_path, capsys):
     assert (captured.out, captured.err) == ("", "error: beam must be >= 1\n")
 
 
+@pytest.mark.parametrize("command", ["g2p apply", "lexicon extend"])
+def test_cli_g2p_refuses_zero_n_best(tmp_path, capsys, command):
+    lex = tmp_path / "lex.tsv"
+    lex.write_text("ab\ta b\nba\tb a\n", encoding="utf-8")
+    model = str(tmp_path / "g2p.json")
+    assert main(["g2p", "train", "--lexicon", str(lex), "--order", "2", "--max-letters", "1",
+                 "--max-phones", "1", "--em-iters", "1", "--out", model]) == 0
+    words = tmp_path / "words.txt"
+    words.write_text("bb\n", encoding="utf-8")
+    out = tmp_path / "ext.tsv"
+    argv = {"g2p apply": ["g2p", "apply", "--model", model, "--words", str(words)],
+            "lexicon extend": ["lexicon", "extend", "--lexicon", str(lex), "--model", model,
+                               "--words", str(words), "--out", str(out)]}[command]
+    capsys.readouterr()
+    assert main(argv + ["--n-best", "0"]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: n_best must be >= 1\n")
+    assert not out.exists()
+
+
 def test_cli_fixture_pipeline_smoke(tmp_path):
     out = str(tmp_path / "out")
     code = main([
