@@ -501,6 +501,13 @@ def train_g2p(
     )
 
 
+def _check_search(beam: int, n_best: int) -> None:
+    if beam < 1:
+        raise ValueError("beam must be >= 1")
+    if n_best < 1:
+        raise ValueError("n_best must be >= 1")
+
+
 def apply_g2p(model: JointSequenceModel, word: str, beam: int = 100, n_best: int = 1):
     """Beam search for the best pronunciations of a word.
 
@@ -525,10 +532,7 @@ def apply_g2p(model: JointSequenceModel, word: str, beam: int = 100, n_best: int
     """
     if not word:
         raise G2PError("empty word")
-    if beam < 1:
-        raise ValueError("beam must be >= 1")
-    if n_best < 1:
-        raise ValueError("n_best must be >= 1")
+    _check_search(beam, n_best)
     unseen = sorted(set(word) - model.letters)
     if unseen:
         raise G2PError(f"letters never seen in any graphone: {unseen}")
@@ -631,6 +635,7 @@ def extend_lexicon(
     Existing entries are never changed. Per-word conversion failures are
     collected in the report and do not stop the remaining words.
     """
+    _check_search(beam, n_best)  # before any word, even if every word is known
     added: dict[str, tuple[tuple[str, ...], ...]] = {}
     failed: dict[str, str] = {}
     for word in words:

@@ -19,6 +19,7 @@ from asrlm.ngramcore.model import (
     BackoffLM,
     NGram,
     memoized_log_prob,
+    ordered_sum,
     rebuild_backoffs,
 )
 from asrlm.textcorpus import BOS, EOS, UNK, Corpus, read_text, write_text_atomic
@@ -86,7 +87,8 @@ def _check_reserved_unigrams(lms: list[BackoffLM]) -> None:
 
 def _mix_log10(lms: list[BackoffLM], lambdas, word: str, history) -> float:
     """log10 of the weighted mixture of the components' p(word | history)."""
-    return math.log10(sum(lam * 10.0 ** lm.log_prob(word, history) for lam, lm in zip(lambdas, lms)))
+    return math.log10(ordered_sum([lam * 10.0 ** lm.log_prob(word, history)
+                                    for lam, lm in zip(lambdas, lms)]))
 
 
 def em_weights(
@@ -102,7 +104,8 @@ def em_weights(
     of its component over all predicted positions, which cannot decrease the
     dev log-likelihood. Stops when the log10-likelihood improves by less
     than `tol` or after `max_iter` iterations; `max_iter` must be >= 1 and
-    `tol` a number >= 0.
+    `tol` a number >= 0. Every sum runs in component or position order from
+    0.0, as `ordered_sum` adds, never through `sum()`.
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter!r}")
@@ -115,26 +118,24 @@ def em_weights(
     weights = [1.0 / m] * m if init is None else list(_check_weights(init, m))
     # OOV positions are scored as `<unk>`, so each position has positive
     # probability under every open-vocabulary component.
-    order = max(lm.order for lm in lms)
-    rows = [[10.0 ** lm.log_prob(token, history) for lm in lms]
-            for history, token, _ in iter_positions(dev, lms[0].vocab, order)]
-    n_positions = len(rows)
+    positions = list(iter_positions(dev, lms[0].vocab, max(lm.order for lm in lms)))
+    columns = [[10.0 ** lm.log_prob(token, history) for history, token, _ in positions]
+               for lm in lms]
+    n_positions = len(positions)
 
     def log_likelihood_and_posteriors(ws):
-        ll = 0.0
-        sums = [0.0] * m
-        for row in rows:
-            mix = sum(w * p for w, p in zip(ws, row))
-            assert mix > 0.0, "mixture probability vanished at a dev position"
-            ll += math.log10(mix)
-            for i in range(m):
-                sums[i] += ws[i] * row[i] / mix
-        return ll, sums
+        mixes = [0.0] * n_positions
+        for w, column in zip(ws, columns):
+            mixes = [mix + w * p for mix, p in zip(mixes, column)]
+        assert 0.0 not in mixes, "mixture probability vanished at a dev position"
+        return ordered_sum(map(math.log10, mixes)), [
+            ordered_sum([w * p / mix for p, mix in zip(column, mixes)])
+            for w, column in zip(ws, columns)]
 
     ll, posterior_sums = log_likelihood_and_posteriors(weights)
     for _ in range(max_iter):
         new_weights = [s / n_positions for s in posterior_sums]
-        total = sum(new_weights)
+        total = ordered_sum(new_weights)
         new_weights = [w / total for w in new_weights]
         new_ll, new_sums = log_likelihood_and_posteriors(new_weights)
         improved = new_ll - ll
@@ -172,11 +173,12 @@ def interpolate_static(
     """Merge components into one back-off model.
 
     The merged model stores the union of the component n-gram sets; each
-    stored n-gram carries the exact mixture probability (each component's
-    value, stored or backed off, taken from its own `memoized_log_prob`) and
-    back-off weights are recomputed so every context normalizes. A single
-    component with weight 1 is returned unchanged, which keeps the degenerate
-    merge bit-exact.
+    stored n-gram carries the exact mixture probability and back-off weights
+    are recomputed so every context normalizes. A component's value of a
+    gram it does not store is its context's weight plus its value of the
+    suffix, kept from the order below or else from `memoized_log_prob`. The
+    mixture adds in component order from 0.0, as `ordered_sum` does. A
+    single component with weight 1 is returned unchanged (bit-exact).
     """
     lambdas = _check_weights(weights, len(lms))
     _check_components(lms, minimum=1)
@@ -195,20 +197,23 @@ def interpolate_static(
         return clone
 
     values = [memoized_log_prob(lm) for lm in lms]
+    lower_values: list[dict[NGram, float]] = [{} for _ in lms]
     tables: dict[int, dict[NGram, float]] = {}
     for k in range(1, order + 1):
         union: dict[NGram, None] = {}
         for lm in lms:
-            for gram in sorted(lm.tables[k]):
-                union.setdefault(gram)
-        tk: dict[NGram, float] = {}
-        for gram in union:
-            if gram == (BOS,):
-                tk[gram] = BOS_LOG10_PROB
-                continue
-            mix = sum(lam * 10.0 ** value(gram) for lam, value in zip(lambdas, values))
-            tk[gram] = math.log10(mix)
-        tables[k] = tk
+            union.update(dict.fromkeys(sorted(lm.tables[k])))
+        grams = [gram for gram in union if gram != (BOS,)]  # `<s>` takes the stand-in
+        mixes = [0.0] * len(grams)
+        for i, (lam, lm, value) in enumerate(zip(lambdas, lms, values)):
+            stored, lower, bow = lm.tables[k].get, lower_values[i].get, lm.backoffs.get(k - 1, {}).get
+            logps = [logp if (logp := stored(gram)) is not None
+                     else value(gram) if (suffix := lower(gram[1:])) is None
+                     else bow(gram[:-1], 0.0) + suffix for gram in grams]
+            lower_values[i] = dict(zip(grams, logps))
+            mixes = [mix + lam * 10.0 ** logp for mix, logp in zip(mixes, logps)]
+        tables[k] = dict.fromkeys(union, BOS_LOG10_PROB)
+        tables[k].update(zip(grams, map(math.log10, mixes)))
     merged = BackoffLM(order=order, tables=tables, vocab=lms[0].vocab, metadata=merged_meta)
     rebuild_backoffs(merged)
     return merged

@@ -13,7 +13,7 @@ import math
 from pathlib import Path
 
 from asrlm.ngramcore.model import BackoffLM, NGram
-from asrlm.textcorpus import EOS, Vocabulary, read_text, write_text_atomic
+from asrlm.textcorpus import BOS, EOS, Vocabulary, read_text, write_text_atomic
 
 
 class ArpaError(ValueError):
@@ -102,6 +102,10 @@ def read_arpa(path: str | Path) -> BackoffLM:
             gram = tuple(fields[1].split(" "))
             if len(gram) != current_k or "" in gram:
                 raise ArpaError(path, lineno, f"expected a {current_k}-gram, got {fields[1]!r}")
+            if current_k > 1 and not words.issuperset(gram) and not (
+                    gram[0] == BOS and words.issuperset(gram[1:])):  # `<s>` may lead
+                word = next(w for w in gram[gram[0] == BOS:] if w not in words)
+                raise ArpaError(path, lineno, f"word {word!r} of {fields[1]!r} has no unigram entry")
             if len(fields) == 3:
                 try:
                     bow = float(fields[2])
@@ -143,6 +147,7 @@ def read_arpa(path: str | Path) -> BackoffLM:
         if current_k in tables:
             raise ArpaError(path, lineno, f"repeated section header {line!r}")
         tables[current_k] = {}
+        words = {w for (w,) in tables.get(1, ())}
         state = "entries"
     if state != "done":
         raise ArpaError(path, len(lines), "missing \\end\\ footer")

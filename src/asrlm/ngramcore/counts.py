@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from asrlm.textcorpus import BOS, EOS, Corpus, Vocabulary
+from asrlm.textcorpus import BOS, EOS, UNK, Corpus, Vocabulary
 
 NGram = tuple[str, ...]
 
@@ -33,23 +33,21 @@ def count_ngrams(corpus: Corpus, order: int, vocab: Vocabulary) -> NGramCountTab
     if len(corpus) == 0:
         raise ValueError(f"corpus {corpus.id!r} is empty")
     counts: dict[int, dict[NGram, int]] = {k: {} for k in range(1, order + 1)}
+    ids = vocab.ids
     for sent in corpus.sentences:
-        padded = [BOS] + [vocab.map_token(t) for t in sent] + [EOS]
-        uni = counts[1]
-        for tok in padded[1:]:
-            key = (tok,)
-            uni[key] = uni.get(key, 0) + 1
-        for k in range(2, order + 1):
+        padded = (BOS, *[t if t in ids else UNK for t in sent], EOS)
+        for k in range(1, order + 1):
             table = counts[k]
-            for i in range(len(padded) - k + 1):
-                gram = tuple(padded[i : i + k])
+            # `<s>` opens higher-order grams but is never a unigram.
+            for i in range(1 if k == 1 else 0, len(padded) - k + 1):
+                gram = padded[i : i + k]
                 table[gram] = table.get(gram, 0) + 1
     continuation: dict[int, dict[NGram, int]] = {}
     for k in range(1, order):
-        left: dict[NGram, set[str]] = {}
+        # Each distinct (k+1)-gram adds one distinct left word to its suffix.
+        cont = continuation[k] = {}
         for gram in counts[k + 1]:
-            left.setdefault(gram[1:], set()).add(gram[0])
-        continuation[k] = {g: len(ws) for g, ws in left.items()}
+            cont[gram[1:]] = cont.get(gram[1:], 0) + 1
     return NGramCountTable(
         order=order,
         counts=counts,

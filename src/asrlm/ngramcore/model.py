@@ -127,17 +127,28 @@ def group_by_context(table: dict[NGram, float]) -> dict[NGram, list[NGram]]:
     return children
 
 
-def leftover_masses(table: dict[NGram, float], value: Callable[[NGram], float],
-                    grams: list[NGram]) -> tuple[float, float]:
-    """For the stored `grams` of one context h: (1 - sum p(w|h), 1 - sum
-    p(w|h minus first word)), with `value` from `memoized_log_prob`. One
-    context at a time, so no order's masses are held at once."""
+def leftover_masses(table: dict[NGram, float], lower: dict[NGram, float], value: Callable[[NGram], float],
+                    grams: list[NGram]) -> tuple[float, float, list[float]]:
+    """For the stored `grams` of one context h: 1 - sum p(w|h), 1 - sum p(w|h
+    minus first word) and each gram's log10 p(w|h minus first word), from
+    `lower` (the order below) or else `value`. Sums in `grams` order from 0.0."""
     stored_sum = 0.0
     lower_sum = 0.0
+    lowers = []
     for gram in grams:
         stored_sum += 10.0 ** table[gram]
-        lower_sum += 10.0 ** value(gram[1:])
-    return 1.0 - stored_sum, 1.0 - lower_sum
+        log_plower = lower.get(gram[1:])
+        lowers.append(value(gram[1:]) if log_plower is None else log_plower)
+        lower_sum += 10.0 ** lowers[-1]
+    return 1.0 - stored_sum, 1.0 - lower_sum, lowers
+
+
+def ordered_sum(values) -> float:
+    """Add `values` in order from 0.0: `sum()` bit for bit on 3.11, unlike 3.12's compensated `sum()`."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
 
 
 def log_backoff(num: float, den: float) -> float:
@@ -161,10 +172,7 @@ def context_probability_sums(lm: BackoffLM):
         contexts.extend(group_by_context(lm.tables[k]))
     value = memoized_log_prob(lm)
     for ctx in contexts:
-        total = 0.0
-        for w in predicted:
-            total += 10.0 ** value(ctx + (w,))
-        yield ctx, total
+        yield ctx, ordered_sum([10.0 ** value(ctx + (w,)) for w in predicted])
 
 
 def rebuild_backoffs(lm: BackoffLM) -> None:
@@ -181,7 +189,7 @@ def rebuild_backoffs(lm: BackoffLM) -> None:
     for ctx_len in range(1, lm.order):
         ctx_table = lm.tables[ctx_len]
         gram_table = lm.tables[ctx_len + 1]
-        weights = {ctx: log_backoff(*leftover_masses(gram_table, value, grams))
+        weights = {ctx: log_backoff(*leftover_masses(gram_table, ctx_table, value, grams)[:2])
                    for ctx, grams in group_by_context(gram_table).items() if ctx in ctx_table}
         lm.backoffs[ctx_len].clear()
         lm.backoffs[ctx_len].update(weights)

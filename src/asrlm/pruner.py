@@ -84,12 +84,11 @@ def _entropy_deltas(lm: BackoffLM, value, k: int, protected):
     for history, log_marginal in _log_marginals(value, sorted(siblings)):
         grams = siblings[history]
         log_bow = lm.backoffs[k - 1].get(history, 0.0)
-        num, den = leftover_masses(table, value, grams)
+        num, den, lowers = leftover_masses(table, lm.tables[k - 1], value, grams)
         h_marginal = 10.0 ** log_marginal
-        for gram in grams:
+        for gram, log_plower in zip(grams, lowers):
             if gram in protected:
                 continue
-            log_plower = value(gram[1:])
             logp = table[gram]
             p = 10.0 ** logp
             # The context's weight once this gram is left out.

@@ -8,6 +8,14 @@ be compared with `==`; the G2P id markers and error type, which
 `reference_apply_g2p` uses so that its results and messages compare with `==`;
 and the G2P segmentation lattice, `Graphone` and `JointSequenceModel`, which
 `reference_train_g2p` builds its graphs and result from.
+
+The last section is different in kind: frozen copies of the LM build's hot
+loops (counting, merge, back-off rebuild, pruning costs, EM) as they stood
+before their inner loops were tightened. They guard that the package still
+does the same float operations in the same order, so their results must be
+`==`, not merely close. They copy every helper that does arithmetic, and
+import only the types, the input checks, `iter_positions` and, for the dev
+probabilities EM starts from, `BackoffLM.log_prob`.
 """
 
 from __future__ import annotations
@@ -15,6 +23,7 @@ from __future__ import annotations
 import heapq
 import json
 import math
+from functools import partial
 from pathlib import Path
 
 from asrlm.lexg2p import (
@@ -25,6 +34,10 @@ from asrlm.lexg2p import (
     JointSequenceModel,
     _segmentation_lattice,
 )
+from asrlm.mixture import InterpolationWeights, _check_components, _check_weights, component_ids
+from asrlm.ngramcore.counts import NGramCountTable
+from asrlm.ngramcore.evaluate import iter_positions
+from asrlm.ngramcore.model import BOS_LOG10_PROB, BackoffLM
 from asrlm.scorer import EditAlignment
 
 BOS = "<s>"
@@ -721,3 +734,214 @@ def reference_train_g2p(
             "em_iters": em_iters,
         },
     )
+
+
+# --- Frozen copies of the LM build's hot loops ------------------------------
+# The statements are as they were in the package; only the `reference_` /
+# `_ref_` name prefixes are new, and type annotations and docstrings are
+# left out. Do not tighten these: they define the float operations, and their
+# order, that the package's versions must reproduce bit for bit.
+
+
+def reference_count_ngrams(corpus, order, vocab):
+    if order < 1:
+        raise ValueError("order must be >= 1")
+    if len(corpus) == 0:
+        raise ValueError(f"corpus {corpus.id!r} is empty")
+    counts = {k: {} for k in range(1, order + 1)}
+    for sent in corpus.sentences:
+        padded = [BOS] + [vocab.map_token(t) for t in sent] + [EOS]
+        uni = counts[1]
+        for tok in padded[1:]:
+            key = (tok,)
+            uni[key] = uni.get(key, 0) + 1
+        for k in range(2, order + 1):
+            table = counts[k]
+            for i in range(len(padded) - k + 1):
+                gram = tuple(padded[i : i + k])
+                table[gram] = table.get(gram, 0) + 1
+    continuation = {}
+    for k in range(1, order):
+        left = {}
+        for gram in counts[k + 1]:
+            left.setdefault(gram[1:], set()).add(gram[0])
+        continuation[k] = {g: len(ws) for g, ws in left.items()}
+    return NGramCountTable(
+        order=order,
+        counts=counts,
+        continuation=continuation,
+        vocab=vocab,
+        corpus_id=corpus.id,
+    )
+
+
+def _ref_memoized_log_prob(lm):
+    tables = [{}] + [lm.tables[k] for k in range(1, lm.order + 1)]
+    backoffs = [{}] + [lm.backoffs[k] for k in range(1, lm.order + 1)]
+    return partial(_ref_memoized_value, tables, backoffs, {})
+
+
+def _ref_memoized_value(tables, backoffs, memo, gram):
+    n = len(gram)
+    logp = tables[n].get(gram)
+    if logp is not None:
+        return logp
+    backed_off = memo.get(gram)
+    if backed_off is None:
+        if n == 1:
+            raise KeyError(f"no unigram entry for {gram[0]!r}")
+        backed_off = (backoffs[n - 1].get(gram[:-1], 0.0)
+                      + _ref_memoized_value(tables, backoffs, memo, gram[1:]))
+        if n < len(tables) - 1:  # a top-order value is never the suffix of a longer gram
+            memo[gram] = backed_off
+    return backed_off
+
+
+def _ref_group_by_context(table):
+    children = {}
+    for gram in table:
+        children.setdefault(gram[:-1], []).append(gram)
+    return children
+
+
+def _ref_leftover_masses(table, value, grams):
+    stored_sum = 0.0
+    lower_sum = 0.0
+    for gram in grams:
+        stored_sum += 10.0 ** table[gram]
+        lower_sum += 10.0 ** value(gram[1:])
+    return 1.0 - stored_sum, 1.0 - lower_sum
+
+
+def _ref_log_backoff(num, den):
+    if num <= 0.0 or den <= 0.0:
+        return 0.0
+    return math.log10(num) - math.log10(den)
+
+
+def reference_rebuild_backoffs(lm):
+    value = _ref_memoized_log_prob(lm)
+    for ctx_len in range(1, lm.order):
+        ctx_table = lm.tables[ctx_len]
+        gram_table = lm.tables[ctx_len + 1]
+        weights = {ctx: _ref_log_backoff(*_ref_leftover_masses(gram_table, value, grams))
+                   for ctx, grams in _ref_group_by_context(gram_table).items() if ctx in ctx_table}
+        lm.backoffs[ctx_len].clear()
+        lm.backoffs[ctx_len].update(weights)
+
+
+def _ref_log_marginals(value, histories):
+    sums = []
+    previous = ()
+    for history in histories:
+        common = 0
+        while common < len(sums) and history[common] == previous[common]:
+            common += 1
+        del sums[common:]
+        for i in range(common, len(history)):
+            if i == 0:
+                sums.append(value((EOS,) if history[0] == BOS else history[:1]))
+            else:
+                sums.append(sums[-1] + value(history[:i + 1]))
+        previous = history
+        yield history, sums[-1]
+
+
+def reference_entropy_deltas(lm, value, k, protected):
+    table = lm.tables[k]
+    siblings = _ref_group_by_context(table)
+    for history, log_marginal in _ref_log_marginals(value, sorted(siblings)):
+        grams = siblings[history]
+        log_bow = lm.backoffs[k - 1].get(history, 0.0)
+        num, den = _ref_leftover_masses(table, value, grams)
+        h_marginal = 10.0 ** log_marginal
+        for gram in grams:
+            if gram in protected:
+                continue
+            log_plower = value(gram[1:])
+            logp = table[gram]
+            p = 10.0 ** logp
+            # The context's weight once this gram is left out.
+            new_log_bow = _ref_log_backoff(num + p, den + 10.0 ** log_plower)
+            delta_logp = log_plower + new_log_bow - logp
+            yield gram, -h_marginal * (p * delta_logp + num * (new_log_bow - log_bow))
+
+
+def reference_em_weights(lms, dev, init=None, tol=1e-6, max_iter=100):
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter!r}")
+    if not tol >= 0.0:  # also refuses NaN
+        raise ValueError(f"tol must be a number >= 0, got {tol!r}")
+    _check_components(lms)
+    if len(dev) == 0:
+        raise ValueError("dev corpus is empty")
+    m = len(lms)
+    weights = [1.0 / m] * m if init is None else list(_check_weights(init, m))
+    order = max(lm.order for lm in lms)
+    rows = [[10.0 ** lm.log_prob(token, history) for lm in lms]
+            for history, token, _ in iter_positions(dev, lms[0].vocab, order)]
+    n_positions = len(rows)
+
+    def log_likelihood_and_posteriors(ws):
+        ll = 0.0
+        sums = [0.0] * m
+        for row in rows:
+            mix = sum(w * p for w, p in zip(ws, row))
+            assert mix > 0.0, "mixture probability vanished at a dev position"
+            ll += math.log10(mix)
+            for i in range(m):
+                sums[i] += ws[i] * row[i] / mix
+        return ll, sums
+
+    ll, posterior_sums = log_likelihood_and_posteriors(weights)
+    for _ in range(max_iter):
+        new_weights = [s / n_positions for s in posterior_sums]
+        total = sum(new_weights)
+        new_weights = [w / total for w in new_weights]
+        new_ll, new_sums = log_likelihood_and_posteriors(new_weights)
+        improved = new_ll - ll
+        weights, ll, posterior_sums = new_weights, new_ll, new_sums
+        if improved < tol:
+            break
+    return InterpolationWeights(
+        lm_ids=component_ids(lms),
+        lambdas=tuple(weights),
+        dev_log10_likelihood=ll,
+    )
+
+
+def reference_interpolate_static(lms, weights):
+    lambdas = _check_weights(weights, len(lms))
+    _check_components(lms, minimum=1)
+    order = lms[0].order
+    for lm in lms[1:]:
+        if lm.order != order:
+            raise ValueError("static merge requires components of equal order")
+    merged_meta = {
+        "smoothing": "static-interpolation",
+        "components": list(component_ids(lms)),
+        "weights": [float(l) for l in lambdas],
+    }
+    if len(lms) == 1 and lambdas[0] == 1.0:
+        clone = lms[0].clone()
+        clone.metadata.update(merged_meta)
+        return clone
+
+    values = [_ref_memoized_log_prob(lm) for lm in lms]
+    tables = {}
+    for k in range(1, order + 1):
+        union = {}
+        for lm in lms:
+            for gram in sorted(lm.tables[k]):
+                union.setdefault(gram)
+        tk = {}
+        for gram in union:
+            if gram == (BOS,):
+                tk[gram] = BOS_LOG10_PROB
+                continue
+            mix = sum(lam * 10.0 ** value(gram) for lam, value in zip(lambdas, values))
+            tk[gram] = math.log10(mix)
+        tables[k] = tk
+    merged = BackoffLM(order=order, tables=tables, vocab=lms[0].vocab, metadata=merged_meta)
+    reference_rebuild_backoffs(merged)
+    return merged

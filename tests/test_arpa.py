@@ -3,7 +3,9 @@ import random
 
 import pytest
 
+from asrlm.mixture import interpolate_static
 from asrlm.ngramcore import ArpaError, BackoffLM, arpa, read_arpa, write_arpa
+from asrlm.pruner import prune_entropy
 from asrlm.textcorpus import BOS, EOS, Vocabulary
 from tests.conftest import corpus_of, random_corpus, traced_peak, train_on
 
@@ -215,3 +217,35 @@ def test_written_probs_have_seven_significant_digits(tmp_path):
     reread = read_arpa(p)
     for gram, logp in lm.tables[1].items():
         assert math.isclose(reread.tables[1][gram], logp, abs_tol=1e-6)
+
+
+def bigram_arpa(unigrams: list[str], bigram: str) -> str:
+    """A bigram ARPA text: `unigrams` at line 6 onwards, `bigram` as the last entry."""
+    entries = "".join(f"-0.5\t{w}\t-0.2\n" for w in unigrams)
+    return (f"\\data\\\nngram 1={len(unigrams)}\nngram 2=1\n\n\\1-grams:\n{entries}\n"
+            f"\\2-grams:\n-0.2\t{bigram}\n\n\\end\\\n")
+
+
+@pytest.mark.parametrize("bigram, word", [("a zz", "zz"), ("zz a", "zz"), ("a <s>", BOS)])
+def test_read_refuses_word_without_unigram_at_its_line(tmp_path, bigram, word):
+    # Such a gram is never queried (its word maps to `<unk>`), but merging and
+    # pruning walk every stored gram and would meet the missing unigram.
+    p = tmp_path / "bad.arpa"
+    p.write_text(bigram_arpa(["a", EOS, "<unk>"], bigram), encoding="utf-8")
+    with pytest.raises(ArpaError) as err:
+        read_arpa(p)
+    assert str(err.value) == f"{p}:11: word {word!r} of {bigram!r} has no unigram entry"
+
+
+def test_read_accepts_leading_bos_without_bos_unigram(tmp_path):
+    # A leading `<s>` is context only: every vocabulary holds it, queries
+    # reach the gram, and merging and pruning never read p(`<s>`).
+    p = tmp_path / "m.arpa"
+    p.write_text(bigram_arpa(["a", "b", EOS, "<unk>"], f"{BOS} a"), encoding="utf-8")
+    lm = read_arpa(p)
+    assert (BOS,) not in lm.tables[1]
+    assert lm.log_prob("a", [BOS]) == -0.2
+    pruned, _ = prune_entropy(lm, 1e-9)
+    assert pruned.tables[2] == {(BOS, "a"): -0.2}
+    merged = interpolate_static([lm, read_arpa(p)], [0.5, 0.5])
+    assert merged.tables[2].keys() == {(BOS, "a")}

@@ -390,6 +390,25 @@ def test_cli_g2p_refuses_zero_n_best(tmp_path, capsys, command):
     assert not out.exists()
 
 
+def test_cli_lexicon_extend_refuses_zero_n_best_when_every_word_is_known(tmp_path, capsys):
+    lex = tmp_path / "lex.tsv"
+    lex.write_text("ab\ta b\nba\tb a\n", encoding="utf-8")
+    model = str(tmp_path / "g2p.json")
+    assert main(["g2p", "train", "--lexicon", str(lex), "--order", "2", "--max-letters", "1",
+                 "--max-phones", "1", "--em-iters", "1", "--out", model]) == 0
+    words = tmp_path / "words.txt"
+    words.write_text("ab\nba\n", encoding="utf-8")
+    out = tmp_path / "ext.tsv"
+    argv = ["lexicon", "extend", "--lexicon", str(lex), "--model", model, "--words", str(words),
+            "--out", str(out)]
+    for flag, message in (("--n-best", "n_best"), ("--beam", "beam")):
+        capsys.readouterr()
+        assert main(argv + [flag, "0"]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {message} must be >= 1\n")
+        assert not out.exists()
+
+
 def test_cli_fixture_pipeline_smoke(tmp_path):
     out = str(tmp_path / "out")
     code = main([
@@ -529,6 +548,29 @@ def test_cli_mix_reports_missing_unk_unigram(tmp_path, capsys, command):
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {models[0]}: no unigram entry for <unk>")
+
+
+@pytest.mark.parametrize("command", ["prune", "mix merge"])
+def test_cli_refuses_arpa_word_without_unigram(tmp_path, capsys, command):
+    good, bad = tmp_path / "good.arpa", tmp_path / "bad.arpa"
+    unigrams = "-0.3\ta\t-0.2\n-0.4\t</s>\n-0.5\t<unk>\n"
+    good.write_text(f"\\data\\\nngram 1=3\n\n\\1-grams:\n{unigrams}\n\\end\\\n",
+                    encoding="utf-8")
+    bad.write_text(f"\\data\\\nngram 1=3\nngram 2=1\n\n\\1-grams:\n{unigrams}\n"
+                   "\\2-grams:\n-0.2\ta zz\n\n\\end\\\n", encoding="utf-8")
+    out = tmp_path / "out.arpa"
+    if command == "prune":
+        argv = ["prune", "--lm", str(bad), "--theta", "1e-6", "--out", str(out)]
+    else:
+        weights = tmp_path / "weights.tsv"
+        weights.write_text(f"{good}\t0.5\n{bad}\t0.5\n", encoding="utf-8")
+        argv = ["mix", "merge", "--lms", str(good), str(bad), "--weights", str(weights),
+                "--out", str(out)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "", f"error: {bad}:11: word 'zz' of 'a zz' has no unigram entry\n")
+    assert not out.exists()
 
 
 def test_cli_mix_merge_rejects_nan_weight(tmp_path, capsys):
