@@ -174,11 +174,11 @@ def interpolate_static(
 
     The merged model stores the union of the component n-gram sets; each
     stored n-gram carries the exact mixture probability and back-off weights
-    are recomputed so every context normalizes. A component's value of a
-    gram it does not store is its context's weight plus its value of the
-    suffix, kept from the order below or else from `memoized_log_prob`. The
-    mixture adds in component order from 0.0, as `ordered_sum` does. A
-    single component with weight 1 is returned unchanged (bit-exact).
+    are recomputed so every context normalizes. A component's stored value
+    is one lookup; any other comes from its own `memoized_log_prob`. The
+    mixture adds in component order from 0.0, as `ordered_sum` does, never
+    through `sum()`. A single component with weight 1 is returned unchanged
+    (bit-exact).
     """
     lambdas = _check_weights(weights, len(lms))
     _check_components(lms, minimum=1)
@@ -197,7 +197,6 @@ def interpolate_static(
         return clone
 
     values = [memoized_log_prob(lm) for lm in lms]
-    lower_values: list[dict[NGram, float]] = [{} for _ in lms]
     tables: dict[int, dict[NGram, float]] = {}
     for k in range(1, order + 1):
         union: dict[NGram, None] = {}
@@ -205,12 +204,9 @@ def interpolate_static(
             union.update(dict.fromkeys(sorted(lm.tables[k])))
         grams = [gram for gram in union if gram != (BOS,)]  # `<s>` takes the stand-in
         mixes = [0.0] * len(grams)
-        for i, (lam, lm, value) in enumerate(zip(lambdas, lms, values)):
-            stored, lower, bow = lm.tables[k].get, lower_values[i].get, lm.backoffs.get(k - 1, {}).get
-            logps = [logp if (logp := stored(gram)) is not None
-                     else value(gram) if (suffix := lower(gram[1:])) is None
-                     else bow(gram[:-1], 0.0) + suffix for gram in grams]
-            lower_values[i] = dict(zip(grams, logps))
+        for lam, lm, value in zip(lambdas, lms, values):
+            stored = lm.tables[k].get
+            logps = [logp if (logp := stored(gram)) is not None else value(gram) for gram in grams]
             mixes = [mix + lam * 10.0 ** logp for mix, logp in zip(mixes, logps)]
         tables[k] = dict.fromkeys(union, BOS_LOG10_PROB)
         tables[k].update(zip(grams, map(math.log10, mixes)))

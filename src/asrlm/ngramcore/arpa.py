@@ -146,6 +146,8 @@ def read_arpa(path: str | Path) -> BackoffLM:
             raise ArpaError(path, lineno, f"section {current_k} not declared in header")
         if current_k in tables:
             raise ArpaError(path, lineno, f"repeated section header {line!r}")
+        if current_k != len(tables) + 1:  # so the unigrams are all read before any longer gram
+            raise ArpaError(path, lineno, f"section {current_k} out of order, expected section {len(tables) + 1}")
         tables[current_k] = {}
         words = {w for (w,) in tables.get(1, ())}
         state = "entries"

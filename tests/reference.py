@@ -740,7 +740,10 @@ def reference_train_g2p(
 # The statements are as they were in the package; only the `reference_` /
 # `_ref_` name prefixes are new, and type annotations and docstrings are
 # left out. Do not tighten these: they define the float operations, and their
-# order, that the package's versions must reproduce bit for bit.
+# order, that the package's versions must reproduce bit for bit. Their three
+# `sum()` calls are written out as the left-to-right loop from 0.0 that
+# 3.11's `sum()` runs, since 3.12's `sum()` compensates (see the note in
+# `lexg2p.JointSequenceModel.__post_init__`).
 
 
 def reference_count_ngrams(corpus, order, vocab):
@@ -886,7 +889,9 @@ def reference_em_weights(lms, dev, init=None, tol=1e-6, max_iter=100):
         ll = 0.0
         sums = [0.0] * m
         for row in rows:
-            mix = sum(w * p for w, p in zip(ws, row))
+            mix = 0.0
+            for w, p in zip(ws, row):
+                mix += w * p
             assert mix > 0.0, "mixture probability vanished at a dev position"
             ll += math.log10(mix)
             for i in range(m):
@@ -896,7 +901,9 @@ def reference_em_weights(lms, dev, init=None, tol=1e-6, max_iter=100):
     ll, posterior_sums = log_likelihood_and_posteriors(weights)
     for _ in range(max_iter):
         new_weights = [s / n_positions for s in posterior_sums]
-        total = sum(new_weights)
+        total = 0.0
+        for w in new_weights:
+            total += w
         new_weights = [w / total for w in new_weights]
         new_ll, new_sums = log_likelihood_and_posteriors(new_weights)
         improved = new_ll - ll
@@ -939,7 +946,9 @@ def reference_interpolate_static(lms, weights):
             if gram == (BOS,):
                 tk[gram] = BOS_LOG10_PROB
                 continue
-            mix = sum(lam * 10.0 ** value(gram) for lam, value in zip(lambdas, values))
+            mix = 0.0
+            for lam, value in zip(lambdas, values):
+                mix += lam * 10.0 ** value(gram)
             tk[gram] = math.log10(mix)
         tables[k] = tk
     merged = BackoffLM(order=order, tables=tables, vocab=lms[0].vocab, metadata=merged_meta)

@@ -87,6 +87,21 @@ def test_repeated_section_header_reports_line_number(tmp_path):
         read_arpa(p)
 
 
+@pytest.mark.parametrize("sections, message", [
+    ("\\2-grams:\n-0.2\ta b\n\n\\1-grams:\n-0.3\ta\n-0.4\tb\n",
+     ":6: section 2 out of order, expected section 1"),
+    ("\\1-grams:\n-0.3\ta\n-0.4\tb\n\n\\3-grams:\n\n\\2-grams:\n-0.2\ta b\n",
+     ":10: section 3 out of order, expected section 2"),
+], ids=["bigrams first", "order skipped"])
+def test_section_out_of_order_reports_line_number(tmp_path, sections, message):
+    # Sections run 1, 2, ...: each gram's words are checked against the unigrams.
+    p = tmp_path / "bad.arpa"
+    p.write_text("\\data\\\nngram 1=2\nngram 2=1\nngram 3=0\n\n" + sections + "\n\\end\\\n",
+                 encoding="utf-8")
+    with pytest.raises(ArpaError, match=message):
+        read_arpa(p)
+
+
 def test_text_after_end_reports_line_number(tmp_path):
     p = tmp_path / "bad.arpa"
     p.write_text(

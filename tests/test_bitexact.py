@@ -12,7 +12,7 @@ import pytest
 from asrlm.mixture import em_weights, interpolate_static
 from asrlm.ngramcore import count_ngrams, rebuild_backoffs
 from asrlm.ngramcore.model import memoized_log_prob
-from asrlm.pruner import _entropy_deltas
+from asrlm.pruner import _entropy_deltas, prune_entropy
 from asrlm.textcorpus import Corpus, build_vocabulary, load_corpus
 from tests.conftest import random_corpus, train_on
 from tests.reference import (
@@ -65,6 +65,17 @@ def assert_build_matches_reference(corpora, dev, order):
         rebuild_backoffs(mine)
         reference_rebuild_backoffs(theirs)
         assert items(mine, "backoffs") == items(theirs, "backoffs")
+
+    # Components that miss the suffix of some stored gram, as pruned or
+    # external models do, mixed with trained ones: their values of such
+    # grams come from the back-off walk.
+    pruned, _ = prune_entropy(merged, 1e-4)
+    mixed = [thinned, *lms, pruned]
+    lambdas = [1.0 / len(mixed)] * len(mixed)
+    merged_mixed = interpolate_static(mixed, lambdas)
+    expected = reference_interpolate_static(mixed, lambdas)
+    assert items(merged_mixed, "tables") == items(expected, "tables")
+    assert items(merged_mixed, "backoffs") == items(expected, "backoffs")
 
     for lm in (lms[0], merged):
         value, ref_value = memoized_log_prob(lm), memoized_log_prob(lm)
