@@ -10,7 +10,7 @@ from asrlm.textcorpus import BOS, EOS, UNK, Corpus, Vocabulary
 OOV_POLICIES = ("exclude", "as_unk")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PerplexityReport:
     log10_prob_sum: float
     scored_tokens: int
@@ -27,12 +27,11 @@ class PerplexityReport:
 
 
 def iter_positions(corpus: Corpus, vocab: Vocabulary, order: int):
-    """Yield (history, token, is_oov) for every predicted position.
-
-    `history` is the tuple of the last `order - 1` tokens before the position
-    (fewer near a sentence start): the `<s>` pad and the words, OOV ones
-    mapped to `<unk>`. Predicted positions are every word plus one `</s>` per
-    sentence.
+    """Yield (history, token, is_oov) for every predicted position: every
+    word plus one `</s>` per sentence. The one place corpus tokens are mapped
+    for `BackoffLM.walk`: an OOV word is `<unk>`. `history` is the tuple of
+    the last `order - 1` mapped tokens before the position, `<s>` included
+    (fewer near a sentence start).
     """
     n = order - 1
     ids = vocab.ids
@@ -40,17 +39,19 @@ def iter_positions(corpus: Corpus, vocab: Vocabulary, order: int):
         history = (BOS,)[:n]
         for tok in sent:
             oov = tok not in ids
+            if oov:
+                tok = UNK
             yield history, tok, oov
-            history = (*history, UNK if oov else tok)[-n:] if n else ()
+            history = (*history, tok)[-n:] if n else ()
         yield history, EOS, False
 
 
-def score_corpus(log10_prob, corpus: Corpus, vocab: Vocabulary, oov_policy: str,
+def score_corpus(walk, corpus: Corpus, vocab: Vocabulary, oov_policy: str,
                  order: int) -> PerplexityReport:
-    """The one corpus-scoring loop: sum `log10_prob(token, history)` over the
-    predicted positions, with the histories `iter_positions` gives for models
-    of order at most `order`. Under `exclude`, OOV positions are counted and
-    skipped before anything is scored."""
+    """The one corpus-scoring loop: sum `walk(token, history)` over the
+    positions `iter_positions` maps for models of order at most `order`.
+    `walk` is `BackoffLM.walk` or a mixture of walks. Under `exclude`, OOV
+    positions are counted and skipped; under `as_unk` they score `<unk>`."""
     if oov_policy not in OOV_POLICIES:
         raise ValueError(f"unknown OOV policy {oov_policy!r}")
     sentences = len(corpus.sentences)
@@ -64,7 +65,7 @@ def score_corpus(log10_prob, corpus: Corpus, vocab: Vocabulary, oov_policy: str,
         if is_oov and exclude:
             oov += 1
             continue
-        total += log10_prob(token, history)
+        total += walk(token, history)
         scored += 1
     if scored == 0:
         raise ValueError("no scorable positions (all-OOV corpus under exclude policy)")
@@ -80,7 +81,7 @@ def score_corpus(log10_prob, corpus: Corpus, vocab: Vocabulary, oov_policy: str,
 def require_unigrams(lm: BackoffLM, words, purpose: str) -> None:
     """Raise ValueError naming the model's source when one of `words` has no
     unigram, so scoring fails before its first position, not with a KeyError
-    inside `log_prob`."""
+    inside `BackoffLM.walk`."""
     missing = [w for w in words if (w,) not in lm.tables[1]]
     if missing:
         source = lm.metadata.get("source", "model")
@@ -97,7 +98,7 @@ def perplexity(lm: BackoffLM, corpus: Corpus, oov_policy: str = "exclude") -> Pe
     """
     require_unigrams(lm, (EOS, UNK) if oov_policy == "as_unk" else (EOS,),
                      f"under oov_policy {oov_policy!r}")
-    return score_corpus(lm.log_prob, corpus, lm.vocab, oov_policy, lm.order)
+    return score_corpus(lm.walk, corpus, lm.vocab, oov_policy, lm.order)
 
 
 def oov_rate(vocab: Vocabulary, corpus: Corpus) -> float:

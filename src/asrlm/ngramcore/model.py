@@ -46,31 +46,34 @@ class BackoffLM:
         return sum(len(t) for t in self.tables.values())
 
     def log_prob(self, word: str, history=()) -> float:
-        """log10 p(word | history) via the standard back-off recursion.
+        """log10 p(word | history) for raw arguments: the public entry point.
 
-        Only the last `order - 1` tokens of `history` are read, so a caller
-        may pass just those. Unknown words (in `word` or in those tokens) are
-        mapped to `<unk>` first.
+        `history` is any sequence; only its last `order - 1` tokens are read.
+        Unknown words (in `word` or in those tokens) are mapped to `<unk>`,
+        then `walk` scores the mapped tokens.
         """
         ids = self.vocab.ids
         n = self.order - 1
-        hist = tuple(history[-n:]) if n > 0 else ()
-        for t in hist:
-            if t not in ids:
-                hist = tuple([u if u in ids else UNK for u in hist])
-                break
-        w = word if word in ids else UNK
+        hist = tuple([t if t in ids else UNK for t in history[-n:]]) if n > 0 else ()
+        return self.walk(word if word in ids else UNK, hist)
+
+    def walk(self, word: str, history: NGram) -> float:
+        """log10 p(word | history) by the back-off recursion: the one query
+        walk. Tokens must be mapped already: `word` in the vocabulary or
+        `<unk>`, `history` a tuple of at most `order - 1` such tokens. Adds
+        the back-off weights on the way down, then the stored value."""
         tables = self.tables
-        backoffs = self.backoffs
         acc = 0.0
-        while True:
-            logp = tables[len(hist) + 1].get(hist + (w,))
-            if logp is not None:
-                return acc + logp
-            if not hist:
-                raise KeyError(f"no unigram entry for {w!r}")
-            acc += backoffs[len(hist)].get(hist, 0.0)
-            hist = hist[1:]
+        k = len(history)
+        logp = tables[k + 1].get(history + (word,))
+        while logp is None:
+            if not k:
+                raise KeyError(f"no unigram entry for {word!r}")
+            acc += self.backoffs[k].get(history, 0.0)
+            history = history[1:]
+            k -= 1
+            logp = tables[k + 1].get(history + (word,))
+        return acc + logp
 
     def clone(self) -> "BackoffLM":
         return BackoffLM(
@@ -93,6 +96,9 @@ def memoized_log_prob(lm: BackoffLM) -> Callable[[NGram], float]:
     long as the returned function, so each merge, rebuild or prune call makes
     its own and frees it on return. It stays valid while back-off weights
     change only for contexts longer than every gram evaluated so far.
+    Kept apart from `BackoffLM.walk`: each step adds bow + value(suffix),
+    where `walk` adds the summed weights to the stored value last. The two
+    can differ in the last bit, and the pinned build hashes hold this order.
     """
     tables = [{}] + [lm.tables[k] for k in range(1, lm.order + 1)]
     backoffs = [{}] + [lm.backoffs[k] for k in range(1, lm.order + 1)]

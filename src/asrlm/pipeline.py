@@ -206,8 +206,9 @@ def _lock_is_stale(lock: Path) -> bool:
 class _Run:
     """One sub-pipeline run: `with _Run(config) as run:`.
 
-    Entering validates the config, creates `out_dir` and takes its lock. The
-    body opens each stage with `begin` and writes artifacts through `path` or
+    Entering validates the config, creates `out_dir`, takes its lock and
+    writes the `running` manifest: parameters and input hashes, no
+    artifacts. The body opens each stage with `begin` and writes artifacts through `path` or
     `write`; `result` writes the `ok` manifest. An exception inside a stage
     writes the `failed` manifest and surfaces as a PipelineError for that
     stage. The lock is removed on every way out.
@@ -235,6 +236,13 @@ class _Run:
                 self.lock.unlink(missing_ok=True)
         os.write(fd, str(os.getpid()).encode())
         os.close(fd)
+        try:
+            # A run killed before `result` leaves this manifest, not the
+            # `ok` one of an earlier run whose artifacts it may have replaced.
+            self.write_manifest("running")
+        except BaseException:
+            self.lock.unlink(missing_ok=True)
+            raise
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:

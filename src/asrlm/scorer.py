@@ -11,7 +11,7 @@ from asrlm.textcorpus import read_text
 _MATCH, _SUB, _DEL, _INS = "match", "sub", "del", "ins"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EditAlignment:
     substitutions: int
     deletions: int

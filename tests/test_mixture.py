@@ -15,8 +15,9 @@ from asrlm.mixture import (
     static_merge_divergence,
 )
 from asrlm.ngramcore import BackoffLM, context_probability_sums, perplexity
-from asrlm.textcorpus import EOS, UNK, Vocabulary, build_vocabulary, concatenate
+from asrlm.textcorpus import BOS, EOS, UNK, Corpus, Vocabulary, build_vocabulary, concatenate
 from tests.conftest import corpus_of, random_corpus, train_on
+from tests.reference import reference_em_weights
 
 
 def unigram_lm(probs: dict[str, float], vocab: Vocabulary, lm_id: str) -> BackoffLM:
@@ -285,13 +286,48 @@ def test_excluded_oov_positions_are_never_scored(opposed_unigram_pair, monkeypat
                                                  components):
     lms = list(opposed_unigram_pair)
     words = []
-    log_prob = BackoffLM.log_prob
+    walk = BackoffLM.walk
 
-    def counting_log_prob(self, word, history=()):
+    def counting_walk(self, word, history):
         words.append(word)
-        return log_prob(self, word, history)
+        return walk(self, word, history)
 
-    monkeypatch.setattr(BackoffLM, "log_prob", counting_log_prob)
+    monkeypatch.setattr(BackoffLM, "walk", counting_walk)
     report = score(lms, corpus_of("a z b\nz z"))
     assert (report.scored_tokens, report.oov_tokens) == (4, 3)
     assert words == [w for w in ("a", "b", EOS, EOS) for _ in range(components)]
+
+
+@pytest.mark.parametrize("orders", [(2, 3), (3, 1, 2)], ids=["2-3", "3-1-2"])
+def test_mixed_order_components_equal_log_prob_sums(orders):
+    """`em_weights` and `perplexity_mixture` over components of different
+    orders equal sums built from `log_prob` on raw tokens: each component
+    reads only the tail of a history cut for the highest order."""
+    rng = random.Random(61)
+    corpora = [random_corpus(rng, max_sentences=30, max_vocab=10, corpus_id=f"c{i}")
+               for i in range(len(orders))]
+    vocab = build_vocabulary(corpora)
+    lms = [train_on(corpus, order, vocab) for corpus, order in zip(corpora, orders)]
+    words = [w for w in vocab.words if w not in (BOS, EOS, UNK)] + ["oov1", "oov2"]
+    dev = Corpus(id="dev", sentences=tuple(
+        tuple(rng.choice(words) for _ in range(rng.randint(1, 9))) for _ in range(25)))
+
+    weights = em_weights(lms, dev)
+    assert weights == reference_em_weights(lms, dev)
+    for policy in ("exclude", "as_unk"):
+        total = 0.0
+        scored = oov = 0
+        for sent in dev.sentences:
+            for i, word in enumerate((*sent, EOS)):
+                if word not in vocab and policy == "exclude":
+                    oov += 1
+                    continue
+                mix = 0.0
+                for lam, lm in zip(weights.lambdas, lms):
+                    mix += lam * 10.0 ** lm.log_prob(word, [BOS, *sent[:i]])
+                total += math.log10(mix)
+                scored += 1
+        report = perplexity_mixture(lms, weights, dev, policy)
+        assert (report.log10_prob_sum, report.scored_tokens, report.oov_tokens) == (total, scored, oov)
+        assert report.ppl == 10.0 ** (-total / scored)
+        assert oov > 0 if policy == "exclude" else oov == 0

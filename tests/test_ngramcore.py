@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 import warnings
@@ -18,6 +19,7 @@ from asrlm.ngramcore import (
     train_mkn,
     write_arpa,
 )
+from asrlm.ngramcore.evaluate import PerplexityReport, iter_positions
 from asrlm.ngramcore.model import memoized_log_prob
 from asrlm.ngramcore.smoothing import closed_form_discounts
 from asrlm.pruner import prune_entropy
@@ -338,6 +340,28 @@ def test_log_prob_equals_backoff_oracle(seeded_models, kind):
     assert mapped > 300 and backed_off > 300
 
 
+@pytest.mark.parametrize("kind", ["trained", "merged", "pruned", "read_arpa", "with_unk"])
+def test_walk_equals_log_prob_at_every_position(seeded_models, kind):
+    """`walk` on the mapped positions `iter_positions` yields is `==` to
+    `log_prob` on the raw word and its full, unmapped history, OOV
+    positions included."""
+    lm = seeded_models[kind]
+    rng = random.Random(53)
+    words = [w for w in lm.vocab.words if w not in (BOS, EOS, UNK)] + ["oov1", "oov2"]
+    sentences = tuple(tuple(rng.choice(words) for _ in range(rng.randint(1, 14)))
+                      for _ in range(60))
+    raw = [(word, [BOS, *sent[:i]]) for sent in sentences
+           for i, word in enumerate((*sent, EOS))]
+    positions = list(iter_positions(Corpus(id="eval", sentences=sentences), lm.vocab, lm.order))
+    assert len(positions) == len(raw)
+    oov = 0
+    for (history, token, is_oov), (word, full_history) in zip(positions, raw):
+        assert token == (UNK if is_oov else word)
+        assert lm.walk(token, history) == lm.log_prob(word, full_history), (word, full_history)
+        oov += is_oov
+    assert oov > 20
+
+
 @pytest.mark.parametrize("kind", ["trained", "merged", "pruned"])
 def test_memoized_log_prob_matches_log_prob(seeded_models, kind):
     lm = seeded_models[kind]
@@ -388,3 +412,17 @@ def test_perplexity_reports_equal_naive_backoff_sum(seeded_models, kind, policy)
                 report.ppl) == naive_perplexity(lms, weights, sents, policy)
         oov += report.oov_tokens
     assert oov > 0 if policy == "exclude" else oov == 0
+
+
+def test_perplexity_report_is_a_frozen_slotted_value():
+    report = PerplexityReport(log10_prob_sum=-3.5, scored_tokens=4, oov_tokens=1, sentences=2,
+                              ppl=7.5)
+    assert not hasattr(report, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        report.ppl = 1.0
+    same = PerplexityReport(-3.5, 4, 1, 2, 7.5)
+    assert report == same and report != dataclasses.replace(report, oov_tokens=0)
+    assert hash(report) == hash(same) == hash((-3.5, 4, 1, 2, 7.5))
+    assert repr(report) == ("PerplexityReport(log10_prob_sum=-3.5, scored_tokens=4, "
+                            "oov_tokens=1, sentences=2, ppl=7.5)")
+    assert dataclasses.replace(report, ppl=2.0) == PerplexityReport(-3.5, 4, 1, 2, 2.0)

@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -256,6 +257,38 @@ def test_no_lock_or_temp_file_remains_after_runs(small_setup, tmp_path):
     for out in (ok, failed):
         hidden = [p.name for p in out.iterdir() if p.name.startswith(".")]
         assert hidden == [], out
+
+
+# A child run that SIGKILLs itself when the prune stage starts: the replaced
+# `prune_entropy` is the only change, with no hook in the package.
+KILLED_IN_PRUNE = """
+import os, signal, sys
+from asrlm import pipeline
+
+pipeline.prune_entropy = lambda *args, **kwargs: os.kill(os.getpid(), signal.SIGKILL)
+c1, c2, dev, out_dir = sys.argv[1:]
+pipeline.run_lm_pipeline(pipeline.PipelineConfig(
+    corpora=(("first", c1), ("second", c2)), dev=dev, order=2, theta=1e-3, out_dir=out_dir))
+"""
+
+
+def test_killed_run_leaves_a_running_manifest_and_a_lock_the_next_run_takes_over(small_setup):
+    c1, c2, dev, tmp = small_setup
+    out = tmp / "killed"
+    base = dict(corpora=(("first", c1), ("second", c2)), dev=dev, theta=1e-3, out_dir=str(out))
+    run_lm_pipeline(PipelineConfig(order=3, **base))
+    child = subprocess.Popen([sys.executable, "-c", KILLED_IN_PRUNE, c1, c2, dev, str(out)],
+                             env={"PYTHONPATH": str(FIXTURES.parent / "src")})
+    assert child.wait(timeout=120) == -signal.SIGKILL
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["status"] == "running"
+    assert manifest["parameters"]["order"] == 2 and manifest["artifacts"] == {}
+    assert (out / ".lock").read_text(encoding="utf-8") == str(child.pid)
+
+    run_lm_pipeline(PipelineConfig(order=2, **base))
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["status"] == "ok" and manifest["parameters"]["order"] == 2
+    assert [p.name for p in out.iterdir() if p.name.startswith(".")] == []
 
 
 def test_cli_lm_train_and_ppl(small_setup, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 import re
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from asrlm.scorer import (
+    EditAlignment,
     align,
     cer,
     format_report,
@@ -259,3 +261,17 @@ def test_format_report_contains_totals():
     text = format_report(report, "wer")
     assert "TOTAL" in text
     assert "50.00" in text
+
+
+def test_edit_alignment_is_a_frozen_slotted_value():
+    a = align(("a", "b", "c"), ("a", "x"))
+    assert not hasattr(a, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        a.hits = 0
+    ops = (("match", "a", "a"), ("del", "b", None), ("sub", "c", "x"))
+    same = EditAlignment(1, 1, 0, 1, 3, ops)
+    assert a == same and a != dataclasses.replace(a, insertions=1)
+    assert hash(a) == hash(same) == hash((1, 1, 0, 1, 3, ops))
+    assert repr(a) == ("EditAlignment(substitutions=1, deletions=1, insertions=0, hits=1, "
+                       f"ref_length=3, ops={ops!r})")
+    assert dataclasses.replace(a, ops=()).ops == () and a.errors == 2
