@@ -10,9 +10,9 @@ from pathlib import Path
 
 from asrlm.ngramcore.evaluate import (
     PerplexityReport,
-    iter_positions,
     require_unigrams,
     score_corpus,
+    walk_positions,
 )
 from asrlm.ngramcore.model import (
     BOS_LOG10_PROB,
@@ -85,26 +85,9 @@ def _check_reserved_unigrams(lms: list[BackoffLM]) -> None:
         require_unigrams(lm, (EOS, UNK), "as a mixture component")
 
 
-def _mix_log10(scorers, lambdas, word: str, history) -> float:
-    """log10 of the weighted mixture of the components' p(word | history),
-    each from its scorer: `BackoffLM.log_prob` for raw arguments, or the
-    walks of `_walks` for mapped positions."""
-    return math.log10(ordered_sum([lam * 10.0 ** score(word, history)
-                                    for lam, score in zip(lambdas, scorers)]))
-
-
-def _walks(lms: list[BackoffLM]) -> list:
-    """Each component's `BackoffLM.walk` for the mapped histories that
-    `iter_positions` gives at the highest component order. A component of
-    lower order gets each history trimmed once, to its last `order - 1`
-    tokens."""
-    top = max(lm.order for lm in lms)
-    return [lm.walk if lm.order == top else partial(_walk_tail, lm.walk, lm.order - 1)
-            for lm in lms]
-
-
-def _walk_tail(walk, n: int, word: str, history) -> float:
-    return walk(word, history[-n:] if n else ())
+def _mix_log10(lambdas, logps) -> float:
+    """log10 of the weighted mixture of the components' log10 p(word | history)."""
+    return math.log10(ordered_sum([lam * 10.0 ** logp for lam, logp in zip(lambdas, logps)]))
 
 
 def em_weights(
@@ -134,10 +117,8 @@ def em_weights(
     weights = [1.0 / m] * m if init is None else list(_check_weights(init, m))
     # OOV positions are scored as `<unk>`, so each position has positive
     # probability under every open-vocabulary component.
-    positions = list(iter_positions(dev, lms[0].vocab, max(lm.order for lm in lms)))
-    columns = [[10.0 ** walk(token, history) for history, token, _ in positions]
-               for walk in _walks(lms)]
-    n_positions = len(positions)
+    columns = [[10.0 ** logp for logp in walk_positions(lm, dev, False)] for lm in lms]
+    n_positions = len(columns[0])
 
     def log_likelihood_and_posteriors(ws):
         mixes = [0.0] * n_positions
@@ -167,7 +148,7 @@ def em_weights(
 
 def mixture_log_prob(lms: list[BackoffLM], lambdas, word: str, history=()) -> float:
     _check_reserved_unigrams(lms)
-    return _mix_log10([lm.log_prob for lm in lms], _check_weights(lambdas, len(lms)), word, history)
+    return _mix_log10(_check_weights(lambdas, len(lms)), [lm.log_prob(word, history) for lm in lms])
 
 
 def perplexity_mixture(
@@ -178,8 +159,8 @@ def perplexity_mixture(
 ) -> PerplexityReport:
     """Perplexity of the position-wise weighted mixture of the components."""
     _check_components(lms, minimum=1)
-    mix = partial(_mix_log10, _walks(lms), _check_weights(weights, len(lms)))
-    return score_corpus(mix, corpus, lms[0].vocab, oov_policy, max(lm.order for lm in lms))
+    mix = partial(_mix_log10, _check_weights(weights, len(lms)))
+    return score_corpus(lms, corpus, oov_policy, mix)
 
 
 def interpolate_static(
@@ -245,13 +226,13 @@ def static_merge_divergence(
         contexts = [()]
         for k in range(1, merged.order):
             contexts.extend(sorted(merged.tables[k]))
-    scorers = [lm.log_prob for lm in lms]
     worst = 0.0
     for ctx in contexts:
         for w in merged.vocab.predicted_words():
             if ctx + (w,) in merged.tables.get(len(ctx) + 1, {}):
                 continue
-            gap = abs(merged.log_prob(w, ctx) - _mix_log10(scorers, lambdas, w, ctx))
+            gap = abs(merged.log_prob(w, ctx)
+                      - _mix_log10(lambdas, [lm.log_prob(w, ctx) for lm in lms]))
             worst = max(worst, gap)
     return worst
 

@@ -4,7 +4,9 @@ Format: `\\data\\` header with `ngram k=COUNT` lines, one `\\k-grams:` section
 per order with `LOGPROB<TAB>w1 .. wk[<TAB>LOGBACKOFF]` entries, `\\end\\`
 footer; only blank lines may follow the footer. UTF-8, LF endings, log10
 values at 7 significant digits. The back-off field is omitted at the
-highest order and for n-grams ending in `</s>`.
+highest order and for n-grams ending in `</s>`. Every word of a longer
+n-gram has a unigram entry (a leading `<s>` may lack one), and the context
+of every k-gram, k > 2, is a (k-1)-gram entry: the prefix rule.
 """
 
 from __future__ import annotations
@@ -106,6 +108,9 @@ def read_arpa(path: str | Path) -> BackoffLM:
                     gram[0] == BOS and words.issuperset(gram[1:])):  # `<s>` may lead
                 word = next(w for w in gram[gram[0] == BOS:] if w not in words)
                 raise ArpaError(path, lineno, f"word {word!r} of {fields[1]!r} has no unigram entry")
+            if current_k > 2 and gram[:-1] not in tables[current_k - 1]:  # the prefix rule
+                raise ArpaError(path, lineno, f"context {' '.join(gram[:-1])!r} of {fields[1]!r} "
+                                              f"has no {current_k - 1}-gram entry")
             if len(fields) == 3:
                 try:
                     bow = float(fields[2])

@@ -28,10 +28,11 @@ class PerplexityReport:
 
 def iter_positions(corpus: Corpus, vocab: Vocabulary, order: int):
     """Yield (history, token, is_oov) for every predicted position: every
-    word plus one `</s>` per sentence. The one place corpus tokens are mapped
-    for `BackoffLM.walk`: an OOV word is `<unk>`. `history` is the tuple of
-    the last `order - 1` mapped tokens before the position, `<s>` included
-    (fewer near a sentence start).
+    word plus one `</s>` per sentence, an OOV word as `<unk>`. `history` is
+    the full window: the last `order - 1` mapped tokens before the position,
+    `<s>` included (fewer near a sentence start). Scoring walks the shorter
+    histories `walk_positions` carries instead; these full-window positions
+    are the reference that tests compare it with.
     """
     n = order - 1
     ids = vocab.ids
@@ -46,33 +47,52 @@ def iter_positions(corpus: Corpus, vocab: Vocabulary, order: int):
         yield history, EOS, False
 
 
-def score_corpus(walk, corpus: Corpus, vocab: Vocabulary, oov_policy: str,
-                 order: int) -> PerplexityReport:
-    """The one corpus-scoring loop: sum `walk(token, history)` over the
-    positions `iter_positions` maps for models of order at most `order`.
-    `walk` is `BackoffLM.walk` or a mixture of walks. Under `exclude`, OOV
-    positions are counted and skipped; under `as_unk` they score `<unk>`."""
+def walk_positions(lm: BackoffLM, corpus: Corpus, exclude: bool):
+    """Yield log10 p of every scored position of `corpus` (every word plus
+    one `</s>` per sentence) by `lm.walk`. The one place corpus tokens are
+    mapped for the walk: an OOV word is `<unk>`. Each walk starts from the
+    history the last one returned, `(<s>,)` at a sentence start. Under
+    `exclude` an OOV position is skipped, not walked, and the next history
+    is the last one plus `<unk>`, cut to `order - 1` tokens."""
+    walk = lm.walk
+    ids = lm.vocab.ids
+    n = lm.order - 1
+    for sent in corpus.sentences:
+        history = (BOS,)[:n]
+        for tok in sent:
+            if tok not in ids:
+                tok = UNK
+                if exclude:
+                    history = (*history, UNK)[-n:] if n else ()
+                    continue
+            logp, history = walk(tok, history)
+            yield logp
+        yield walk(EOS, history)[0]
+
+
+def score_corpus(lms: list[BackoffLM], corpus: Corpus, oov_policy: str,
+                 mix=None) -> PerplexityReport:
+    """The one corpus-scoring loop: the report of the log10 p that
+    `walk_positions` yields under one model, or, given `mix`, of `mix(row)`
+    over each position's row of component log10 p, the components walked
+    position by position. Under `exclude`, OOV positions are counted and
+    skipped; under `as_unk` they score `<unk>`. Every sentence scores its
+    `</s>`, so a corpus that is not empty has a scored position."""
     if oov_policy not in OOV_POLICIES:
         raise ValueError(f"unknown OOV policy {oov_policy!r}")
     sentences = len(corpus.sentences)
     if sentences == 0:
         raise ValueError(f"corpus {corpus.id!r} is empty")
-    exclude = oov_policy == "exclude"
+    walks = [walk_positions(lm, corpus, oov_policy == "exclude") for lm in lms]
     total = 0.0
     scored = 0
-    oov = 0
-    for history, token, is_oov in iter_positions(corpus, vocab, order):
-        if is_oov and exclude:
-            oov += 1
-            continue
-        total += walk(token, history)
+    for logp in walks[0] if mix is None else map(mix, zip(*walks)):
+        total += logp
         scored += 1
-    if scored == 0:
-        raise ValueError("no scorable positions (all-OOV corpus under exclude policy)")
     return PerplexityReport(
         log10_prob_sum=total,
         scored_tokens=scored,
-        oov_tokens=oov,
+        oov_tokens=corpus.token_count + sentences - scored,
         sentences=sentences,
         ppl=10.0 ** (-total / scored),
     )
@@ -98,7 +118,7 @@ def perplexity(lm: BackoffLM, corpus: Corpus, oov_policy: str = "exclude") -> Pe
     """
     require_unigrams(lm, (EOS, UNK) if oov_policy == "as_unk" else (EOS,),
                      f"under oov_policy {oov_policy!r}")
-    return score_corpus(lm.walk, corpus, lm.vocab, oov_policy, lm.order)
+    return score_corpus([lm], corpus, oov_policy)
 
 
 def oov_rate(vocab: Vocabulary, corpus: Corpus) -> float:

@@ -19,13 +19,19 @@ BOS_LOG10_PROB = -99.0
 class BackoffLM:
     """ARPA-style back-off model: per order k, `tables[k]` maps each stored
     k-gram to its log10 probability and `backoffs[k]` maps a k-gram to its
-    log10 back-off weight. Below the top order, whose weights are never
-    read, a weight implies a stored gram: the keys of `backoffs[k]` are keys
-    of `tables[k]`. A gram without a weight, such as the context of no
-    stored gram, is no key, and backing off through it adds 0. Both hold a
-    dict, possibly empty, for every order 1..`order`; one missing at
-    construction is added. Instances are treated as immutable after
-    construction; concurrent reads are safe.
+    log10 back-off weight. Both hold a dict, possibly empty, for every order
+    1..`order`; one missing at construction is added. Two invariants hold
+    for every model `train_mkn`, `interpolate_static`, `prune_entropy` and
+    `read_arpa` make, and `walk`'s next history relies on them:
+
+    - prefix rule: the context `gram[:-1]` of every stored gram is itself
+      stored, except the lone `(<s>,)` context of a bigram;
+    - weights on stored grams only: every key of `backoffs[k]` is a key of
+      `tables[k]`. A gram without a weight, such as the context of no
+      stored gram, is no key, and backing off through it adds 0.
+
+    Instances are treated as immutable after construction; concurrent reads
+    are safe.
     """
 
     order: int
@@ -55,25 +61,30 @@ class BackoffLM:
         ids = self.vocab.ids
         n = self.order - 1
         hist = tuple([t if t in ids else UNK for t in history[-n:]]) if n > 0 else ()
-        return self.walk(word if word in ids else UNK, hist)
+        return self.walk(word if word in ids else UNK, hist)[0]
 
-    def walk(self, word: str, history: NGram) -> float:
-        """log10 p(word | history) by the back-off recursion: the one query
-        walk. Tokens must be mapped already: `word` in the vocabulary or
-        `<unk>`, `history` a tuple of at most `order - 1` such tokens. Adds
-        the back-off weights on the way down, then the stored value."""
+    def walk(self, word: str, history: NGram) -> tuple[float, NGram]:
+        """(log10 p(word | history), next history) by the back-off recursion:
+        the one query walk. Tokens must be mapped already: `word` in the
+        vocabulary or `<unk>`, `history` a tuple of at most `order - 1` such
+        tokens. Adds the back-off weights on the way down, then the stored
+        value. The next history is the gram the walk matched, cut to its
+        last `order - 1` tokens: by the two invariants above, a longer
+        suffix of `history + (word,)` is no stored gram, so it would
+        neither match nor add a weight in the next walk."""
         tables = self.tables
         acc = 0.0
         k = len(history)
-        logp = tables[k + 1].get(history + (word,))
+        gram = history + (word,)
+        logp = tables[k + 1].get(gram)
         while logp is None:
             if not k:
                 raise KeyError(f"no unigram entry for {word!r}")
-            acc += self.backoffs[k].get(history, 0.0)
-            history = history[1:]
+            acc += self.backoffs[k].get(gram[:-1], 0.0)
+            gram = gram[1:]
             k -= 1
-            logp = tables[k + 1].get(history + (word,))
-        return acc + logp
+            logp = tables[k + 1].get(gram)
+        return acc + logp, gram[1:] if k == self.order - 1 else gram
 
     def clone(self) -> "BackoffLM":
         return BackoffLM(

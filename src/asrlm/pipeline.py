@@ -384,6 +384,11 @@ def run_lexicon_pipeline(config: PipelineConfig) -> dict[str, Path]:
         run.begin("lexicon-load")
         seed = lexg2p.load_lexicon(config.seed_lexicon)
         corpora = run.corpora()
+        if config.word_list:
+            wanted = read_text(config.word_list).split()
+        else:
+            wanted = [w for w, _ in word_frequencies(concatenate("all", corpora))]
+        addon = lexg2p.load_lexicon(config.medical_lexicon) if config.medical_lexicon else None
 
         run.begin("g2p-train")
         model = lexg2p.train_g2p(
@@ -396,18 +401,13 @@ def run_lexicon_pipeline(config: PipelineConfig) -> dict[str, Path]:
         lexg2p.save_g2p_model(model, run.path("g2p_model.json"))
 
         run.begin("extend")
-        if config.word_list:
-            wanted = read_text(config.word_list).split()
-        else:
-            wanted = [w for w, _ in word_frequencies(concatenate("all", corpora))]
         missing = [w for w in wanted if w not in seed.entries]
         extended, report = lexg2p.extend_lexicon(seed, missing, model, beam=config.g2p_beam)
         lexg2p.save_lexicon(extended, run.path("training_lexicon.tsv"))
 
         run.begin("merge-addon")
         final = extended
-        if config.medical_lexicon:
-            addon = lexg2p.load_lexicon(config.medical_lexicon)
+        if addon is not None:
             final = lexg2p.merge_lexicons(extended, addon, policy="union")
         lexg2p.save_lexicon(final, run.path("recognition_lexicon.tsv"))
 
@@ -439,6 +439,9 @@ def run_dialect_pipeline(config: PipelineConfig) -> dict[str, Path]:
         table = dialectmap.load_mapping(config.mapping)
         corpora = run.corpora()
         dev = run.load(config.dev, "dev")
+        if config.refs and config.hyps:
+            refs = scorer.read_trn(config.refs)
+            hyps = scorer.read_trn(config.hyps)
 
         run.begin("dialect-eval")
         cfg = dialectmap.DialectEvalConfig(
@@ -462,8 +465,6 @@ def run_dialect_pipeline(config: PipelineConfig) -> dict[str, Path]:
 
         if config.refs and config.hyps:
             run.begin("dialect-score")
-            refs = scorer.read_trn(config.refs)
-            hyps = scorer.read_trn(config.hyps)
             mapped_refs = {
                 utt: tuple(table.pairs.get(t, t) for t in tokens)
                 for utt, tokens in refs.items()

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from asrlm.cli import main
 from asrlm.mixture import interpolate_static
 from asrlm.ngramcore import ArpaError, BackoffLM, arpa, read_arpa, write_arpa
 from asrlm.pruner import prune_entropy
@@ -171,12 +172,14 @@ def test_write_arpa_refuses_non_finite_values(tmp_path, slot, value, field):
 
 
 def wide_lm(n_trigrams: int) -> BackoffLM:
-    """300 ten-letter words with back-off weights and `n_trigrams` trigrams
-    over them, with values that 7 significant digits write exactly."""
+    """300 ten-letter words with back-off weights, `n_trigrams` trigrams
+    over them and the bigram context of each, with values that 7
+    significant digits write exactly."""
     words = [f"word{i:06d}" for i in range(300)]
     trigrams = {(words[i % 300], words[i // 300 % 300], words[i // 90_000]): -(i % 997) / 100
                 for i in range(n_trigrams)}
-    return BackoffLM(order=3, tables={1: {(w,): -2.5 for w in words}, 3: trigrams},
+    bigrams = {gram[:2]: -1.5 for gram in trigrams}
+    return BackoffLM(order=3, tables={1: {(w,): -2.5 for w in words}, 2: bigrams, 3: trigrams},
                      vocab=Vocabulary(words), backoffs={1: {(w,): -0.25 for w in words}})
 
 
@@ -250,6 +253,44 @@ def test_read_refuses_word_without_unigram_at_its_line(tmp_path, bigram, word):
     with pytest.raises(ArpaError) as err:
         read_arpa(p)
     assert str(err.value) == f"{p}:11: word {word!r} of {bigram!r} has no unigram entry"
+
+
+def trigram_arpa(trigram: str) -> str:
+    """A trigram ARPA text with the one bigram `a b` and `trigram` at line 16."""
+    entries = "".join(f"-0.5\t{w}\t-0.2\n" for w in ("a", "b", EOS, "<unk>"))
+    return (f"\\data\\\nngram 1=4\nngram 2=1\nngram 3=1\n\n\\1-grams:\n{entries}\n"
+            f"\\2-grams:\n-0.2\ta b\t-0.1\n\n\\3-grams:\n-0.1\t{trigram}\n\n\\end\\\n")
+
+
+@pytest.mark.parametrize("trigram, message", [
+    ("b a b", "context 'b a' of 'b a b' has no 2-gram entry"),
+    ("<s> a b", "context '<s> a' of '<s> a b' has no 2-gram entry"),
+    ("zz a b", "word 'zz' of 'zz a b' has no unigram entry"),  # the word check runs first
+])
+def test_read_refuses_gram_whose_context_has_no_entry(tmp_path, trigram, message):
+    # Scoring carries the gram each walk matched as the next history, which
+    # is exact only if no longer context holds a gram: the prefix rule.
+    p = tmp_path / "bad.arpa"
+    p.write_text(trigram_arpa(trigram), encoding="utf-8")
+    with pytest.raises(ArpaError) as err:
+        read_arpa(p)
+    assert str(err.value) == f"{p}:16: {message}"
+    p.write_text(trigram_arpa("a b a"), encoding="utf-8")
+    assert read_arpa(p).tables[3] == {("a", "b", "a"): -0.1}
+
+
+@pytest.mark.parametrize("command", ["lm ppl --lm {lm} --corpus {corpus}",
+                                     "prune --lm {lm} --theta 1e-3 --out {out}"])
+def test_cli_refuses_gram_whose_context_has_no_entry(tmp_path, capsys, command):
+    lm = tmp_path / "bad.arpa"
+    lm.write_text(trigram_arpa("b a b"), encoding="utf-8")
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("a b a\n", encoding="utf-8")
+    out = tmp_path / "out.arpa"
+    assert main(command.format(lm=lm, corpus=corpus, out=out).split()) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {lm}:16: context 'b a' of 'b a b' has no 2-gram entry\n"
+    assert not out.exists()
 
 
 def test_read_accepts_leading_bos_without_bos_unigram(tmp_path):

@@ -19,7 +19,7 @@ from asrlm.ngramcore import (
     train_mkn,
     write_arpa,
 )
-from asrlm.ngramcore.evaluate import PerplexityReport, iter_positions
+from asrlm.ngramcore.evaluate import PerplexityReport, iter_positions, walk_positions
 from asrlm.ngramcore.model import memoized_log_prob
 from asrlm.ngramcore.smoothing import closed_form_discounts
 from asrlm.pruner import prune_entropy
@@ -357,9 +357,75 @@ def test_walk_equals_log_prob_at_every_position(seeded_models, kind):
     oov = 0
     for (history, token, is_oov), (word, full_history) in zip(positions, raw):
         assert token == (UNK if is_oov else word)
-        assert lm.walk(token, history) == lm.log_prob(word, full_history), (word, full_history)
+        assert lm.walk(token, history)[0] == lm.log_prob(word, full_history), (word, full_history)
         oov += is_oov
     assert oov > 20
+
+
+def fallback_model() -> BackoffLM:
+    """An order-4 model of a degenerate corpus, trained with the flat
+    fallback discount."""
+    counts = count_ngrams(corpus_of("a b a\nb a"), 4, Vocabulary(["a", "b"]))
+    with pytest.warns(UserWarning, match="count-of-counts"):
+        discounts = estimate_discounts(counts)
+    assert discounts.fallback_orders
+    return train_mkn(counts, discounts)
+
+
+MODEL_KINDS = ["trained", "merged", "pruned", "read_arpa", "with_unk", "fallback"]
+
+
+def model_of(seeded_models, kind: str) -> BackoffLM:
+    return fallback_model() if kind == "fallback" else seeded_models[kind]
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_contexts_and_weighted_grams_are_stored(seeded_models, kind):
+    """The two invariants `BackoffLM.walk`'s next history relies on: every
+    stored gram's context is stored (a bigram's `(<s>,)` context aside),
+    and every gram with a back-off weight is stored."""
+    lm = model_of(seeded_models, kind)
+    for k in range(1, lm.order + 1):
+        assert lm.backoffs[k].keys() <= lm.tables[k].keys(), k
+    for k in range(2, lm.order + 1):
+        assert lm.tables[k]
+        orphans = [gram for gram in lm.tables[k]
+                   if gram[:-1] not in lm.tables[k - 1] and gram[:-1] != (BOS,)]
+        assert orphans == [], k
+
+
+@pytest.mark.parametrize("policy", ["exclude", "as_unk"])
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_walk_from_returned_history_equals_log_prob(seeded_models, kind, policy):
+    """Each walk starts from the history the last walk returned, or, after
+    an OOV position skipped under `exclude`, that history plus `<unk>`.
+    Every position is `==` to `log_prob` on the raw word and its full raw
+    history, and so is every value `walk_positions` yields."""
+    lm = model_of(seeded_models, kind)
+    n = lm.order - 1
+    rng = random.Random(59)
+    words = [w for w in lm.vocab.words if w not in (BOS, EOS, UNK)] + ["oov1", "oov2"]
+    sentences = tuple(tuple(rng.choice(words) for _ in range(rng.randint(1, 14)))
+                      for _ in range(60))
+    expected = []
+    shortened = skipped = 0
+    for sent in sentences:
+        history = (BOS,)
+        for i, word in enumerate((*sent, EOS)):
+            token = word if word in lm.vocab else UNK
+            if token != word and policy == "exclude":
+                history = (*history, UNK)[-n:]
+                skipped += 1
+                continue
+            logp, history = lm.walk(token, history)
+            assert len(history) <= n
+            shortened += len(history) < min(n, i + 1)
+            expected.append(lm.log_prob(word, [BOS, *sent[:i]]))
+            assert logp == expected[-1], (word, sent[:i])
+    scored = list(walk_positions(lm, Corpus(id="eval", sentences=sentences), policy == "exclude"))
+    assert scored == expected
+    assert shortened > 50
+    assert skipped > 20 if policy == "exclude" else skipped == 0
 
 
 @pytest.mark.parametrize("kind", ["trained", "merged", "pruned"])

@@ -244,6 +244,27 @@ def test_lexicon_and_dialect_pipelines_refuse_held_lock(tmp_path, monkeypatch, r
     assert sorted(p.name for p in tmp_path.iterdir()) == [".lock"]
 
 
+@pytest.mark.parametrize("runner, key, stage, first_artifact", [
+    (run_lexicon_pipeline, "word_list", "lexicon-load", "g2p_model.json"),
+    (run_lexicon_pipeline, "medical_lexicon", "lexicon-load", "g2p_model.json"),
+    (run_dialect_pipeline, "refs", "dialect-load", "dialect_ppl.tsv"),
+    (run_dialect_pipeline, "hyps", "dialect-load", "dialect_ppl.tsv"),
+])
+def test_invalid_input_fails_in_first_stage(tmp_path, monkeypatch, runner, key, stage,
+                                            first_artifact):
+    """Each sub-pipeline reads all of its inputs before it trains or writes anything."""
+    monkeypatch.chdir(FIXTURES.parent)
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"ok\nx\xffy\n")
+    out = tmp_path / "out"
+    with pytest.raises(PipelineError, match=f"{bad}:2: invalid UTF-8") as err:
+        runner(parse_config(FIXTURES / "pipeline.cfg", [f"out_dir={out}", f"{key}={bad}"]))
+    assert err.value.stage == stage
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    assert (manifest["status"], manifest["failed_stage"]) == ("failed", stage)
+    assert not (out / first_artifact).exists()
+
+
 def test_no_lock_or_temp_file_remains_after_runs(small_setup, tmp_path):
     c1, _, dev, tmp = small_setup
     ok = tmp / "ok"
