@@ -24,6 +24,7 @@ from asrlm.ngramcore import (
     train_mkn,
     write_arpa,
 )
+from asrlm.ngramcore.evaluate import OOV_POLICIES
 from asrlm.pipeline import PipelineError, parse_config, run_dialect_pipeline, run_lexicon_pipeline, run_lm_pipeline
 from asrlm.pruner import prune_entropy
 from asrlm.textcorpus import (
@@ -302,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = lm.add_parser("ppl", help="perplexity of an ARPA model on a corpus")
     p.add_argument("--lm", required=True)
     p.add_argument("--corpus", required=True)
-    p.add_argument("--oov-policy", choices=("exclude", "as_unk"), default="exclude")
+    p.add_argument("--oov-policy", choices=OOV_POLICIES, default="exclude")
     _add_normalization_flags(p)
     p.set_defaults(func=cmd_lm_ppl)
     p = lm.add_parser("oov", help="OOV rate of a corpus against a vocabulary")
@@ -332,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lms", nargs="+", required=True)
     p.add_argument("--weights", required=True)
     p.add_argument("--corpus", required=True)
-    p.add_argument("--oov-policy", choices=("exclude", "as_unk"), default="exclude")
+    p.add_argument("--oov-policy", choices=OOV_POLICIES, default="exclude")
     _add_normalization_flags(p)
     p.set_defaults(func=cmd_mix_ppl)
 
@@ -400,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mapping", required=True)
     p.add_argument("--order", type=int, default=4)
     p.add_argument("--no-interpolate", action="store_true")
-    p.add_argument("--oov-policy", choices=("exclude", "as_unk"), default="exclude")
+    p.add_argument("--oov-policy", choices=OOV_POLICIES, default="exclude")
     p.add_argument("--map-eval-text", action=argparse.BooleanOptionalAction, default=True)
     _add_normalization_flags(p)
     p.set_defaults(func=cmd_dialect_eval)

@@ -67,9 +67,9 @@ def component_ids(lms: list[BackoffLM]) -> tuple[str, ...]:
     return tuple(ids)
 
 
-def _check_components(lms: list[BackoffLM], minimum: int = 2) -> None:
-    if len(lms) < minimum:
-        raise ValueError(f"need at least {minimum} component models")
+def _check_components(lms: list[BackoffLM]) -> None:
+    if not lms:
+        raise ValueError("need at least one component model")
     first = lms[0].vocab
     for lm in lms[1:]:
         if set(lm.vocab.words) != set(first.words):
@@ -104,7 +104,8 @@ def em_weights(
     dev log-likelihood. Stops when the log10-likelihood improves by less
     than `tol` or after `max_iter` iterations; `max_iter` must be >= 1 and
     `tol` a number >= 0. Every sum runs in component or position order from
-    0.0, as `ordered_sum` adds, never through `sum()`.
+    0.0, as `ordered_sum` adds, never through `sum()`. A single component
+    keeps weight 1.0 exactly, each of its posteriors being p / p.
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter!r}")
@@ -158,7 +159,7 @@ def perplexity_mixture(
     oov_policy: str = "exclude",
 ) -> PerplexityReport:
     """Perplexity of the position-wise weighted mixture of the components."""
-    _check_components(lms, minimum=1)
+    _check_components(lms)
     mix = partial(_mix_log10, _check_weights(weights, len(lms)))
     return score_corpus(lms, corpus, oov_policy, mix)
 
@@ -177,8 +178,8 @@ def interpolate_static(
     through `sum()`. A single component with weight 1 is returned unchanged
     (bit-exact).
     """
+    _check_components(lms)
     lambdas = _check_weights(weights, len(lms))
-    _check_components(lms, minimum=1)
     order = lms[0].order
     for lm in lms[1:]:
         if lm.order != order:
@@ -210,31 +211,6 @@ def interpolate_static(
     merged = BackoffLM(order=order, tables=tables, vocab=lms[0].vocab, metadata=merged_meta)
     rebuild_backoffs(merged)
     return merged
-
-
-def static_merge_divergence(
-    lms: list[BackoffLM],
-    weights: InterpolationWeights | list[float],
-    merged: BackoffLM,
-    contexts=None,
-) -> float:
-    """Diagnostic: max |log10| gap between merged model and dynamic mixture on
-    backed-off (not explicitly stored) n-grams over the given contexts."""
-    _check_reserved_unigrams(lms)
-    lambdas = _check_weights(weights, len(lms))
-    if contexts is None:
-        contexts = [()]
-        for k in range(1, merged.order):
-            contexts.extend(sorted(merged.tables[k]))
-    worst = 0.0
-    for ctx in contexts:
-        for w in merged.vocab.predicted_words():
-            if ctx + (w,) in merged.tables.get(len(ctx) + 1, {}):
-                continue
-            gap = abs(merged.log_prob(w, ctx)
-                      - _mix_log10(lambdas, [lm.log_prob(w, ctx) for lm in lms]))
-            worst = max(worst, gap)
-    return worst
 
 
 def save_weights(weights: InterpolationWeights, path: str | Path) -> None:

@@ -16,13 +16,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from asrlm import dialectmap, lexg2p, scorer
-from asrlm.mixture import (
-    InterpolationWeights,
-    em_weights,
-    interpolate_static,
-    perplexity_mixture,
-    save_weights,
-)
+from asrlm.mixture import em_weights, interpolate_static, perplexity_mixture, save_weights
 from asrlm.ngramcore import (
     count_ngrams,
     estimate_discounts,
@@ -31,6 +25,7 @@ from asrlm.ngramcore import (
     train_mkn,
     write_arpa,
 )
+from asrlm.ngramcore.evaluate import OOV_POLICIES
 from asrlm.pruner import prune_entropy
 from asrlm.textcorpus import build_vocabulary, concatenate, load_corpus, read_text, word_frequencies, write_text_atomic
 
@@ -96,6 +91,11 @@ class PipelineConfig:
                 raise ValueError(f"{key} must be an integer >= 1, got {value!r}")
         if self.g2p_em_iters is None or self.g2p_em_iters < 0:
             raise ValueError(f"g2p_em_iters must be an integer >= 0, got {self.g2p_em_iters!r}")
+        if self.oov_policy not in OOV_POLICIES:
+            raise ValueError(f"oov_policy must be one of {', '.join(OOV_POLICIES)}, "
+                             f"got {self.oov_policy!r}")
+        if bool(self.refs) != bool(self.hyps):
+            raise ValueError("refs and hyps must be given together")
         paths = [p for _, p in self.corpora] + [self.dev]
         paths += [getattr(self, key) for key in _OPTIONAL_PATH_KEYS if getattr(self, key)]
         dupes = {p for p in paths if paths.count(p) > 1}
@@ -305,9 +305,10 @@ class _Run:
         write_text_atomic(self.out_dir / "manifest.json", payload)
 
 
-def _ppl_line(model_id: str, eval_id: str, report) -> str:
-    return (
-        f"{model_id}\t{eval_id}\t{report.sentences}\t{report.scored_tokens}\t"
+def _ppl_line(*ids: str, report) -> str:
+    """One perplexity row: the id columns, then the report's five fields."""
+    return "\t".join(ids) + (
+        f"\t{report.sentences}\t{report.scored_tokens}\t"
         f"{report.oov_tokens}\t{report.log10_prob_sum:.6f}\t{report.ppl:.6f}\n"
     )
 
@@ -333,13 +334,7 @@ def run_lm_pipeline(config: PipelineConfig) -> dict[str, Path]:
             lms.append(lm)
 
         run.begin("weights")
-        if len(lms) > 1:
-            weights = em_weights(lms, dev, tol=config.em_tol, max_iter=config.em_max_iter)
-        else:
-            weights = InterpolationWeights(
-                lm_ids=(corpora[0].id,), lambdas=(1.0,),
-                dev_log10_likelihood=float("nan"),
-            )
+        weights = em_weights(lms, dev, tol=config.em_tol, max_iter=config.em_max_iter)
         save_weights(weights, run.path("weights.tsv"))
 
         run.begin("merge")
@@ -362,12 +357,11 @@ def run_lm_pipeline(config: PipelineConfig) -> dict[str, Path]:
             scored_models.append(("pruned", final_lm))
         for eval_id, corpus in eval_sets:
             for model_id, lm in scored_models:
-                ppl_lines.append(
-                    _ppl_line(model_id, eval_id, perplexity(lm, corpus, config.oov_policy))
-                )
+                report = perplexity(lm, corpus, config.oov_policy)
+                ppl_lines.append(_ppl_line(model_id, eval_id, report=report))
             if len(lms) > 1:
                 mix_report = perplexity_mixture(lms, weights, corpus, config.oov_policy)
-                ppl_lines.append(_ppl_line("mixture", eval_id, mix_report))
+                ppl_lines.append(_ppl_line("mixture", eval_id, report=mix_report))
         run.write("ppl_report.tsv", "".join(ppl_lines))
         oov_lines = ["eval\toov_rate\n"]
         for eval_id, corpus in eval_sets:
@@ -439,7 +433,7 @@ def run_dialect_pipeline(config: PipelineConfig) -> dict[str, Path]:
         table = dialectmap.load_mapping(config.mapping)
         corpora = run.corpora()
         dev = run.load(config.dev, "dev")
-        if config.refs and config.hyps:
+        if config.refs:
             refs = scorer.read_trn(config.refs)
             hyps = scorer.read_trn(config.hyps)
 
@@ -455,15 +449,11 @@ def run_dialect_pipeline(config: PipelineConfig) -> dict[str, Path]:
             em_max_iter=config.em_max_iter,
         )
         before, after = dialectmap.mapped_lm_eval(corpora, dev, table, cfg)
-        lines = ["condition\tsentences\tscored\toov\tlog10_sum\tppl\n"]
-        for cond, report in (("before", before), ("after", after)):
-            lines.append(
-                f"{cond}\t{report.sentences}\t{report.scored_tokens}\t{report.oov_tokens}\t"
-                f"{report.log10_prob_sum:.6f}\t{report.ppl:.6f}\n"
-            )
+        lines = ["condition\tsentences\tscored\toov\tlog10_sum\tppl\n",
+                 _ppl_line("before", report=before), _ppl_line("after", report=after)]
         run.write("dialect_ppl.tsv", "".join(lines))
 
-        if config.refs and config.hyps:
+        if config.refs:
             run.begin("dialect-score")
             mapped_refs = {
                 utt: tuple(table.pairs.get(t, t) for t in tokens)

@@ -919,7 +919,7 @@ def reference_em_weights(lms, dev, init=None, tol=1e-6, max_iter=100):
 
 def reference_interpolate_static(lms, weights):
     lambdas = _check_weights(weights, len(lms))
-    _check_components(lms, minimum=1)
+    _check_components(lms)
     order = lms[0].order
     for lm in lms[1:]:
         if lm.order != order:

@@ -41,14 +41,11 @@ def assert_build_matches_reference(corpora, dev, order):
         assert counts.continuation == ref.continuation
     lms = [train_on(corpus, order, vocab) for corpus in corpora]
 
-    if len(lms) > 1:
-        weights = em_weights(lms, dev)
-        expected = reference_em_weights(lms, dev)
-        assert weights.lambdas == expected.lambdas
-        assert weights.dev_log10_likelihood == expected.dev_log10_likelihood
-        lambdas = weights.lambdas
-    else:
-        lambdas = (1.0,)
+    weights = em_weights(lms, dev)
+    expected = reference_em_weights(lms, dev)
+    assert weights.lambdas == expected.lambdas
+    assert weights.dev_log10_likelihood == expected.dev_log10_likelihood
+    lambdas = weights.lambdas
     merged = interpolate_static(lms, lambdas)
     expected = reference_interpolate_static(lms, lambdas)
     assert items(merged, "tables") == items(expected, "tables")

@@ -12,7 +12,6 @@ from asrlm.mixture import (
     mixture_log_prob,
     perplexity_mixture,
     save_weights,
-    static_merge_divergence,
 )
 from asrlm.ngramcore import BackoffLM, context_probability_sums, perplexity
 from asrlm.textcorpus import BOS, EOS, UNK, Corpus, Vocabulary, build_vocabulary, concatenate
@@ -105,6 +104,25 @@ def test_em_weights_stay_on_simplex(opposed_unigram_pair):
         assert sum(r.lambdas) == pytest.approx(1.0, abs=1e-9)
 
 
+def test_em_single_component_takes_weight_one():
+    lm = train_on(corpus_of("a b a\nb c"), 2)
+    dev = corpus_of("a b\nc a z")
+    result = em_weights([lm], dev)
+    assert result.lambdas == (1.0,)
+    direct = perplexity(lm, dev, oov_policy="as_unk").log10_prob_sum
+    assert result.dev_log10_likelihood == pytest.approx(direct, rel=1e-12)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: em_weights([], corpus_of("a")),
+    lambda: perplexity_mixture([], [], corpus_of("a")),
+    lambda: interpolate_static([], []),
+], ids=["em_weights", "perplexity_mixture", "interpolate_static"])
+def test_mixture_entry_points_refuse_no_components(call):
+    with pytest.raises(ValueError, match="need at least one component model"):
+        call()
+
+
 def test_perplexity_mixture_single_component_matches_plain():
     c = corpus_of("a b a\nb c")
     lm = train_on(c, 2)
@@ -156,8 +174,6 @@ def test_static_merge_normalizes_and_matches_dynamic_on_stored():
                 continue
             dyn = mixture_log_prob(lms, lambdas, gram[-1], gram[:-1])
             assert abs(logp - dyn) <= 1e-9
-    # Divergence on backed-off n-grams is a diagnostic, not zero in general.
-    assert static_merge_divergence(lms, lambdas, merged) >= 0.0
 
 
 def test_static_merge_requires_same_order():
@@ -245,22 +261,19 @@ def test_mixture_log_prob_reports_missing_unk_unigram():
 # Every entry point that takes mixture weights, called with `weights` for
 # the two components of `opposed_unigram_pair`.
 WEIGHT_TAKERS = {
-    "InterpolationWeights": lambda lms, merged, w: InterpolationWeights(
+    "InterpolationWeights": lambda lms, w: InterpolationWeights(
         lm_ids=("one", "two"), lambdas=tuple(w), dev_log10_likelihood=0.0),
-    "interpolate_static": lambda lms, merged, w: interpolate_static(lms, w),
-    "perplexity_mixture": lambda lms, merged, w: perplexity_mixture(lms, w, corpus_of("a b")),
-    "mixture_log_prob": lambda lms, merged, w: mixture_log_prob(lms, w, "a"),
-    "static_merge_divergence": lambda lms, merged, w: static_merge_divergence(lms, w, merged),
-    "em_weights": lambda lms, merged, w: em_weights(lms, corpus_of("a b"), init=w),
+    "interpolate_static": lambda lms, w: interpolate_static(lms, w),
+    "perplexity_mixture": lambda lms, w: perplexity_mixture(lms, w, corpus_of("a b")),
+    "mixture_log_prob": lambda lms, w: mixture_log_prob(lms, w, "a"),
+    "em_weights": lambda lms, w: em_weights(lms, corpus_of("a b"), init=w),
 }
 
 
 @pytest.mark.parametrize("call", WEIGHT_TAKERS.values(), ids=WEIGHT_TAKERS.keys())
 def test_mixture_functions_require_one_weight_per_component(opposed_unigram_pair, call):
-    lms = list(opposed_unigram_pair)
-    merged = interpolate_static(lms, [0.5, 0.5])
     with pytest.raises(ValueError, match="one weight per component required"):
-        call(lms, merged, [1.0])
+        call(list(opposed_unigram_pair), [1.0])
 
 
 @pytest.mark.parametrize("weights, message", [
@@ -272,10 +285,8 @@ def test_mixture_functions_require_one_weight_per_component(opposed_unigram_pair
 @pytest.mark.parametrize("call", WEIGHT_TAKERS.values(), ids=WEIGHT_TAKERS.keys())
 def test_mixture_functions_reject_weights_off_the_simplex(opposed_unigram_pair, call,
                                                           weights, message):
-    lms = list(opposed_unigram_pair)
-    merged = interpolate_static(lms, [0.5, 0.5])
     with pytest.raises(ValueError, match=message):
-        call(lms, merged, weights)
+        call(list(opposed_unigram_pair), weights)
 
 
 @pytest.mark.parametrize("score, components", [

@@ -114,6 +114,8 @@ def test_parse_config_empty_optional_number_is_none():
     ("g2p_max_letters", "0", "g2p_max_letters must be an integer >= 1, got 0"),
     ("g2p_max_phones", "0", "g2p_max_phones must be an integer >= 1, got 0"),
     ("g2p_em_iters", "-1", "g2p_em_iters must be an integer >= 0, got -1"),
+    ("oov_policy", "asunk", "oov_policy must be one of exclude, as_unk, got 'asunk'"),
+    ("hyps", "", "refs and hyps must be given together"),
 ])
 def test_config_validation_refuses_bad_parameters_before_any_stage(
         monkeypatch, tmp_path, capsys, key, value, message):
@@ -135,8 +137,7 @@ def test_single_corpus_combined_equals_component(small_setup):
     solo = (tmp / "out" / "lm.solo.arpa").read_bytes()
     combined = (tmp / "out" / "lm.combined.arpa").read_bytes()
     assert solo == combined
-    weights = (tmp / "out" / "weights.tsv").read_text(encoding="utf-8")
-    assert weights.splitlines()[0].startswith("solo\t")
+    assert (tmp / "out" / "weights.tsv").read_text(encoding="utf-8") == "solo\t1.0\n"
 
 
 def test_pipeline_artifacts_and_manifest(small_setup):
@@ -377,6 +378,93 @@ def test_cli_mix_em_refuses_zero_iterations(small_setup, capsys):
     assert main(argv) == 1
     assert capsys.readouterr().err == "error: max_iter must be >= 1, got 0\n"
     assert not weights.exists()
+
+
+def test_cli_corpus_stats(small_setup, capsys):
+    c1, _, _, _ = small_setup
+    assert main(["corpus", "stats", c1, "--top", "2"]) == 0
+    assert capsys.readouterr().out == f"{c1}\tsentences=4\ttokens=11\ttypes=3\n  a\t5\n  b\t4\n"
+
+
+def test_cli_lm_count(small_setup, capsys):
+    c1, _, _, tmp = small_setup
+    out = tmp / "counts.tsv"
+    assert main(["lm", "count", "--corpus", c1, "--order", "2", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == f"wrote counts for orders 1..2 to {out}\n"
+    lines = out.read_text(encoding="utf-8").splitlines()
+    assert lines[:4] == ["1\t</s>\t4", "1\ta\t5", "1\tb\t4", "1\tc\t2"]
+    assert "2\t<s> a\t2" in lines and len(lines) == 15
+
+
+def test_cli_lm_oov(small_setup, capsys):
+    c1, _, _, tmp = small_setup
+    arpa = str(tmp / "m.arpa")
+    assert main(["lm", "train", "--corpus", c1, "--order", "2", "--out", arpa]) == 0
+    odd = write_corpus(tmp / "odd.txt", "a z\n")
+    capsys.readouterr()
+    assert main(["lm", "oov", "--corpus", odd, "--lm", arpa]) == 0
+    assert capsys.readouterr().out == "oov_rate=0.500000 (50.0000%)\n"
+
+
+@pytest.mark.parametrize("components", [1, 2])
+def test_cli_mix_em_writes_weights(small_setup, capsys, components):
+    c1, c2, dev, tmp = small_setup
+    models = [str(tmp / "one.arpa"), str(tmp / "two.arpa")][:components]
+    for corpus, model in zip((c1, c2), models):
+        assert main(["lm", "train", "--corpus", corpus, "--order", "2", "--out", model]) == 0
+    capsys.readouterr()
+    weights = tmp / "weights.tsv"
+    assert main(["mix", "em", "--lms", *models, "--dev", dev, "--out", str(weights)]) == 0
+    assert capsys.readouterr().out.startswith("dev log10-likelihood -")
+    lines = weights.read_text(encoding="utf-8").splitlines()
+    assert [line.split("\t")[0] for line in lines] == models
+    if components == 1:
+        assert lines == [f"{models[0]}\t1.0"]
+
+
+def test_cli_prune_writes_model_and_report(small_setup, capsys):
+    c1, _, _, tmp = small_setup
+    arpa = str(tmp / "m.arpa")
+    assert main(["lm", "train", "--corpus", c1, "--order", "2", "--out", arpa]) == 0
+    out, report = tmp / "pruned.arpa", tmp / "report.txt"
+    capsys.readouterr()
+    argv = ["prune", "--lm", arpa, "--theta", "1e-2", "--out", str(out), "--report", str(report)]
+    assert main(argv) == 0
+    text = capsys.readouterr().out
+    assert text == report.read_text(encoding="utf-8")
+    assert "total\t17\t5\t12\n" in text
+    assert read_arpa(out).size_by_order() == {1: 6, 2: 6}
+
+
+def test_cli_lexicon_merge(tmp_path, capsys):
+    base, addon, out = tmp_path / "base.tsv", tmp_path / "addon.tsv", tmp_path / "merged.tsv"
+    base.write_text("ab\ta b\nba\tb a\n", encoding="utf-8")
+    addon.write_text("ba\tb b a\nbb\tb b\n", encoding="utf-8")
+    argv = ["lexicon", "merge", "--base", str(base), "--addon", str(addon), "--out", str(out)]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == f"base=2 addon=2 merged=3 -> {out}\n"
+    assert out.read_text(encoding="utf-8") == "ab\ta b\nba\tb a\nba\tb b a\nbb\tb b\n"
+
+
+def test_cli_dialect_candidates_apply_and_eval(small_setup, capsys):
+    c1, c2, dev, tmp = small_setup
+    mapping = tmp / "map.tsv"
+    mapping.write_text("a\tx\n", encoding="utf-8")
+    assert main(["dialect", "candidates", "--corpus", c2, "-k", "2"]) == 0
+    assert capsys.readouterr().out == "c\t6\nb\t4\n"
+
+    out = tmp / "mapped.txt"
+    argv = ["dialect", "apply", "--corpus", c1, "--mapping", str(mapping), "--out", str(out)]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == f"mapped 5 tokens -> {out}\n"
+    assert out.read_text(encoding="utf-8") == "x b x\nb c x\nx x b\nc b\n"
+
+    argv = ["dialect", "eval", "--train", c1, c2, "--dev", dev, "--mapping", str(mapping),
+            "--order", "2"]
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split("\t")[0] for line in lines] == ["before", "after"]
+    assert all("sentences=2 scored_tokens=7 oov_tokens=0" in line for line in lines)
 
 
 def test_cli_dialect_and_g2p_round_trip(tmp_path, capsys):
