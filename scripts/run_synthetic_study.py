@@ -15,9 +15,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from asrlm.dialectmap import DialectEvalConfig, load_mapping, mapped_lm_eval
+from asrlm.dialectmap import load_mapping
 from asrlm.mixture import em_weights, interpolate_static, perplexity_mixture
-from asrlm.ngramcore import count_ngrams, estimate_discounts, oov_rate, perplexity, train_mkn
+from asrlm.ngramcore import oov_rate, perplexity
+from asrlm.pipeline import PipelineConfig, mapped_lm_eval, train_lms
 from asrlm.pruner import prune_entropy
 from asrlm.scorer import cer, read_trn, relative_reduction, wer
 from asrlm.textcorpus import build_vocabulary, load_corpus
@@ -38,10 +39,7 @@ def main() -> None:
     print(f"vocabulary: {len(vocab)} words; "
           f"dev OOV {100 * oov_rate(vocab, dev):.2f}%, test OOV {100 * oov_rate(vocab, test):.2f}%")
 
-    lms = [
-        train_mkn(counts, estimate_discounts(counts))
-        for counts in (count_ngrams(c, ORDER, vocab) for c in corpora)
-    ]
+    lms = train_lms(corpora, vocab, ORDER)
     print(f"\nper-corpus {ORDER}-gram dev/test perplexity:")
     for corpus, lm in zip(corpora, lms):
         print(f"  {corpus.id:<10} dev {perplexity(lm, dev).ppl:8.2f}   "
@@ -64,7 +62,7 @@ def main() -> None:
 
     print("\ndialect mapping effect (training text mapped, dev mapped):")
     table = load_mapping(FIXTURES / "mapping.tsv")
-    before, after = mapped_lm_eval(corpora, dev, table, DialectEvalConfig(order=ORDER))
+    before, after = mapped_lm_eval(corpora, dev, table, PipelineConfig(order=ORDER))
     print(f"  before {before.ppl:8.2f}   after {after.ppl:8.2f}   "
           f"({relative_reduction(before.ppl, after.ppl):+.1f}% relative)")
 

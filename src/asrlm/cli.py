@@ -15,20 +15,16 @@ from asrlm.mixture import (
     perplexity_mixture,
     save_weights,
 )
-from asrlm.ngramcore import (
-    count_ngrams,
-    estimate_discounts,
-    oov_rate,
-    perplexity,
-    read_arpa,
-    train_mkn,
-    write_arpa,
-)
+from asrlm.ngramcore import count_ngrams, oov_rate, perplexity, read_arpa, write_arpa
 from asrlm.ngramcore.evaluate import OOV_POLICIES
-from asrlm.pipeline import PipelineError, parse_config, run_dialect_pipeline, run_lexicon_pipeline, run_lm_pipeline
+from asrlm.pipeline import (
+    PipelineConfig, PipelineError, mapped_lm_eval, parse_config, run_dialect_pipeline, run_lexicon_pipeline,
+    run_lm_pipeline, train_lms,
+)
 from asrlm.pruner import prune_entropy
 from asrlm.textcorpus import (
-    Vocabulary, build_vocabulary, load_corpus, read_text, save_corpus, word_frequencies, write_text_atomic,
+    Vocabulary, build_vocabulary, concatenate, load_corpus, read_text, save_corpus, word_frequencies,
+    write_text_atomic,
 )
 
 
@@ -71,9 +67,7 @@ def cmd_lm_count(args) -> int:
 
 def cmd_lm_train(args) -> int:
     corpus = _load(args, args.corpus)
-    vocab = _vocab_for(args, [corpus])
-    counts = count_ngrams(corpus, args.order, vocab)
-    lm = train_mkn(counts, estimate_discounts(counts))
+    [lm] = train_lms([corpus], _vocab_for(args, [corpus]), args.order)
     write_arpa(lm, args.out)
     sizes = " ".join(f"{k}:{n}" for k, n in sorted(lm.size_by_order().items()))
     print(f"trained {args.order}-gram on {corpus.id} ({sizes}) -> {args.out}")
@@ -218,13 +212,11 @@ def cmd_dialect_eval(args) -> int:
     table = dialectmap.load_mapping(args.mapping)
     corpora = [_load(args, p, corpus_id=Path(p).stem) for p in args.train]
     dev = _load(args, args.dev, corpus_id="dev")
-    cfg = dialectmap.DialectEvalConfig(
-        order=args.order,
-        interpolate=not args.no_interpolate and len(corpora) > 1,
-        oov_policy=args.oov_policy,
-        map_eval_text=args.map_eval_text,
-    )
-    before, after = dialectmap.mapped_lm_eval(corpora, dev, table, cfg)
+    if args.no_interpolate:
+        corpora = [concatenate("all", corpora)]
+    cfg = PipelineConfig(order=args.order, oov_policy=args.oov_policy,
+                         map_eval_text=args.map_eval_text)
+    before, after = mapped_lm_eval(corpora, dev, table, cfg)
     print(f"before\t{before.format()}")
     print(f"after\t{after.format()}")
     return 0
@@ -245,6 +237,7 @@ def cmd_pipeline_run(args) -> int:
     config = parse_config(args.config, overrides=args.set or [])
     if args.out_dir:
         config = dataclasses.replace(config, out_dir=args.out_dir)
+    config.validate()
     out_dir = Path(config.out_dir)
     paths = list(run_lm_pipeline(config).values())
     if config.seed_lexicon:

@@ -1,16 +1,13 @@
-"""Dialect-word normalization: candidate selection, mapping, and LM comparison."""
+"""Dialect-word normalization: candidate selection, mapping tables and their
+application to text. The before/after LM comparison is
+`asrlm.pipeline.mapped_lm_eval`."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from asrlm.mixture import em_weights, perplexity_mixture
-from asrlm.ngramcore import count_ngrams, estimate_discounts, perplexity, train_mkn
-from asrlm.ngramcore.evaluate import PerplexityReport
-from asrlm.textcorpus import (
-    Corpus, Vocabulary, build_vocabulary, concatenate, read_text, word_frequencies, write_text_atomic,
-)
+from asrlm.textcorpus import Corpus, Vocabulary, read_text, word_frequencies, write_text_atomic
 
 
 class MappingError(ValueError):
@@ -99,50 +96,3 @@ def apply_mapping(corpus: Corpus, table: MappingTable) -> Corpus:
         tuple(pairs.get(tok, tok) for tok in sent) for sent in corpus.sentences
     )
     return Corpus(id=corpus.id, sentences=sentences)
-
-
-@dataclass(frozen=True)
-class DialectEvalConfig:
-    order: int = 4
-    interpolate: bool = True
-    min_count: int = 1
-    max_size: int | None = None
-    oov_policy: str = "exclude"
-    map_eval_text: bool = True
-    em_tol: float = 1e-6
-    em_max_iter: int = 100
-
-
-def _train_and_score(train_corpora: list[Corpus], dev: Corpus, cfg: DialectEvalConfig) -> PerplexityReport:
-    vocab = build_vocabulary(train_corpora, min_count=cfg.min_count, max_size=cfg.max_size)
-    if not cfg.interpolate:
-        train_corpora = [concatenate("all", train_corpora)]
-    lms = [
-        train_mkn(counts, estimate_discounts(counts))
-        for counts in (count_ngrams(c, cfg.order, vocab) for c in train_corpora)
-    ]
-    if len(lms) == 1:
-        return perplexity(lms[0], dev, oov_policy=cfg.oov_policy)
-    weights = em_weights(lms, dev, tol=cfg.em_tol, max_iter=cfg.em_max_iter)
-    return perplexity_mixture(lms, weights, dev, oov_policy=cfg.oov_policy)
-
-
-def mapped_lm_eval(
-    train_corpora: list[Corpus],
-    dev: Corpus,
-    table: MappingTable,
-    config: DialectEvalConfig | None = None,
-) -> tuple[PerplexityReport, PerplexityReport]:
-    """Dev perplexity before and after applying the dialect mapping.
-
-    The `after` run retrains on mapped corpora; by default the dev text is
-    mapped too, since comparing models over different token distributions is
-    ill-defined. Set `map_eval_text=False` to score the raw dev text against
-    the mapped-text model instead.
-    """
-    cfg = config or DialectEvalConfig()
-    before = _train_and_score(train_corpora, dev, cfg)
-    mapped_train = [apply_mapping(c, table) for c in train_corpora]
-    mapped_dev = apply_mapping(dev, table) if cfg.map_eval_text else dev
-    after = _train_and_score(mapped_train, mapped_dev, cfg)
-    return before, after

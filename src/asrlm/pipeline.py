@@ -18,6 +18,8 @@ from pathlib import Path
 from asrlm import dialectmap, lexg2p, scorer
 from asrlm.mixture import em_weights, interpolate_static, perplexity_mixture, save_weights
 from asrlm.ngramcore import (
+    BackoffLM,
+    PerplexityReport,
     count_ngrams,
     estimate_discounts,
     oov_rate,
@@ -27,7 +29,9 @@ from asrlm.ngramcore import (
 )
 from asrlm.ngramcore.evaluate import OOV_POLICIES
 from asrlm.pruner import prune_entropy
-from asrlm.textcorpus import build_vocabulary, concatenate, load_corpus, read_text, word_frequencies, write_text_atomic
+from asrlm.textcorpus import (
+    Corpus, Vocabulary, build_vocabulary, concatenate, load_corpus, read_text, word_frequencies, write_text_atomic,
+)
 
 
 class PipelineError(RuntimeError):
@@ -78,6 +82,8 @@ class PipelineConfig:
             raise ValueError("order must be >= 1")
         if not self.corpora:
             raise ValueError("at least one corpus is required (corpus.<id> = <path>)")
+        if len({cid for cid, _ in self.corpora}) != len(self.corpora):
+            raise ValueError("corpus ids must be distinct")
         if not self.dev:
             raise ValueError("a dev corpus is required")
         # `not x >= 0.0` also refuses NaN, which every comparison fails.
@@ -96,14 +102,16 @@ class PipelineConfig:
                              f"got {self.oov_policy!r}")
         if bool(self.refs) != bool(self.hyps):
             raise ValueError("refs and hyps must be given together")
-        paths = [p for _, p in self.corpora] + [self.dev]
-        paths += [getattr(self, key) for key in _OPTIONAL_PATH_KEYS if getattr(self, key)]
+        if not self.out_dir:
+            raise ValueError("out_dir is required")
+        named = self.input_paths()
+        paths = list(named.values())
         dupes = {p for p in paths if paths.count(p) > 1}
         if dupes:
             raise ValueError(f"referenced paths must be distinct: {sorted(dupes)}")
-        for p in paths:
-            if not os.access(p, os.R_OK):
-                raise ValueError(f"cannot read {p}")
+        for key, path in named.items():
+            if not os.access(path, os.R_OK):
+                raise ValueError(f"{key}: cannot read {path!r}")
 
     def input_paths(self) -> dict[str, str]:
         named = {f"corpus.{cid}": path for cid, path in self.corpora}
@@ -206,7 +214,7 @@ def _lock_is_stale(lock: Path) -> bool:
 class _Run:
     """One sub-pipeline run: `with _Run(config) as run:`.
 
-    Entering validates the config, creates `out_dir`, takes its lock and
+    Creating it validates the config. Entering creates `out_dir`, takes its lock and
     writes the `running` manifest: parameters and input hashes, no
     artifacts. The body opens each stage with `begin` and writes artifacts through `path` or
     `write`; `result` writes the `ok` manifest. An exception inside a stage
@@ -215,6 +223,7 @@ class _Run:
     """
 
     def __init__(self, config: PipelineConfig):
+        config.validate()
         self.config = config
         self.out_dir = Path(config.out_dir)
         self.lock = self.out_dir / ".lock"
@@ -223,7 +232,6 @@ class _Run:
         self.artifacts: list[str] = []
 
     def __enter__(self) -> "_Run":
-        self.config.validate()
         self.out_dir.mkdir(parents=True, exist_ok=True)
         for attempt in range(2):  # a stale lock is removed and taken once more
             try:
@@ -313,6 +321,16 @@ def _ppl_line(*ids: str, report) -> str:
     )
 
 
+def train_lms(corpora: list[Corpus], vocab: Vocabulary, order: int) -> list[BackoffLM]:
+    """One modified Kneser-Ney model per corpus over `vocab`. The three steps
+    are looked up in this module's globals, where the benchmark traces them."""
+    lms = []
+    for corpus in corpora:
+        counts = count_ngrams(corpus, order, vocab)
+        lms.append(train_mkn(counts, estimate_discounts(counts)))
+    return lms
+
+
 def run_lm_pipeline(config: PipelineConfig) -> dict[str, Path]:
     """Train, combine, prune and evaluate; returns artifact name -> path."""
     with _Run(config) as run:
@@ -326,12 +344,9 @@ def run_lm_pipeline(config: PipelineConfig) -> dict[str, Path]:
         vocab.save(run.path("vocab.txt"))
 
         run.begin("train")
-        lms = []
-        for corpus in corpora:
-            counts = count_ngrams(corpus, config.order, vocab)
-            lm = train_mkn(counts, estimate_discounts(counts))
+        lms = train_lms(corpora, vocab, config.order)
+        for corpus, lm in zip(corpora, lms):
             write_arpa(lm, run.path(f"lm.{corpus.id}.arpa"))
-            lms.append(lm)
 
         run.begin("weights")
         weights = em_weights(lms, dev, tol=config.em_tol, max_iter=config.em_max_iter)
@@ -424,6 +439,28 @@ def run_lexicon_pipeline(config: PipelineConfig) -> dict[str, Path]:
         return run.result()
 
 
+def _train_and_score(corpora: list[Corpus], dev: Corpus, config: PipelineConfig) -> PerplexityReport:
+    """Dev perplexity of one model per corpus, EM-mixed when there are several."""
+    vocab = build_vocabulary(corpora, min_count=config.min_count, max_size=config.max_size)
+    lms = train_lms(corpora, vocab, config.order)
+    if len(lms) == 1:
+        return perplexity(lms[0], dev, config.oov_policy)
+    weights = em_weights(lms, dev, tol=config.em_tol, max_iter=config.em_max_iter)
+    return perplexity_mixture(lms, weights, dev, config.oov_policy)
+
+
+def mapped_lm_eval(corpora: list[Corpus], dev: Corpus, table: dialectmap.MappingTable,
+                   config: PipelineConfig) -> tuple[PerplexityReport, PerplexityReport]:
+    """Dev perplexity before and after applying the dialect mapping, with the
+    LM keys of `config`. The `after` models train on the mapped corpora and
+    score the mapped dev text, or the raw one if `map_eval_text` is false.
+    Pass the corpora concatenated into one to train a single model."""
+    before = _train_and_score(corpora, dev, config)
+    mapped = [dialectmap.apply_mapping(c, table) for c in corpora]
+    mapped_dev = dialectmap.apply_mapping(dev, table) if config.map_eval_text else dev
+    return before, _train_and_score(mapped, mapped_dev, config)
+
+
 def run_dialect_pipeline(config: PipelineConfig) -> dict[str, Path]:
     """Before/after perplexity (and optional WER) for a dialect mapping."""
     if not config.mapping:
@@ -438,17 +475,7 @@ def run_dialect_pipeline(config: PipelineConfig) -> dict[str, Path]:
             hyps = scorer.read_trn(config.hyps)
 
         run.begin("dialect-eval")
-        cfg = dialectmap.DialectEvalConfig(
-            order=config.order,
-            interpolate=len(corpora) > 1,
-            min_count=config.min_count,
-            max_size=config.max_size,
-            oov_policy=config.oov_policy,
-            map_eval_text=config.map_eval_text,
-            em_tol=config.em_tol,
-            em_max_iter=config.em_max_iter,
-        )
-        before, after = dialectmap.mapped_lm_eval(corpora, dev, table, cfg)
+        before, after = mapped_lm_eval(corpora, dev, table, config)
         lines = ["condition\tsentences\tscored\toov\tlog10_sum\tppl\n",
                  _ppl_line("before", report=before), _ppl_line("after", report=after)]
         run.write("dialect_ppl.tsv", "".join(lines))

@@ -13,10 +13,11 @@ from pathlib import Path
 
 import pytest
 
-from asrlm.dialectmap import DialectEvalConfig, MappingTable, mapped_lm_eval
+from asrlm.dialectmap import MappingTable
 from asrlm.lexg2p import apply_g2p, make_lexicon, train_g2p
 from asrlm.mixture import em_weights, interpolate_static
 from asrlm.ngramcore import context_probability_sums, read_arpa, write_arpa
+from asrlm.pipeline import PipelineConfig, mapped_lm_eval
 from asrlm.pruner import prune_entropy
 from asrlm.scorer import align, wer
 from asrlm.textcorpus import BOS, EOS, UNK, Corpus, Vocabulary, build_vocabulary
@@ -239,7 +240,7 @@ def test_criterion_08_paper_arithmetic():
 
 def test_criterion_09_dialect_pipeline_shape():
     train, dev, table = synthetic_dialect_setup()
-    cfg = DialectEvalConfig(order=3)
+    cfg = PipelineConfig(order=3)
     before, after = mapped_lm_eval(train, dev, table, cfg)
     assert after.ppl < before.ppl
     empty_before, empty_after = mapped_lm_eval(train, dev, MappingTable(pairs={}), cfg)

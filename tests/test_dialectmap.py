@@ -4,16 +4,15 @@ import re
 import pytest
 
 from asrlm.dialectmap import (
-    DialectEvalConfig,
     MappingError,
     MappingTable,
     apply_mapping,
     load_mapping,
-    mapped_lm_eval,
     save_mapping,
     select_candidates,
 )
 from asrlm.ngramcore import count_ngrams, estimate_discounts, perplexity, train_mkn
+from asrlm.pipeline import PipelineConfig, mapped_lm_eval
 from asrlm.textcorpus import Corpus, Vocabulary, build_vocabulary, concatenate
 from tests.conftest import corpus_of
 
@@ -121,38 +120,38 @@ def synthetic_dialect_setup():
 def test_mapped_lm_eval_empty_table_is_bitwise_identity():
     train, dev, _ = synthetic_dialect_setup()
     empty = MappingTable(pairs={})
-    cfg = DialectEvalConfig(order=3)
+    cfg = PipelineConfig(order=3)
     before, after = mapped_lm_eval(train, dev, empty, cfg)
     assert before == after
 
 
 def test_mapped_lm_eval_synthetic_dialect_improves():
     train, dev, table = synthetic_dialect_setup()
-    cfg = DialectEvalConfig(order=3)
+    cfg = PipelineConfig(order=3)
     before, after = mapped_lm_eval(train, dev, table, cfg)
     assert after.ppl < before.ppl
 
 
 def test_mapped_lm_eval_without_interpolation():
     train, dev, table = synthetic_dialect_setup()
-    cfg = DialectEvalConfig(order=2, interpolate=False)
-    before, after = mapped_lm_eval(train, dev, table, cfg)
+    cfg = PipelineConfig(order=2)
+    before, after = mapped_lm_eval([concatenate("all", train)], dev, table, cfg)
     assert after.ppl < before.ppl
 
 
 def test_mapped_lm_eval_without_interpolation_trains_one_concatenated_lm():
     train, dev, table = synthetic_dialect_setup()
-    cfg = DialectEvalConfig(order=2, interpolate=False)
-    before, _ = mapped_lm_eval(train, dev, table, cfg)
+    cfg = PipelineConfig(order=2)
+    before, _ = mapped_lm_eval([concatenate("all", train)], dev, table, cfg)
     counts = count_ngrams(concatenate("all", train), 2, build_vocabulary(train))
     assert before == perplexity(train_mkn(counts, estimate_discounts(counts)), dev)
 
 
 def test_mapped_lm_eval_keep_raw_dev():
     train, dev, table = synthetic_dialect_setup()
-    cfg = DialectEvalConfig(order=2, map_eval_text=False)
+    cfg = PipelineConfig(order=2, map_eval_text=False)
     before, after = mapped_lm_eval(train, dev, table, cfg)
     # dev has no dialect tokens, so both readings coincide on this corpus.
-    cfg_mapped = DialectEvalConfig(order=2, map_eval_text=True)
+    cfg_mapped = PipelineConfig(order=2, map_eval_text=True)
     _, after_mapped = mapped_lm_eval(train, dev, table, cfg_mapped)
     assert after.ppl == pytest.approx(after_mapped.ppl)

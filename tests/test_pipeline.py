@@ -11,7 +11,7 @@ import pytest
 
 from asrlm.cli import main
 from asrlm.mixture import interpolate_static, perplexity_mixture
-from asrlm.ngramcore import read_arpa, write_arpa
+from asrlm.ngramcore import perplexity, read_arpa, write_arpa
 from asrlm.pipeline import (
     PipelineConfig,
     PipelineError,
@@ -19,8 +19,9 @@ from asrlm.pipeline import (
     run_dialect_pipeline,
     run_lexicon_pipeline,
     run_lm_pipeline,
+    train_lms,
 )
-from asrlm.textcorpus import load_corpus
+from asrlm.textcorpus import build_vocabulary, concatenate, load_corpus
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -80,6 +81,9 @@ def test_config_validation_distinct_paths(small_setup):
     config = PipelineConfig(corpora=(("a", c1),), dev=str(tmp / "nope.txt"), out_dir=str(tmp / "o"))
     with pytest.raises(ValueError, match="cannot read"):
         config.validate()
+    config = PipelineConfig(corpora=(("a", c1), ("a", c2)), dev=dev, out_dir=str(tmp / "o"))
+    with pytest.raises(ValueError, match="^corpus ids must be distinct$"):
+        config.validate()
 
 
 @pytest.mark.parametrize("line, message", [
@@ -116,6 +120,7 @@ def test_parse_config_empty_optional_number_is_none():
     ("g2p_em_iters", "-1", "g2p_em_iters must be an integer >= 0, got -1"),
     ("oov_policy", "asunk", "oov_policy must be one of exclude, as_unk, got 'asunk'"),
     ("hyps", "", "refs and hyps must be given together"),
+    ("corpus.x", "", "corpus.x: cannot read ''"),
 ])
 def test_config_validation_refuses_bad_parameters_before_any_stage(
         monkeypatch, tmp_path, capsys, key, value, message):
@@ -126,6 +131,25 @@ def test_config_validation_refuses_bad_parameters_before_any_stage(
     assert main(argv) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
+
+
+def test_pipeline_run_refuses_an_empty_out_dir(monkeypatch, tmp_path, capsys):
+    monkeypatch.chdir(FIXTURES.parent)
+    argv = ["pipeline", "run", "--config", str(FIXTURES / "pipeline.cfg"), "--set", "out_dir="]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: out_dir is required\n"
+
+
+@pytest.mark.parametrize("out_dir", ["", None])
+def test_library_run_refuses_an_empty_out_dir_and_creates_nothing(
+        monkeypatch, small_setup, out_dir):
+    c1, _, dev, tmp = small_setup
+    monkeypatch.chdir(tmp)
+    before = sorted(tmp.iterdir())
+    config = PipelineConfig(corpora=(("a", c1),), dev=dev, out_dir=out_dir)
+    with pytest.raises(ValueError, match="^out_dir is required$"):
+        run_lm_pipeline(config)
+    assert sorted(tmp.iterdir()) == before
 
 
 def test_single_corpus_combined_equals_component(small_setup):
@@ -465,6 +489,20 @@ def test_cli_dialect_candidates_apply_and_eval(small_setup, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert [line.split("\t")[0] for line in lines] == ["before", "after"]
     assert all("sentences=2 scored_tokens=7 oov_tokens=0" in line for line in lines)
+
+
+def test_cli_dialect_eval_no_interpolate_trains_one_lm_on_the_concatenated_corpora(
+        small_setup, capsys):
+    c1, c2, dev, tmp = small_setup
+    mapping = tmp / "map.tsv"
+    mapping.write_text("a\tx\n", encoding="utf-8")
+    argv = ["dialect", "eval", "--train", c1, c2, "--dev", dev, "--mapping", str(mapping),
+            "--order", "2", "--no-interpolate"]
+    assert main(argv) == 0
+    before = capsys.readouterr().out.splitlines()[0]
+    everything = concatenate("all", [load_corpus(c1), load_corpus(c2)])
+    [lm] = train_lms([everything], build_vocabulary([everything]), 2)
+    assert before == f"before\t{perplexity(lm, load_corpus(dev)).format()}"
 
 
 def test_cli_dialect_and_g2p_round_trip(tmp_path, capsys):
