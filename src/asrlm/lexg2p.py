@@ -9,11 +9,13 @@ sequences; decoding is a beam search over segmentations.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import json
 import logging
 import math
 from dataclasses import dataclass, field
+from operator import itemgetter
 from pathlib import Path
 from typing import NamedTuple
 
@@ -169,6 +171,11 @@ class JointSequenceModel:
     total; any other context passes the lower-order value through unchanged.
     It also indexes graphone ids by grapheme side and freezes the set of
     letters the inventory covers.
+
+    Decoding reads a second, lazily built table, `_by_order1`: for each
+    grapheme side ("piece") it has expanded, the order-1 conditional of
+    each of the piece's graphone ids, both sorted largest first and as
+    gid -> p. A piece's entry is built on first use and kept with the model.
     """
 
     order: int
@@ -204,6 +211,7 @@ class JointSequenceModel:
         for gid, g in enumerate(self.graphones):
             self.by_grapheme.setdefault(g.graphemes, []).append(gid)
         self.letters = frozenset(ch for g in self.graphones for ch in g.graphemes)
+        self._by_order1: dict[str, tuple[list[tuple[float, int]], dict[int, float]]] = {}
 
     def start_history(self) -> tuple[int, ...]:
         return (BOS_ID,) * (self.order - 1)
@@ -216,44 +224,76 @@ class JointSequenceModel:
     def cond_prob(self, gid: int, history: tuple[int, ...]) -> float:
         """p(graphone or EOS | history) with absolute-discount back-off."""
         ctx = history[-(self.order - 1):] if self.order > 1 else ()
-        return self._cond_list(ctx, (gid,), {})[0]
+        return self._lift(self._uniform, gid, self._levels(ctx, 1))
 
-    def _cond_list(self, ctx: tuple[int, ...], gids, memo: dict) -> list[float]:
-        """p(gid | ctx) for every gid in `gids`, built from the lower order up.
+    def _levels(self, ctx: tuple[int, ...], lowest: int) -> list:
+        """The table entries of the contexts among the suffixes of `ctx` of
+        orders `lowest` up that have one, shortest first: the back-off chain
+        that p(gid | ctx) is built along."""
+        n = len(ctx)
+        return [stats for k in range(lowest, n + 2)
+                if (stats := self._contexts[k].get(ctx[n + 1 - k:])) is not None]
 
-        `memo` maps each context suffix already evaluated to its list, so it
-        may only be shared between calls that pass the same `gids`.
-        """
-        probs = memo.get(ctx)
-        if probs is not None:
-            return probs
-        k = len(ctx) + 1
-        lower = self._cond_list(ctx[1:], gids, memo) if k > 1 else [self._uniform] * len(gids)
-        stats = self._contexts[k].get(ctx)
-        if stats is None:
-            probs = lower
-        else:
-            denom, gamma, followers = stats
-            d = self.discount
-            count = followers.get
+    def _lift(self, p: float, gid: int, levels) -> float:
+        """p(gid | ctx), where `levels` is ctx's back-off chain from some
+        order up and `p` is gid's conditional on the context below it: each
+        level interpolates its discounted count with the value below."""
+        d = self.discount
+        for denom, gamma, followers in levels:
+            c = followers.get(gid)
             # An unseen gid's discounted count is 0.0, and 0.0 / denom + x == x.
-            probs = [gamma * low if (c := count(gid)) is None
-                     else max(c - d, 0.0) / denom + gamma * low
-                     for gid, low in zip(gids, lower)]
-        memo[ctx] = probs
-        return probs
+            p = gamma * p if c is None else max(c - d, 0.0) / denom + gamma * p
+        return p
+
+    def _rank(self, piece: str) -> tuple[list[tuple[float, int]], dict[int, float]]:
+        """Build and keep `piece`'s entry of `_by_order1`."""
+        levels = self._levels((), 1)
+        p1 = {gid: self._lift(self._uniform, gid, levels) for gid in self.by_grapheme[piece]}
+        ranked = self._by_order1[piece] = (sorted(zip(p1.values(), p1), reverse=True), p1)
+        return ranked
+
+    def successors(self, history: tuple[int, ...], piece: str):
+        """Yield (log10 p(gid | history), gid) for each gid with grapheme
+        side `piece`, largest p first, each value equal to
+        `math.log10(self.cond_prob(gid, history))`. `history` holds
+        `order - 1` ids, and `piece` must be a key of `by_grapheme`.
+
+        Only the few gids that a context of order 2 or more on `history`'s
+        back-off chain stores get their own discounted term; each is
+        evaluated in full. Every other gid's p is its order-1 p times the
+        gamma of each such context, in chain order, and a product with the
+        same positive factors never reverses the order of two values, so
+        those gids come lazily from the piece's order-1 list. The two runs
+        are merged: a caller that stops after three successors pays for
+        three.
+        """
+        ranked, p1 = self._by_order1.get(piece) or self._rank(piece)
+        levels = self._levels(history, 2)
+        gammas = []
+        stored = set()
+        for _, gamma, followers in levels:
+            gammas.append(gamma)
+            stored |= followers.keys() & p1.keys()
+        exact = [(self._lift(p1[gid], gid, levels), gid) for gid in stored]
+        exact.sort(reverse=True)
+        exact.append((-1.0, EOS_ID))  # below every probability: ends the merge
+        i = 0
+        q = exact[0][0]
+        for p, gid in ranked:
+            if gid in stored:
+                continue
+            for gamma in gammas:
+                p = gamma * p
+            while q >= p:
+                yield math.log10(q), exact[i][1]
+                i += 1
+                q = exact[i][0]
+            yield math.log10(p), gid
+        for q, gid in exact[i:-1]:
+            yield math.log10(q), gid
 
     def cond_log10(self, gid: int, history: tuple[int, ...]) -> float:
         return math.log10(self.cond_prob(gid, history))
-
-    def sequence_log10(self, gids) -> float:
-        """log10 joint probability of a complete graphone sequence plus EOS."""
-        hist = self.start_history()
-        total = 0.0
-        for gid in gids:
-            total += self.cond_log10(gid, hist)
-            hist = self.shift(hist, gid)
-        return total + self.cond_log10(EOS_ID, hist)
 
 
 def _segmentation_lattice(word, pron, steps):
@@ -518,17 +558,32 @@ def apply_g2p(model: JointSequenceModel, word: str, beam: int = 100, n_best: int
     the search finite when the model was trained with min_letters=0.
 
     Hypotheses are grouped by consumed-letter count into levels, and each
-    level is cut to its `beam` best (ties broken by phonemes, then history)
-    before it is expanded. Expansion skips what that cut would drop anyway:
-    once a target level holds at least `beam` distinct hypotheses, the
-    beam-th best of their scores is a bound, and a source hypothesis stops
-    at its first successor, taken best first, whose score is strictly below
-    it. This is exact. Until its cut a level only gains hypotheses and only
-    raises scores, so any bound taken from it, however stale, is at most its
-    final beam-th best score; a skipped successor would be cut, or would
-    lose to the score its hypothesis already holds. A tie with the bound is
-    expanded, since the cut's tie-break may keep it. The bound is refreshed
-    whenever the level has doubled in size since it was last taken.
+    level is cut to its `beam` best in cut order, (-score, phonemes,
+    history), before it is expanded. Expansion skips what that cut would
+    drop anyway. Until its cut a level only gains hypotheses and only raises
+    their scores, so a hypothesis only moves up in cut order. Each level
+    keeps the cut keys of at most `beam` distinct hypotheses as they entered
+    it, best first; once there are `beam`, the last is a bound. Those `beam`
+    hypotheses end at or above their entries, so the level's final beam-th
+    best, B, is at or above the bound. A new hypothesis above the bound
+    displaces it, so the bound tightens with every new key. A successor
+    below the bound in cut order, hence below B, is skipped: a lower score,
+    or the bound's score and a later (phonemes, history).
+
+    This is exact, by induction over the levels. If the earlier levels kept
+    the hypotheses of the unpruned search, every successor here is one of
+    the unpruned search, so each hypothesis scores at most its unpruned
+    score and B is at or below the unpruned beam-th best. A hypothesis the
+    unpruned cut keeps gets its score from a successor at or above that, so
+    at or above B, which is never skipped. Those `beam` hypotheses keep
+    their unpruned scores, and every other one is below them in both
+    searches, so the cut keeps the same hypotheses with the same scores.
+
+    Each history's successors come best first from
+    `JointSequenceModel.successors`, and its members best first by score,
+    so a history stops at its first successor that cannot lift its best
+    member to the bound's score, and a successor at its first member that
+    it cannot lift to it.
     """
     if not word:
         raise G2PError("empty word")
@@ -542,11 +597,9 @@ def apply_g2p(model: JointSequenceModel, word: str, beam: int = 100, n_best: int
         {} for _ in range(n + 1)
     ]
     levels[0][((), model.start_history())] = 0.0
-    # Per level: the pruning bound, and the size at which to take it again.
-    bounds = [-math.inf] * (n + 1)
-    refresh_at = [beam] * (n + 1)
-    # history -> gid -> next history, which drops the oldest id.
-    next_hist: dict[tuple[int, ...], dict[int, tuple[int, ...]]] = {}
+    # Per level: the cut keys (-score, phones, history) of at most `beam`
+    # distinct hypotheses as they entered the level, best first.
+    tops: list[list[tuple[float, tuple[str, ...], tuple[int, ...]]]] = [[] for _ in range(n + 1)]
     graphones = model.graphones
     max_letters = max(model.max_letters, 1)
     for i in range(n + 1):
@@ -554,55 +607,52 @@ def apply_g2p(model: JointSequenceModel, word: str, beam: int = 100, n_best: int
         if not hyps:
             continue
         if len(hyps) > beam:
-            hyps = dict(heapq.nsmallest(
-                beam, hyps.items(), key=lambda kv: (-kv[1], kv[0][0], kv[0][1])))
-            levels[i] = hyps
+            # Only hypotheses at or above the beam-th best score can be kept.
+            cut = sorted(hyps.values(), reverse=True)[beam - 1]
+            kept = [kv for kv in hyps.items() if kv[1] >= cut]
+            if len(kept) > beam:
+                kept = heapq.nsmallest(beam, kept, key=lambda kv: (-kv[1], kv[0][0], kv[0][1]))
+            hyps = levels[i] = dict(kept)
         if i == n:
             break
-        # Members best first, so a history stops at its first member that
-        # no successor can lift to the bound.
         by_history: dict[tuple[int, ...], list[tuple[tuple[str, ...], float]]] = {}
-        for (phones, hist), score in sorted(hyps.items(), key=lambda kv: -kv[1]):
+        for (phones, hist), score in sorted(hyps.items(), key=itemgetter(1), reverse=True):
             by_history.setdefault(hist, []).append((phones, score))
         for lg in range(model.min_letters or 1, max_letters + 1):
             piece = word[i : i + lg]
             if len(piece) < lg:
                 break
-            gids = model.by_grapheme.get(piece)
-            if not gids:
+            if piece not in model.by_grapheme:
                 continue
             lvl = levels[i + lg]
-            bound = bounds[i + lg]
-            grow_at = refresh_at[i + lg]
-            memo: dict = {}
+            top = tops[i + lg]
+            # The bound's score and, for a tie with it, its (phones, history).
+            bound, bound_key = (-top[-1][0], top[-1][1:]) if len(top) == beam else (-math.inf, ())
             for hist, members in by_history.items():
-                # Successors are built only once they pass the bound.
-                logps = list(map(math.log10, model._cond_list(hist, gids, memo)))
-                best_first = sorted(range(len(gids)), key=logps.__getitem__, reverse=True)
-                top = logps[best_first[0]]
-                nexts = next_hist.setdefault(hist, {})
-                for phones, score in members:
-                    if score + top < bound:
+                lead = members[0][1]
+                for logp, gid in model.successors(hist, piece):
+                    if lead + logp < bound:
                         break
-                    for j in best_first:
-                        nscore = score + logps[j]
+                    # The next history drops the oldest id.
+                    nhist = (hist + (gid,))[1:]
+                    phonemes = graphones[gid].phonemes
+                    for phones, score in members:
+                        nscore = score + logp
                         if nscore < bound:
                             break
-                        gid = gids[j]
-                        nhist = nexts.get(gid)
-                        if nhist is None:
-                            nhist = nexts[gid] = (hist + (gid,))[1:]
-                        nkey = (phones + graphones[gid].phonemes, nhist)
+                        nkey = (phones + phonemes, nhist)
+                        if nscore == bound and nkey > bound_key:
+                            continue
                         old = lvl.get(nkey)
                         if old is None:
                             lvl[nkey] = nscore
-                            if len(lvl) >= grow_at:
-                                bound = heapq.nlargest(beam, lvl.values())[-1]
-                                grow_at = 2 * len(lvl)
+                            bisect.insort(top, (-nscore,) + nkey)
+                            if len(top) > beam:
+                                top.pop()
+                            if len(top) == beam:
+                                bound, bound_key = -top[-1][0], top[-1][1:]
                         elif nscore > old:
                             lvl[nkey] = nscore
-            bounds[i + lg] = bound
-            refresh_at[i + lg] = grow_at
     best: dict[tuple[str, ...], float] = {}
     for (phones, hist), score in levels[n].items():
         total = score + model.cond_log10(EOS_ID, hist)

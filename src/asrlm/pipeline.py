@@ -200,26 +200,36 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _lock_is_stale(lock: Path) -> bool:
-    """True when `lock` names a PID that no longer exists; anything else is held."""
+def _pid_is_dead(text: str) -> bool:
+    """True when `text` names a PID that no longer exists; anything else may be alive."""
     try:
-        os.kill(int(lock.read_text(encoding="ascii")), 0)
+        os.kill(int(text), 0)
     except ProcessLookupError:
         return True
     except (OSError, ValueError, OverflowError):
-        pass  # unreadable, not a PID, or a live process of another user
+        pass  # not a PID, or a live process of another user
     return False
+
+
+def _lock_is_stale(lock: Path) -> bool:
+    """True when `lock` names a PID that no longer exists; anything else is held."""
+    try:
+        return _pid_is_dead(lock.read_text(encoding="ascii"))
+    except (OSError, ValueError):
+        return False  # unreadable
 
 
 class _Run:
     """One sub-pipeline run: `with _Run(config) as run:`.
 
-    Creating it validates the config. Entering creates `out_dir`, takes its lock and
-    writes the `running` manifest: parameters and input hashes, no
-    artifacts. The body opens each stage with `begin` and writes artifacts through `path` or
-    `write`; `result` writes the `ok` manifest. An exception inside a stage
-    writes the `failed` manifest and surfaces as a PipelineError for that
-    stage. The lock is removed on every way out.
+    Creating it validates the config. Entering creates `out_dir`, takes its
+    lock, removes the temp files `write_text_atomic` left there in processes
+    that no longer exist, and writes the `running` manifest: parameters and
+    input hashes, no artifacts. The body opens each stage with `begin` and
+    writes artifacts through `path` or `write`; `result` writes the `ok`
+    manifest. An exception inside a stage writes the `failed` manifest and
+    surfaces as a PipelineError for that stage. The lock is removed on every
+    way out.
     """
 
     def __init__(self, config: PipelineConfig):
@@ -245,6 +255,12 @@ class _Run:
         os.write(fd, str(os.getpid()).encode())
         os.close(fd)
         try:
+            # A run killed while writing leaves `.NAME.PID.tmp`, which would
+            # differ between otherwise identical out_dirs.
+            for tmp in self.out_dir.glob(".*.tmp"):
+                pid = tmp.name[:-len(".tmp")].rpartition(".")[2]
+                if pid.isdecimal() and _pid_is_dead(pid):
+                    tmp.unlink(missing_ok=True)
             # A run killed before `result` leaves this manifest, not the
             # `ok` one of an earlier run whose artifacts it may have replaced.
             self.write_manifest("running")

@@ -321,6 +321,17 @@ def graphone_cond_prob(model, gid, history):
     return prob(history)
 
 
+def sequence_log10(model, gids):
+    """log10 joint probability of a complete graphone sequence plus EOS,
+    summed from the model's own conditionals in path order."""
+    hist = model.start_history()
+    total = 0.0
+    for gid in gids:
+        total += model.cond_log10(gid, hist)
+        hist = model.shift(hist, gid)
+    return total + model.cond_log10(EOS_ID, hist)
+
+
 def exhaustive_g2p(model, word):
     """Enumerate every graphone segmentation of `word`, score it with the
     model's own conditionals, and rank distinct pronunciations by their best
@@ -346,7 +357,7 @@ def exhaustive_g2p(model, word):
     walk(0, [])
     best = {}
     for ids in results:
-        score = model.sequence_log10(ids)
+        score = sequence_log10(model, ids)
         phones = tuple(p for gid in ids for p in model.graphones[gid].phonemes)
         if phones not in best or score > best[phones]:
             best[phones] = score
@@ -398,7 +409,7 @@ def reference_save_g2p_model(model, path):
     Path(path).write_text(json.dumps(payload, sort_keys=True), encoding="utf-8", newline="")
 
 
-def _reference_cond_list(model, contexts, ctx, gids, memo):
+def reference_cond_list(model, contexts, ctx, gids, memo):
     """p(gid | ctx) for every gid in `gids`, looking each count up as the
     full gram `ctx + (gid,)`; `memo` is shared only between equal `gids`."""
     probs = memo.get(ctx)
@@ -406,7 +417,7 @@ def _reference_cond_list(model, contexts, ctx, gids, memo):
         return probs
     k = len(ctx) + 1
     if k > 1:
-        lower = _reference_cond_list(model, contexts, ctx[1:], gids, memo)
+        lower = reference_cond_list(model, contexts, ctx[1:], gids, memo)
     else:
         lower = [1.0 / (len(model.graphones) + 1)] * len(gids)
     stats = contexts[k].get(ctx)
@@ -476,7 +487,7 @@ def reference_apply_g2p(model, word, beam=100, n_best=1):
             for hist, members in by_history.items():
                 successors = [
                     (model.graphones[gid].phonemes, shift(hist, gid), math.log10(p))
-                    for gid, p in zip(gids, _reference_cond_list(model, contexts, hist, gids, memo))
+                    for gid, p in zip(gids, reference_cond_list(model, contexts, hist, gids, memo))
                 ]
                 for phones, score in members:
                     for phonemes, nhist, logp in successors:
@@ -486,7 +497,7 @@ def reference_apply_g2p(model, word, beam=100, n_best=1):
                             lvl[nkey] = nscore
     best = {}
     for (phones, hist), score in levels[len(word)].items():
-        p_end = _reference_cond_list(model, contexts, hist, (EOS_ID,), {})[0]
+        p_end = reference_cond_list(model, contexts, hist, (EOS_ID,), {})[0]
         total = score + math.log10(p_end)
         if phones not in best or total > best[phones]:
             best[phones] = total

@@ -31,9 +31,11 @@ from tests.reference import (
     exhaustive_g2p,
     graphone_cond_prob,
     reference_apply_g2p,
+    reference_cond_list,
     reference_contexts,
     reference_save_g2p_model,
     reference_train_g2p,
+    sequence_log10,
 )
 
 
@@ -48,6 +50,33 @@ def random_lexicon(rng, n_words=12, alphabet="abcd", phones=("P", "Q", "R")):
         word = "".join(rng.choice(alphabet) for _ in range(length))
         pron = tuple(rng.choice(phones) for _ in range(max(1, length + rng.randint(-1, 1))))
         pairs.append((word, pron))
+    return make_lexicon(pairs)
+
+
+# Longest-match spelling rules of `rule_lexicon`.
+RULES = {"sch": ("S",), "ch": ("X",), "st": ("S", "T"), "ei": ("AI",), "ie": ("I:",),
+         "ng": ("N",), **{c: (c.upper(),) for c in "abdeiklmnorstu"}}
+
+
+def rule_lexicon(rng, n_words):
+    """Words of two or three onset-vowel-coda syllables, each pronounced by
+    longest match over RULES; every tenth pronunciation has one phoneme
+    replaced, as an irregular entry."""
+    onsets = ("b", "d", "k", "l", "m", "sch", "st", "tr")
+    vowels = ("a", "e", "i", "o", "u", "ei", "ie")
+    codas = ("", "n", "r", "s", "ch", "ng")
+    pairs = []
+    for n in range(n_words):
+        word = "".join(rng.choice(onsets) + rng.choice(vowels) + rng.choice(codas)
+                       for _ in range(rng.choice((2, 3))))
+        pron, i = [], 0
+        while i < len(word):
+            size = next(size for size in (3, 2, 1) if word[i:i + size] in RULES)
+            pron += RULES[word[i:i + size]]
+            i += size
+        if n % 10 == 9:
+            pron[rng.randrange(len(pron))] = "@"
+        pairs.append((word, tuple(pron)))
     return make_lexicon(pairs)
 
 
@@ -346,6 +375,10 @@ def test_apply_g2p_equals_reference_with_binding_beam():
     for order in (1, 2):
         lex = random_lexicon(rng, n_words=10, alphabet="ab", phones=("P", "Q"))
         models.append(train_g2p(lex, order=order, max_letters=2, max_phones=2, em_iters=2))
+    # Shaped like the benchmark's lexicon: a rule-spelled lexicon over more
+    # letters, where most order-3 contexts of a decoded word are unseen.
+    models.append(train_g2p(rule_lexicon(random.Random(53), n_words=12), order=3,
+                            max_letters=2, max_phones=2, em_iters=3))
     binding = 0
     for model in models:
         alphabet = sorted(model.letters)
@@ -363,12 +396,39 @@ def test_apply_g2p_equals_reference_with_binding_beam():
     assert binding > 100  # beam 1 and beam 30 disagree often: the cut binds
 
 
+def test_successors_yield_the_full_conditional_list_best_first():
+    # The stream must give exactly the (log10 p, gid) multiset of the whole
+    # conditional list, compared with ==, in non-increasing log10 p: the
+    # merge assumes that ordering by p orders by math.log10(p).
+    rng = random.Random(71)
+    models = [train_g2p(random_lexicon(rng, n_words=10, alphabet="abc"), order=order,
+                        max_letters=2, max_phones=2, em_iters=2) for order in (1, 2, 3)]
+    models.append(train_g2p(random_lexicon(rng, n_words=10, alphabet="abc"), order=3,
+                            max_letters=2, max_phones=1, min_letters=0, em_iters=2))
+    models.append(train_g2p(random_lexicon(rng, n_words=10, alphabet="abc"), order=3,
+                            max_letters=2, max_phones=2, em_iters=0))  # every score ties
+    for model in models:
+        contexts = reference_contexts(model)
+        start = model.start_history()
+        once = {model.shift(start, g) for g in range(len(model.graphones))}
+        histories = sorted({start} | once | {model.shift(h, g) for h in once
+                                               for g in range(len(model.graphones))})
+        for piece, gids in model.by_grapheme.items():
+            memo = {}
+            for hist in histories:
+                probs = reference_cond_list(model, contexts, hist, gids, memo)
+                full = [(math.log10(p), gid) for gid, p in zip(gids, probs)]
+                stream = list(model.successors(hist, piece))
+                assert sorted(stream) == sorted(full), (model.order, piece, hist)
+                assert all(a[0] >= b[0] for a, b in zip(stream, stream[1:])), (piece, hist)
+
+
 def test_beam_scores_are_log10_of_sequence_probability():
     lex = identity_lexicon(["ab", "ba"])
     model = train_g2p(lex, order=2, max_letters=1, max_phones=1, em_iters=3)
     pron, score = apply_g2p(model, "ab", beam=50)[0]
     gids = [model.graphones.index(Graphone(ch, (ch,))) for ch in "ab"]
-    assert score == pytest.approx(model.sequence_log10(gids), abs=1e-12)
+    assert score == pytest.approx(sequence_log10(model, gids), abs=1e-12)
 
 
 def test_extend_lexicon_adds_only_missing_words():

@@ -305,6 +305,20 @@ def test_no_lock_or_temp_file_remains_after_runs(small_setup, tmp_path):
         assert hidden == [], out
 
 
+def test_run_removes_temp_files_of_dead_processes_only(small_setup):
+    # A run killed inside write_text_atomic leaves `.NAME.PID.tmp` behind.
+    c1, _, dev, tmp = small_setup
+    out = tmp / "leftovers"
+    out.mkdir()
+    dead = out / f".weights.tsv.{_reaped_child_pid()}.tmp"
+    live = out / f".weights.tsv.{os.getppid()}.tmp"
+    for path in (dead, live):
+        path.write_text("partial", encoding="utf-8")
+    run_lm_pipeline(PipelineConfig(corpora=(("a", c1),), dev=dev, out_dir=str(out)))
+    assert not dead.exists()
+    assert live.read_text(encoding="utf-8") == "partial"
+
+
 # A child run that SIGKILLs itself when the prune stage starts: the replaced
 # `prune_entropy` is the only change, with no hook in the package.
 KILLED_IN_PRUNE = """
