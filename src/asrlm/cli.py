@@ -17,10 +17,7 @@ from asrlm.mixture import (
 )
 from asrlm.ngramcore import count_ngrams, oov_rate, perplexity, read_arpa, write_arpa
 from asrlm.ngramcore.evaluate import OOV_POLICIES
-from asrlm.pipeline import (
-    PipelineConfig, PipelineError, mapped_lm_eval, parse_config, run_dialect_pipeline, run_lexicon_pipeline,
-    run_lm_pipeline, train_lms,
-)
+from asrlm.pipeline import PipelineConfig, PipelineError, mapped_lm_eval, parse_config, run_pipeline, train_lms
 from asrlm.pruner import prune_entropy
 from asrlm.textcorpus import (
     Vocabulary, build_vocabulary, concatenate, load_corpus, read_text, save_corpus, word_frequencies,
@@ -237,16 +234,7 @@ def cmd_pipeline_run(args) -> int:
     config = parse_config(args.config, overrides=args.set or [])
     if args.out_dir:
         config = dataclasses.replace(config, out_dir=args.out_dir)
-    config.validate()
-    out_dir = Path(config.out_dir)
-    paths = list(run_lm_pipeline(config).values())
-    if config.seed_lexicon:
-        sub = dataclasses.replace(config, out_dir=str(out_dir / "lexicon"))
-        paths += run_lexicon_pipeline(sub).values()
-    if config.mapping:
-        sub = dataclasses.replace(config, out_dir=str(out_dir / "dialect"))
-        paths += run_dialect_pipeline(sub).values()
-    for name in sorted(path.relative_to(out_dir).as_posix() for path in paths):
+    for name in sorted(run_pipeline(config)):
         print(f"artifact {name}")
     print(f"pipeline complete: {config.out_dir}")
     return 0

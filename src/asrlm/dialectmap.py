@@ -7,7 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from asrlm.textcorpus import Corpus, Vocabulary, read_text, word_frequencies, write_text_atomic
+from asrlm.textcorpus import Corpus, Vocabulary, read_text, word_frequencies
 
 
 class MappingError(ValueError):
@@ -61,15 +61,6 @@ def load_mapping(path: str | Path) -> MappingTable:
         if len(fields) == 3 and fields[2]:
             notes[fields[0]] = fields[2]
     return MappingTable(pairs=pairs, notes=notes)
-
-
-def save_mapping(table: MappingTable, path: str | Path) -> None:
-    lines = []
-    for src in sorted(table.pairs):
-        note = table.notes.get(src)
-        suffix = f"\t{note}" if note else ""
-        lines.append(f"{src}\t{table.pairs[src]}{suffix}\n")
-    write_text_atomic(path, "".join(lines))
 
 
 def select_candidates(

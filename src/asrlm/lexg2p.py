@@ -109,10 +109,6 @@ def save_lexicon(lexicon: Lexicon, path: str | Path) -> None:
     write_text_atomic(path, "".join(lines))
 
 
-def load_inventory(path: str | Path) -> frozenset[str]:
-    return frozenset(read_text(path).split())
-
-
 def merge_lexicons(base: Lexicon, addon: Lexicon, policy: str = "union", symbol_map=None) -> Lexicon:
     """Combine two lexica.
 

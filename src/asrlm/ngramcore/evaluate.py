@@ -26,27 +26,6 @@ class PerplexityReport:
         )
 
 
-def iter_positions(corpus: Corpus, vocab: Vocabulary, order: int):
-    """Yield (history, token, is_oov) for every predicted position: every
-    word plus one `</s>` per sentence, an OOV word as `<unk>`. `history` is
-    the full window: the last `order - 1` mapped tokens before the position,
-    `<s>` included (fewer near a sentence start). Scoring walks the shorter
-    histories `walk_positions` carries instead; these full-window positions
-    are the reference that tests compare it with.
-    """
-    n = order - 1
-    ids = vocab.ids
-    for sent in corpus.sentences:
-        history = (BOS,)[:n]
-        for tok in sent:
-            oov = tok not in ids
-            if oov:
-                tok = UNK
-            yield history, tok, oov
-            history = (*history, tok)[-n:] if n else ()
-        yield history, EOS, False
-
-
 def walk_positions(lm: BackoffLM, corpus: Corpus, exclude: bool):
     """Yield log10 p of every scored position of `corpus` (every word plus
     one `</s>` per sentence) by `lm.walk`. The one place corpus tokens are

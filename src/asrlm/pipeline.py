@@ -1,10 +1,10 @@
 """Deterministic pipeline orchestration with hashed artifact manifests.
 
-Stages follow the training recipe: one LM per monolingual corpus, dev-set
-weight estimation, static combination, optional entropy pruning, then
-perplexity/OOV evaluation. Lexicon and dialect-mapping workflows reuse the
-same artifact and manifest conventions. Reruns with identical inputs and
-parameters produce byte-identical artifacts.
+`run_pipeline` is one run with one lock and one manifest. Its load stages
+parse every input first; then the LM part follows the training recipe (one
+LM per corpus, dev-set weights, static combination, optional entropy
+pruning, perplexity/OOV evaluation), and the lexicon and dialect parts write
+into `lexicon/` and `dialect/`. Reruns produce byte-identical artifacts.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import hashlib
 import json
 import os
 from dataclasses import dataclass, fields
+from functools import partial
 from pathlib import Path
 
 from asrlm import dialectmap, lexg2p, scorer
@@ -220,12 +221,13 @@ def _lock_is_stale(lock: Path) -> bool:
 
 
 class _Run:
-    """One sub-pipeline run: `with _Run(config) as run:`.
+    """One pipeline run over `out_dir`: `with _Run(config) as run:`.
 
     Creating it validates the config. Entering creates `out_dir`, takes its
-    lock, removes the temp files `write_text_atomic` left there in processes
-    that no longer exist, and writes the `running` manifest: parameters and
-    input hashes, no artifacts. The body opens each stage with `begin` and
+    lock, removes the temp files `write_text_atomic` left there or in its
+    part subdirectories in processes that no longer exist, and writes the
+    `running` manifest: parameters and input hashes, no artifacts. The body
+    opens each stage with `begin`, parses corpora once through `load`, and
     writes artifacts through `path` or `write`; `result` writes the `ok`
     manifest. An exception inside a stage writes the `failed` manifest and
     surfaces as a PipelineError for that stage. The lock is removed on every
@@ -240,6 +242,8 @@ class _Run:
         self.stage = ""
         self.stages: list[str] = []
         self.artifacts: list[str] = []
+        self.loaded: dict[tuple[str, str], Corpus] = {}
+        self.dev_report: PerplexityReport | None = None  # the dialect part's `before` row
 
     def __enter__(self) -> "_Run":
         self.out_dir.mkdir(parents=True, exist_ok=True)
@@ -257,10 +261,11 @@ class _Run:
         try:
             # A run killed while writing leaves `.NAME.PID.tmp`, which would
             # differ between otherwise identical out_dirs.
-            for tmp in self.out_dir.glob(".*.tmp"):
-                pid = tmp.name[:-len(".tmp")].rpartition(".")[2]
-                if pid.isdecimal() and _pid_is_dead(pid):
-                    tmp.unlink(missing_ok=True)
+            for pattern in (".*.tmp", "lexicon/.*.tmp", "dialect/.*.tmp"):
+                for tmp in self.out_dir.glob(pattern):
+                    pid = tmp.name[:-len(".tmp")].rpartition(".")[2]
+                    if pid.isdecimal() and _pid_is_dead(pid):
+                        tmp.unlink(missing_ok=True)
             # A run killed before `result` leaves this manifest, not the
             # `ok` one of an earlier run whose artifacts it may have replaced.
             self.write_manifest("running")
@@ -283,9 +288,13 @@ class _Run:
             self.stages.append(self.stage)
         self.stage = stage
 
-    def load(self, path: str, corpus_id: str):
-        return load_corpus(path, lowercase=self.config.lowercase,
-                           strip_punct=self.config.strip_punct, corpus_id=corpus_id)
+    def load(self, path: str, corpus_id: str) -> Corpus:
+        """The corpus at `path`, parsed once per run and shared by its parts."""
+        if (path, corpus_id) not in self.loaded:
+            self.loaded[path, corpus_id] = load_corpus(
+                path, lowercase=self.config.lowercase, strip_punct=self.config.strip_punct,
+                corpus_id=corpus_id)
+        return self.loaded[path, corpus_id]
 
     def corpora(self) -> list:
         return [self.load(path, cid) for cid, path in self.config.corpora]
@@ -347,116 +356,183 @@ def train_lms(corpora: list[Corpus], vocab: Vocabulary, order: int) -> list[Back
     return lms
 
 
+def _run_parts(config: PipelineConfig, *parts) -> dict[str, Path]:
+    """Run `parts` in one `_Run`; returns artifact name -> path. A part is a
+    generator function of the run and config that yields once, after its load
+    stage. Every part's load stage runs before any part goes on, so every
+    input is parsed before the first stage that trains."""
+    with _Run(config) as run:
+        steps = [part(run, config) for part in parts]
+        for step in steps:
+            next(step)
+        for step in steps:
+            next(step, None)
+        return run.result()
+
+
+def run_pipeline(config: PipelineConfig) -> dict[str, Path]:
+    """The LM part, then the lexicon part into `lexicon/` when `seed_lexicon`
+    is set and the dialect part into `dialect/` when `mapping` is set."""
+    lexicon = [partial(_lexicon_part, sub="lexicon/")] if config.seed_lexicon else []
+    dialect = [_dialect_part] if config.mapping else []
+    return _run_parts(config, _lm_part, *lexicon, *dialect)
+
+
 def run_lm_pipeline(config: PipelineConfig) -> dict[str, Path]:
     """Train, combine, prune and evaluate; returns artifact name -> path."""
-    with _Run(config) as run:
-        run.begin("load")
-        corpora = run.corpora()
-        dev = run.load(config.dev, "dev")
-        test = run.load(config.test, "test") if config.test else None
-
-        run.begin("vocab")
-        vocab = build_vocabulary(corpora, min_count=config.min_count, max_size=config.max_size)
-        vocab.save(run.path("vocab.txt"))
-
-        run.begin("train")
-        lms = train_lms(corpora, vocab, config.order)
-        for corpus, lm in zip(corpora, lms):
-            write_arpa(lm, run.path(f"lm.{corpus.id}.arpa"))
-
-        run.begin("weights")
-        weights = em_weights(lms, dev, tol=config.em_tol, max_iter=config.em_max_iter)
-        save_weights(weights, run.path("weights.tsv"))
-
-        run.begin("merge")
-        combined = interpolate_static(lms, weights)
-        write_arpa(combined, run.path("lm.combined.arpa"))
-
-        run.begin("prune")
-        final_lm = combined
-        if config.theta is not None:
-            final_lm, report = prune_entropy(combined, config.theta)
-            write_arpa(final_lm, run.path("lm.pruned.arpa"))
-            run.write("prune_report.txt", report.format())
-
-        run.begin("evaluate")
-        eval_sets = [("dev", dev)] + ([("test", test)] if test is not None else [])
-        ppl_lines = ["model\teval\tsentences\tscored\toov\tlog10_sum\tppl\n"]
-        scored_models = [(corpus.id, lm) for corpus, lm in zip(corpora, lms)]
-        scored_models.append(("combined", combined))
-        if config.theta is not None:
-            scored_models.append(("pruned", final_lm))
-        for eval_id, corpus in eval_sets:
-            for model_id, lm in scored_models:
-                report = perplexity(lm, corpus, config.oov_policy)
-                ppl_lines.append(_ppl_line(model_id, eval_id, report=report))
-            if len(lms) > 1:
-                mix_report = perplexity_mixture(lms, weights, corpus, config.oov_policy)
-                ppl_lines.append(_ppl_line("mixture", eval_id, report=mix_report))
-        run.write("ppl_report.tsv", "".join(ppl_lines))
-        oov_lines = ["eval\toov_rate\n"]
-        for eval_id, corpus in eval_sets:
-            oov_lines.append(f"{eval_id}\t{oov_rate(vocab, corpus):.8f}\n")
-        run.write("oov_report.tsv", "".join(oov_lines))
-        return run.result()
+    return _run_parts(config, _lm_part)
 
 
 def run_lexicon_pipeline(config: PipelineConfig) -> dict[str, Path]:
     """Train G2P on the seed lexicon, extend with corpus OOV words, merge addon."""
     if not config.seed_lexicon:
         raise PipelineError("lexicon-load", "seed_lexicon is required")
-    with _Run(config) as run:
-        run.begin("lexicon-load")
-        seed = lexg2p.load_lexicon(config.seed_lexicon)
-        corpora = run.corpora()
-        if config.word_list:
-            wanted = read_text(config.word_list).split()
-        else:
-            wanted = [w for w, _ in word_frequencies(concatenate("all", corpora))]
-        addon = lexg2p.load_lexicon(config.medical_lexicon) if config.medical_lexicon else None
-
-        run.begin("g2p-train")
-        model = lexg2p.train_g2p(
-            seed,
-            order=config.g2p_order,
-            max_letters=config.g2p_max_letters,
-            max_phones=config.g2p_max_phones,
-            em_iters=config.g2p_em_iters,
-        )
-        lexg2p.save_g2p_model(model, run.path("g2p_model.json"))
-
-        run.begin("extend")
-        missing = [w for w in wanted if w not in seed.entries]
-        extended, report = lexg2p.extend_lexicon(seed, missing, model, beam=config.g2p_beam)
-        lexg2p.save_lexicon(extended, run.path("training_lexicon.tsv"))
-
-        run.begin("merge-addon")
-        final = extended
-        if addon is not None:
-            final = lexg2p.merge_lexicons(extended, addon, policy="union")
-        lexg2p.save_lexicon(final, run.path("recognition_lexicon.tsv"))
-
-        run.begin("lexicon-report")
-        lines = [
-            f"seed_entries\t{len(seed)}",
-            f"extended_entries\t{len(extended)}",
-            f"final_entries\t{len(final)}",
-            f"g2p_added\t{len(report.added)}",
-            f"g2p_failed\t{len(report.failed)}",
-            "",
-            "provisional (machine-generated, review loanwords):",
-        ]
-        lines.extend(report.provisional)
-        if report.failed:
-            lines.append("")
-            lines.append("failures:")
-            lines.extend(f"{w}\t{why}" for w, why in sorted(report.failed.items()))
-        run.write("lexicon_report.txt", "\n".join(lines) + "\n")
-        return run.result()
+    return _run_parts(config, partial(_lexicon_part, sub=""))
 
 
-def _train_and_score(corpora: list[Corpus], dev: Corpus, config: PipelineConfig) -> PerplexityReport:
-    """Dev perplexity of one model per corpus, EM-mixed when there are several."""
+def _lm_part(run: _Run, config: PipelineConfig):
+    run.begin("load")
+    corpora = run.corpora()
+    dev = run.load(config.dev, "dev")
+    test = run.load(config.test, "test") if config.test else None
+    yield
+
+    run.begin("vocab")
+    vocab = build_vocabulary(corpora, min_count=config.min_count, max_size=config.max_size)
+    vocab.save(run.path("vocab.txt"))
+
+    run.begin("train")
+    lms = train_lms(corpora, vocab, config.order)
+    for corpus, lm in zip(corpora, lms):
+        write_arpa(lm, run.path(f"lm.{corpus.id}.arpa"))
+
+    run.begin("weights")
+    weights = em_weights(lms, dev, tol=config.em_tol, max_iter=config.em_max_iter)
+    save_weights(weights, run.path("weights.tsv"))
+
+    run.begin("merge")
+    combined = interpolate_static(lms, weights)
+    write_arpa(combined, run.path("lm.combined.arpa"))
+
+    run.begin("prune")
+    final_lm = combined
+    if config.theta is not None:
+        final_lm, report = prune_entropy(combined, config.theta)
+        write_arpa(final_lm, run.path("lm.pruned.arpa"))
+        run.write("prune_report.txt", report.format())
+
+    run.begin("evaluate")
+    eval_sets = [("dev", dev)] + ([("test", test)] if test is not None else [])
+    ppl_lines = ["model\teval\tsentences\tscored\toov\tlog10_sum\tppl\n"]
+    scored_models = [(corpus.id, lm) for corpus, lm in zip(corpora, lms)]
+    scored_models.append(("combined", combined))
+    if config.theta is not None:
+        scored_models.append(("pruned", final_lm))
+    for eval_id, corpus in eval_sets:
+        reports = [(model_id, perplexity(lm, corpus, config.oov_policy))
+                   for model_id, lm in scored_models]
+        if len(lms) > 1:
+            reports.append(("mixture", perplexity_mixture(lms, weights, corpus, config.oov_policy)))
+        ppl_lines += [_ppl_line(model_id, eval_id, report=report) for model_id, report in reports]
+        if eval_id == "dev":  # the dev report of the model the LM part builds
+            run.dev_report = reports[-1 if len(lms) > 1 else 0][1]
+    run.write("ppl_report.tsv", "".join(ppl_lines))
+    oov_lines = ["eval\toov_rate\n"]
+    for eval_id, corpus in eval_sets:
+        oov_lines.append(f"{eval_id}\t{oov_rate(vocab, corpus):.8f}\n")
+    run.write("oov_report.tsv", "".join(oov_lines))
+
+
+def _lexicon_part(run: _Run, config: PipelineConfig, sub: str):
+    run.begin("lexicon-load")
+    seed = lexg2p.load_lexicon(config.seed_lexicon)
+    corpora = run.corpora()
+    if config.word_list:
+        wanted = read_text(config.word_list).split()
+    else:
+        wanted = [w for w, _ in word_frequencies(concatenate("all", corpora))]
+    addon = lexg2p.load_lexicon(config.medical_lexicon) if config.medical_lexicon else None
+    yield
+
+    run.begin("g2p-train")
+    (run.out_dir / sub).mkdir(exist_ok=True)
+    model = lexg2p.train_g2p(
+        seed,
+        order=config.g2p_order,
+        max_letters=config.g2p_max_letters,
+        max_phones=config.g2p_max_phones,
+        em_iters=config.g2p_em_iters,
+    )
+    lexg2p.save_g2p_model(model, run.path(sub + "g2p_model.json"))
+
+    run.begin("extend")
+    missing = [w for w in wanted if w not in seed.entries]
+    extended, report = lexg2p.extend_lexicon(seed, missing, model, beam=config.g2p_beam)
+    lexg2p.save_lexicon(extended, run.path(sub + "training_lexicon.tsv"))
+
+    run.begin("merge-addon")
+    final = extended
+    if addon is not None:
+        final = lexg2p.merge_lexicons(extended, addon, policy="union")
+    lexg2p.save_lexicon(final, run.path(sub + "recognition_lexicon.tsv"))
+
+    run.begin("lexicon-report")
+    lines = [
+        f"seed_entries\t{len(seed)}",
+        f"extended_entries\t{len(extended)}",
+        f"final_entries\t{len(final)}",
+        f"g2p_added\t{len(report.added)}",
+        f"g2p_failed\t{len(report.failed)}",
+        "",
+        "provisional (machine-generated, review loanwords):",
+    ]
+    lines.extend(report.provisional)
+    if report.failed:
+        lines.append("")
+        lines.append("failures:")
+        lines.extend(f"{w}\t{why}" for w, why in sorted(report.failed.items()))
+    run.write(sub + "lexicon_report.txt", "\n".join(lines) + "\n")
+
+
+def _dialect_part(run: _Run, config: PipelineConfig):
+    """Before/after dev perplexity (and optional WER) for the dialect mapping.
+    `before` is the LM part's dev report, so this part runs after that one."""
+    run.begin("dialect-load")
+    table = dialectmap.load_mapping(config.mapping)
+    corpora = run.corpora()
+    dev = run.load(config.dev, "dev")
+    if config.refs:
+        refs = scorer.read_trn(config.refs)
+        hyps = scorer.read_trn(config.hyps)
+    yield
+
+    run.begin("dialect-eval")
+    (run.out_dir / "dialect").mkdir(exist_ok=True)
+    lines = ["condition\tsentences\tscored\toov\tlog10_sum\tppl\n",
+             _ppl_line("before", report=run.dev_report),
+             _ppl_line("after", report=_train_and_score(corpora, dev, config, table))]
+    run.write("dialect/dialect_ppl.tsv", "".join(lines))
+
+    if config.refs:
+        run.begin("dialect-score")
+        mapped_refs = {
+            utt: tuple(table.pairs.get(t, t) for t in tokens)
+            for utt, tokens in refs.items()
+        }
+        out = ["references\twer%\n"]
+        out.append(f"original\t{100.0 * scorer.wer(refs, hyps).wer:.4f}\n")
+        out.append(f"mapped\t{100.0 * scorer.wer(mapped_refs, hyps).wer:.4f}\n")
+        run.write("dialect/dialect_wer.tsv", "".join(out))
+
+
+def _train_and_score(corpora: list[Corpus], dev: Corpus, config: PipelineConfig,
+                     table: dialectmap.MappingTable | None = None) -> PerplexityReport:
+    """Dev perplexity of one model per corpus, EM-mixed when there are several.
+    With `table`, the models train on the mapped corpora and score the mapped
+    dev text, or the raw one if `map_eval_text` is false."""
+    if table is not None:
+        corpora = [dialectmap.apply_mapping(c, table) for c in corpora]
+        dev = dialectmap.apply_mapping(dev, table) if config.map_eval_text else dev
     vocab = build_vocabulary(corpora, min_count=config.min_count, max_size=config.max_size)
     lms = train_lms(corpora, vocab, config.order)
     if len(lms) == 1:
@@ -468,42 +544,7 @@ def _train_and_score(corpora: list[Corpus], dev: Corpus, config: PipelineConfig)
 def mapped_lm_eval(corpora: list[Corpus], dev: Corpus, table: dialectmap.MappingTable,
                    config: PipelineConfig) -> tuple[PerplexityReport, PerplexityReport]:
     """Dev perplexity before and after applying the dialect mapping, with the
-    LM keys of `config`. The `after` models train on the mapped corpora and
-    score the mapped dev text, or the raw one if `map_eval_text` is false.
-    Pass the corpora concatenated into one to train a single model."""
-    before = _train_and_score(corpora, dev, config)
-    mapped = [dialectmap.apply_mapping(c, table) for c in corpora]
-    mapped_dev = dialectmap.apply_mapping(dev, table) if config.map_eval_text else dev
-    return before, _train_and_score(mapped, mapped_dev, config)
-
-
-def run_dialect_pipeline(config: PipelineConfig) -> dict[str, Path]:
-    """Before/after perplexity (and optional WER) for a dialect mapping."""
-    if not config.mapping:
-        raise PipelineError("dialect-load", "mapping file is required")
-    with _Run(config) as run:
-        run.begin("dialect-load")
-        table = dialectmap.load_mapping(config.mapping)
-        corpora = run.corpora()
-        dev = run.load(config.dev, "dev")
-        if config.refs:
-            refs = scorer.read_trn(config.refs)
-            hyps = scorer.read_trn(config.hyps)
-
-        run.begin("dialect-eval")
-        before, after = mapped_lm_eval(corpora, dev, table, config)
-        lines = ["condition\tsentences\tscored\toov\tlog10_sum\tppl\n",
-                 _ppl_line("before", report=before), _ppl_line("after", report=after)]
-        run.write("dialect_ppl.tsv", "".join(lines))
-
-        if config.refs:
-            run.begin("dialect-score")
-            mapped_refs = {
-                utt: tuple(table.pairs.get(t, t) for t in tokens)
-                for utt, tokens in refs.items()
-            }
-            out = ["references\twer%\n"]
-            out.append(f"original\t{100.0 * scorer.wer(refs, hyps).wer:.4f}\n")
-            out.append(f"mapped\t{100.0 * scorer.wer(mapped_refs, hyps).wer:.4f}\n")
-            run.write("dialect_wer.tsv", "".join(out))
-        return run.result()
+    LM keys of `config`, as `dialect eval` reports it. Pass the corpora
+    concatenated into one to train a single model. `pipeline run` trains only
+    the `after` side: its `before` row is the LM part's dev report."""
+    return _train_and_score(corpora, dev, config), _train_and_score(corpora, dev, config, table)

@@ -190,9 +190,6 @@ class Vocabulary:
     def word(self, idx: int) -> str:
         return self._words[idx]
 
-    def map_token(self, token: str) -> str:
-        return token if token in self.ids else UNK
-
     def save(self, path: str | Path) -> None:
         write_text_atomic(path, "".join(w + "\n" for w in self._words))
 

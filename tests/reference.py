@@ -14,8 +14,9 @@ loops (counting, merge, back-off rebuild, pruning costs, EM) as they stood
 before their inner loops were tightened. They guard that the package still
 does the same float operations in the same order, so their results must be
 `==`, not merely close. They copy every helper that does arithmetic, and
-import only the types, the input checks, `iter_positions` and, for the dev
-probabilities EM starts from, `BackoffLM.log_prob`.
+import only the types, the input checks and, for the dev probabilities EM
+starts from, `BackoffLM.log_prob`; EM's positions come from `iter_positions`
+above.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from asrlm.lexg2p import (
 )
 from asrlm.mixture import InterpolationWeights, _check_components, _check_weights, component_ids
 from asrlm.ngramcore.counts import NGramCountTable
-from asrlm.ngramcore.evaluate import iter_positions
 from asrlm.ngramcore.model import BOS_LOG10_PROB, BackoffLM
 from asrlm.scorer import EditAlignment
 
@@ -269,6 +269,27 @@ def brute_force_prune_delta(lm, gram):
     for i, token in enumerate(history):
         log_marginal += backoff_log10_prob(lm, EOS if i == 0 and token == BOS else token, history[:i])
     return 10.0 ** log_marginal * delta
+
+
+def iter_positions(corpus, vocab, order):
+    """Yield (history, token, is_oov) for every predicted position: every
+    word plus one `</s>` per sentence, an OOV word as `<unk>`. `history` is
+    the full window: the last `order - 1` mapped tokens before the position,
+    `<s>` included (fewer near a sentence start). Scoring walks the shorter
+    histories `evaluate.walk_positions` carries instead; these full-window
+    positions are the reference it is compared with.
+    """
+    n = order - 1
+    ids = vocab.ids
+    for sent in corpus.sentences:
+        history = (BOS,)[:n]
+        for tok in sent:
+            oov = tok not in ids
+            if oov:
+                tok = UNK
+            yield history, tok, oov
+            history = (*history, tok)[-n:] if n else ()
+        yield history, EOS, False
 
 
 def naive_perplexity(lms, weights, sentences, oov_policy):
@@ -764,7 +785,7 @@ def reference_count_ngrams(corpus, order, vocab):
         raise ValueError(f"corpus {corpus.id!r} is empty")
     counts = {k: {} for k in range(1, order + 1)}
     for sent in corpus.sentences:
-        padded = [BOS] + [vocab.map_token(t) for t in sent] + [EOS]
+        padded = [BOS] + [t if t in vocab.ids else UNK for t in sent] + [EOS]
         uni = counts[1]
         for tok in padded[1:]:
             key = (tok,)

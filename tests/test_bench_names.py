@@ -3,6 +3,7 @@ renamed or inlined name breaks only traced benchmark runs. This checks every
 name it instruments, reading `bench/workloads.py` without changing it, and
 that the LM run reaches the training steps through those names."""
 
+import dataclasses
 import importlib.util
 import sys
 from collections import Counter
@@ -30,6 +31,8 @@ def test_every_traced_name_is_an_attribute_of_its_owner(monkeypatch):
 
 
 def test_lm_run_trains_through_the_traced_pipeline_names(monkeypatch, tmp_path):
+    """The LM run trains one model per corpus; the whole run trains only the
+    mapped models on top, since the dialect `before` row is the LM run's."""
     calls = Counter()
     for name in ("count_ngrams", "estimate_discounts", "train_mkn"):
         def counted(*args, _name=name, _original=getattr(pipeline, name), **kwargs):
@@ -44,3 +47,7 @@ def test_lm_run_trains_through_the_traced_pipeline_names(monkeypatch, tmp_path):
     assert per_corpus == 4
     assert calls == {"count_ngrams": per_corpus, "estimate_discounts": per_corpus,
                      "train_mkn": per_corpus}
+    calls.clear()
+    pipeline.run_pipeline(dataclasses.replace(config, out_dir=str(tmp_path / "all")))
+    assert calls == {"count_ngrams": 2 * per_corpus, "estimate_discounts": 2 * per_corpus,
+                     "train_mkn": 2 * per_corpus}

@@ -17,7 +17,6 @@ from asrlm.lexg2p import (
     apply_g2p,
     extend_lexicon,
     load_g2p_model,
-    load_inventory,
     load_lexicon,
     make_lexicon,
     merge_lexicons,
@@ -112,12 +111,6 @@ def test_load_lexicon_splits_lines_at_line_feed_only(tmp_path):
         load_lexicon(p)
     p.write_bytes(b"ab\ta b\r\n\r\nba\tb a\r\n")
     assert load_lexicon(p).entries == {"ab": (("a", "b"),), "ba": (("b", "a"),)}
-
-
-def test_load_inventory(tmp_path):
-    p = tmp_path / "phones.txt"
-    p.write_text("A\nB\nC\n", encoding="utf-8")
-    assert load_inventory(p) == frozenset({"A", "B", "C"})
 
 
 def test_merge_policies():

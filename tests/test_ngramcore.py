@@ -19,13 +19,13 @@ from asrlm.ngramcore import (
     train_mkn,
     write_arpa,
 )
-from asrlm.ngramcore.evaluate import PerplexityReport, iter_positions, walk_positions
+from asrlm.ngramcore.evaluate import PerplexityReport, walk_positions
 from asrlm.ngramcore.model import memoized_log_prob
 from asrlm.ngramcore.smoothing import closed_form_discounts
 from asrlm.pruner import prune_entropy
 from asrlm.textcorpus import BOS, EOS, UNK, Corpus, Vocabulary, build_vocabulary
 from tests.conftest import corpus_of, random_corpus, train_on
-from tests.reference import BruteForceMKN, backoff_log10_prob, naive_perplexity
+from tests.reference import BruteForceMKN, backoff_log10_prob, iter_positions, naive_perplexity
 
 
 def test_count_ngrams_bigrams_and_unigrams():

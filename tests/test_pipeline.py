@@ -16,9 +16,9 @@ from asrlm.pipeline import (
     PipelineConfig,
     PipelineError,
     parse_config,
-    run_dialect_pipeline,
     run_lexicon_pipeline,
     run_lm_pipeline,
+    run_pipeline,
     train_lms,
 )
 from asrlm.textcorpus import build_vocabulary, concatenate, load_corpus
@@ -260,7 +260,7 @@ def test_pipeline_lock_of_live_process_blocks(small_setup):
     assert not (out / "manifest.json").exists()
 
 
-@pytest.mark.parametrize("runner", [run_lexicon_pipeline, run_dialect_pipeline])
+@pytest.mark.parametrize("runner", [run_lexicon_pipeline, run_pipeline])
 def test_lexicon_and_dialect_pipelines_refuse_held_lock(tmp_path, monkeypatch, runner):
     monkeypatch.chdir(FIXTURES.parent)
     (tmp_path / ".lock").write_text("held", encoding="utf-8")
@@ -272,12 +272,12 @@ def test_lexicon_and_dialect_pipelines_refuse_held_lock(tmp_path, monkeypatch, r
 @pytest.mark.parametrize("runner, key, stage, first_artifact", [
     (run_lexicon_pipeline, "word_list", "lexicon-load", "g2p_model.json"),
     (run_lexicon_pipeline, "medical_lexicon", "lexicon-load", "g2p_model.json"),
-    (run_dialect_pipeline, "refs", "dialect-load", "dialect_ppl.tsv"),
-    (run_dialect_pipeline, "hyps", "dialect-load", "dialect_ppl.tsv"),
+    (run_pipeline, "refs", "dialect-load", "vocab.txt"),
+    (run_pipeline, "hyps", "dialect-load", "vocab.txt"),
 ])
 def test_invalid_input_fails_in_first_stage(tmp_path, monkeypatch, runner, key, stage,
                                             first_artifact):
-    """Each sub-pipeline reads all of its inputs before it trains or writes anything."""
+    """Each run reads all of its inputs before it trains or writes anything."""
     monkeypatch.chdir(FIXTURES.parent)
     bad = tmp_path / "bad.txt"
     bad.write_bytes(b"ok\nx\xffy\n")
@@ -309,14 +309,16 @@ def test_run_removes_temp_files_of_dead_processes_only(small_setup):
     # A run killed inside write_text_atomic leaves `.NAME.PID.tmp` behind.
     c1, _, dev, tmp = small_setup
     out = tmp / "leftovers"
-    out.mkdir()
-    dead = out / f".weights.tsv.{_reaped_child_pid()}.tmp"
-    live = out / f".weights.tsv.{os.getppid()}.tmp"
-    for path in (dead, live):
+    (out / "lexicon").mkdir(parents=True)
+    dead_pid = _reaped_child_pid()
+    dead = [out / f".weights.tsv.{dead_pid}.tmp", out / "lexicon" / f".g2p_model.json.{dead_pid}.tmp"]
+    live = [out / f".weights.tsv.{os.getppid()}.tmp",
+            out / "lexicon" / f".g2p_model.json.{os.getppid()}.tmp"]
+    for path in dead + live:
         path.write_text("partial", encoding="utf-8")
     run_lm_pipeline(PipelineConfig(corpora=(("a", c1),), dev=dev, out_dir=str(out)))
-    assert not dead.exists()
-    assert live.read_text(encoding="utf-8") == "partial"
+    assert not any(path.exists() for path in dead)
+    assert all(path.read_text(encoding="utf-8") == "partial" for path in live)
 
 
 # A child run that SIGKILLs itself when the prune stage starts: the replaced
@@ -622,11 +624,33 @@ def test_cli_pipeline_run_lists_paths_relative_to_out_dir(tmp_path, monkeypatch,
     assert code == 0
     listed = [line.split(" ", 1)[1] for line in capsys.readouterr().out.splitlines()
               if line.startswith("artifact ")]
-    for manifest in ("manifest.json", "lexicon/manifest.json", "dialect/manifest.json"):
-        assert manifest in listed
-    assert "lexicon/g2p_model.json" in listed
+    assert "manifest.json" in listed and "lexicon/g2p_model.json" in listed
     on_disk = sorted(p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file())
     assert listed == on_disk
+
+
+@pytest.mark.parametrize("key, stage", [
+    ("seed_lexicon", "lexicon-load"), ("medical_lexicon", "lexicon-load"),
+    ("word_list", "lexicon-load"), ("mapping", "dialect-load"), ("refs", "dialect-load"),
+    ("hyps", "dialect-load"),
+])
+def test_cli_pipeline_run_with_an_invalid_input_trains_and_writes_nothing(
+        tmp_path, monkeypatch, capsys, key, stage):
+    """Every input is parsed before the first stage that trains, so a bad one
+    leaves only the `failed` manifest."""
+    monkeypatch.chdir(FIXTURES.parent)
+    bad = tmp_path / "bad.txt"
+    # A word list is any text, so only a byte that is not UTF-8 breaks it.
+    bad.write_bytes(b"ok\nx\xffy\n" if key == "word_list" else b"ab\tcd\nno-tab\n")
+    out = tmp_path / "out"
+    argv = ["pipeline", "run", "--config", str(FIXTURES / "pipeline.cfg"),
+            "--set", f"{key}={bad}", "--out-dir", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith(f"error [{stage}]: stage {stage!r} failed: {bad}:2: ")
+    assert [p.relative_to(out).as_posix() for p in out.rglob("*")] == ["manifest.json"]
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    assert (manifest["status"], manifest["failed_stage"]) == ("failed", stage)
+    assert manifest["artifacts"] == {}
 
 
 def test_fixture_paths_resolve():
@@ -681,18 +705,64 @@ def test_fixture_lexicon_artifacts_match_pinned_hashes(tmp_path, monkeypatch):
         assert hashlib.sha256(data).hexdigest() == digest, name
 
 
-# SHA-256s of the fixture dialect pipeline's before/after perplexity and WER.
+@pytest.fixture(scope="module")
+def fixture_run(tmp_path_factory):
+    """The out_dir of one `run_pipeline` over the fixture configuration."""
+    out = tmp_path_factory.mktemp("fixture-run")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.chdir(FIXTURES.parent)
+        run_pipeline(parse_config(FIXTURES / "pipeline.cfg", [f"out_dir={out}"]))
+    return out
+
+
+# SHA-256s of the fixture dialect part's before/after perplexity and WER.
 PINNED_DIALECT_ARTIFACTS = {
     "dialect_ppl.tsv": "c9d7d0f8697df1415b06153601f69e8a3017c8dff7261bb84275d76e28a913dd",
     "dialect_wer.tsv": "1884bb209eb94deae51f3bb0541c22361481ace6a14156d180829363a96f48af",
 }
 
 
-def test_fixture_dialect_artifacts_match_pinned_hashes(tmp_path, monkeypatch):
-    monkeypatch.chdir(FIXTURES.parent)
-    run_dialect_pipeline(parse_config(FIXTURES / "pipeline.cfg", [f"out_dir={tmp_path}"]))
+def test_fixture_dialect_artifacts_match_pinned_hashes(fixture_run):
     for name, digest in PINNED_DIALECT_ARTIFACTS.items():
-        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+        data = (fixture_run / "dialect" / name).read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest, name
+
+
+def test_dialect_before_row_is_the_lm_mixture_dev_row(fixture_run):
+    [mixture_dev] = [line.split("\t")[2:] for line in
+                     (fixture_run / "ppl_report.tsv").read_text(encoding="utf-8").splitlines()
+                     if line.startswith("mixture\tdev\t")]
+    dialect = (fixture_run / "dialect" / "dialect_ppl.tsv").read_text(encoding="utf-8")
+    [before] = [line.split("\t")[1:] for line in dialect.splitlines() if line.startswith("before\t")]
+    assert before == mixture_dev
+
+
+def test_single_corpus_dialect_before_row_is_the_model_dev_row(small_setup):
+    c1, _, dev, tmp = small_setup
+    mapping = write_corpus(tmp / "map.tsv", "c\ta\n")
+    out = tmp / "solo"
+    # Pruning makes the last ppl_report row differ from the model's own.
+    run_pipeline(PipelineConfig(corpora=(("solo", c1),), dev=dev, order=2, theta=0.05,
+                                mapping=mapping, out_dir=str(out)))
+    [solo_dev] = [line.split("\t")[2:] for line in
+                  (out / "ppl_report.tsv").read_text(encoding="utf-8").splitlines()
+                  if line.startswith("solo\tdev\t")]
+    dialect = (out / "dialect" / "dialect_ppl.tsv").read_text(encoding="utf-8").splitlines()
+    assert dialect[1].split("\t")[1:] == solo_dev and dialect[1].startswith("before\t")
+
+
+def test_fixture_run_manifest_lists_every_stage_and_artifact(fixture_run):
+    manifest = json.loads((fixture_run / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["status"] == "ok"
+    assert manifest["stages"] == [
+        "load", "lexicon-load", "dialect-load",
+        "vocab", "train", "weights", "merge", "prune", "evaluate",
+        "g2p-train", "extend", "merge-addon", "lexicon-report",
+        "dialect-eval", "dialect-score",
+    ]
+    on_disk = sorted(p.relative_to(fixture_run).as_posix() for p in fixture_run.rglob("*")
+                     if p.is_file() and p.name != "manifest.json")
+    assert sorted(manifest["artifacts"]) == on_disk and len(on_disk) == 17
 
 
 def test_cli_g2p_apply_reports_bad_model(tmp_path, capsys):

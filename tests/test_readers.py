@@ -7,7 +7,7 @@ import pytest
 
 from asrlm.cli import main
 from asrlm.dialectmap import load_mapping
-from asrlm.lexg2p import load_g2p_model, load_inventory, load_lexicon
+from asrlm.lexg2p import load_g2p_model, load_lexicon
 from asrlm.mixture import load_weights
 from asrlm.ngramcore import read_arpa
 from asrlm.pipeline import parse_config
@@ -24,7 +24,6 @@ READERS = {
     "load_weights": (lambda p: load_weights(p, []), b"news\t1.0"),
     "parse_config": (parse_config, b"order = 3"),
     "load_lexicon": (load_lexicon, b"ab\ta b"),
-    "load_inventory": (load_inventory, b"a b"),
     "load_g2p_model": (load_g2p_model, b"{"),
     "read_trn": (read_trn, b"u1\ta b"),
     "load_corpus": (load_corpus, b"a b"),

@@ -132,7 +132,6 @@ def test_vocabulary_reserved_and_bijection():
     assert v.words[:3] == (UNK, BOS, EOS)
     for i, w in enumerate(v.words):
         assert v.index(w) == i and v.word(i) == w
-    assert v.map_token("zzz") == UNK
     assert BOS not in v.predicted_words()
 
 
