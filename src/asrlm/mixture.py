@@ -18,7 +18,6 @@ from asrlm.ngramcore.model import (
     BOS_LOG10_PROB,
     BackoffLM,
     NGram,
-    memoized_log_prob,
     ordered_sum,
     rebuild_backoffs,
 )
@@ -173,7 +172,7 @@ def interpolate_static(
     The merged model stores the union of the component n-gram sets; each
     stored n-gram carries the exact mixture probability and back-off weights
     are recomputed so every context normalizes. A component's stored value
-    is one lookup; any other comes from its own `memoized_log_prob`. The
+    is one lookup; any other comes from its own `walk`. The
     mixture adds in component order from 0.0, as `ordered_sum` does, never
     through `sum()`. A single component with weight 1 is returned unchanged
     (bit-exact).
@@ -194,7 +193,6 @@ def interpolate_static(
         clone.metadata.update(merged_meta)
         return clone
 
-    values = [memoized_log_prob(lm) for lm in lms]
     tables: dict[int, dict[NGram, float]] = {}
     for k in range(1, order + 1):
         union: dict[NGram, None] = {}
@@ -202,9 +200,9 @@ def interpolate_static(
             union.update(dict.fromkeys(sorted(lm.tables[k])))
         grams = [gram for gram in union if gram != (BOS,)]  # `<s>` takes the stand-in
         mixes = [0.0] * len(grams)
-        for lam, lm, value in zip(lambdas, lms, values):
-            stored = lm.tables[k].get
-            logps = [logp if (logp := stored(gram)) is not None else value(gram) for gram in grams]
+        for lam, lm in zip(lambdas, lms):
+            stored, walk = lm.tables[k].get, lm.walk
+            logps = [logp if (logp := stored(gram)) is not None else walk(gram)[0] for gram in grams]
             mixes = [mix + lam * 10.0 ** logp for mix, logp in zip(mixes, logps)]
         tables[k] = dict.fromkeys(union, BOS_LOG10_PROB)
         tables[k].update(zip(grams, map(math.log10, mixes)))

@@ -44,9 +44,9 @@ def walk_positions(lm: BackoffLM, corpus: Corpus, exclude: bool):
                 if exclude:
                     history = (*history, UNK)[-n:] if n else ()
                     continue
-            logp, history = walk(tok, history)
+            logp, history = walk(history + (tok,))
             yield logp
-        yield walk(EOS, history)[0]
+        yield walk(history + (EOS,))[0]
 
 
 def score_corpus(lms: list[BackoffLM], corpus: Corpus, oov_policy: str,

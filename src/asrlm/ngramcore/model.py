@@ -3,9 +3,7 @@
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import partial
 
 from asrlm.textcorpus import UNK, Vocabulary
 
@@ -20,9 +18,11 @@ class BackoffLM:
     """ARPA-style back-off model: per order k, `tables[k]` maps each stored
     k-gram to its log10 probability and `backoffs[k]` maps a k-gram to its
     log10 back-off weight. Both hold a dict, possibly empty, for every order
-    1..`order`; one missing at construction is added. Two invariants hold
-    for every model `train_mkn`, `interpolate_static`, `prune_entropy` and
-    `read_arpa` make, and `walk`'s next history relies on them:
+    1..`order`; one missing at construction is added. `walk` is the one
+    back-off recursion: queries, merging, back-off rebuilding and pruning all
+    evaluate through it. Two invariants hold for every model `train_mkn`,
+    `interpolate_static`, `prune_entropy` and `read_arpa` make; `walk`'s next
+    history and the pruner's marginals rely on them:
 
     - prefix rule: the context `gram[:-1]` of every stored gram is itself
       stored, except the lone `(<s>,)` context of a bigram;
@@ -56,35 +56,33 @@ class BackoffLM:
 
         `history` is any sequence; only its last `order - 1` tokens are read.
         Unknown words (in `word` or in those tokens) are mapped to `<unk>`,
-        then `walk` scores the mapped tokens.
+        then `walk` scores the mapped gram.
         """
         ids = self.vocab.ids
-        n = self.order - 1
-        hist = tuple([t if t in ids else UNK for t in history[-n:]]) if n > 0 else ()
-        return self.walk(word if word in ids else UNK, hist)[0]
+        recent = history[-(self.order - 1):] if self.order > 1 else ()
+        return self.walk(tuple([t if t in ids else UNK for t in (*recent, word)]))[0]
 
-    def walk(self, word: str, history: NGram) -> tuple[float, NGram]:
-        """(log10 p(word | history), next history) by the back-off recursion:
-        the one query walk. Tokens must be mapped already: `word` in the
-        vocabulary or `<unk>`, `history` a tuple of at most `order - 1` such
-        tokens. Adds the back-off weights on the way down, then the stored
+    def walk(self, gram: NGram) -> tuple[float, NGram]:
+        """(log10 p(gram[-1] | gram[:-1]), next history) by the back-off
+        recursion. Tokens must be mapped already: each in the vocabulary or
+        `<unk>`, at most `order` of them. Adds the back-off weights on the
+        way down, then the stored value, so a stored gram yields its stored
         value. The next history is the gram the walk matched, cut to its
         last `order - 1` tokens: by the two invariants above, a longer
-        suffix of `history + (word,)` is no stored gram, so it would
-        neither match nor add a weight in the next walk."""
+        suffix of `gram` is no stored gram, so it would neither match nor
+        add a weight in the next walk."""
         tables = self.tables
         acc = 0.0
-        k = len(history)
-        gram = history + (word,)
-        logp = tables[k + 1].get(gram)
+        k = len(gram)
+        logp = tables[k].get(gram)
         while logp is None:
-            if not k:
-                raise KeyError(f"no unigram entry for {word!r}")
+            if k == 1:
+                raise KeyError(f"no unigram entry for {gram[0]!r}")
+            k -= 1
             acc += self.backoffs[k].get(gram[:-1], 0.0)
             gram = gram[1:]
-            k -= 1
-            logp = tables[k + 1].get(gram)
-        return acc + logp, gram[1:] if k == self.order - 1 else gram
+            logp = tables[k].get(gram)
+        return acc + logp, gram[1:] if k == self.order else gram
 
     def clone(self) -> "BackoffLM":
         return BackoffLM(
@@ -96,46 +94,6 @@ class BackoffLM:
         )
 
 
-def memoized_log_prob(lm: BackoffLM) -> Callable[[NGram], float]:
-    """Return `value(gram)` = log10 p(gram[-1] | gram[:-1]) for a gram of length <= order.
-
-    The gram must be in-vocabulary: no token is mapped to `<unk>`. A stored
-    gram yields its stored value; any other yields bow(gram[:-1]) +
-    value(gram[1:]), memoized, so a batch of n-grams costs O(1) each.
-    Stored values are one dict lookup away and are not memoized, nor are
-    top-order values, which no longer gram backs off to. The memo lives as
-    long as the returned function, so each merge, rebuild or prune call makes
-    its own and frees it on return. It stays valid while back-off weights
-    change only for contexts longer than every gram evaluated so far.
-    Kept apart from `BackoffLM.walk`: each step adds bow + value(suffix),
-    where `walk` adds the summed weights to the stored value last. The two
-    can differ in the last bit, and the pinned build hashes hold this order.
-    """
-    tables = [{}] + [lm.tables[k] for k in range(1, lm.order + 1)]
-    backoffs = [{}] + [lm.backoffs[k] for k in range(1, lm.order + 1)]
-    return partial(_memoized_value, tables, backoffs, {})
-
-
-def _memoized_value(tables: list[dict[NGram, float]], backoffs: list[dict[NGram, float]],
-                    memo: dict[NGram, float], gram: NGram) -> float:
-    # A module-level function, not a closure: a closure that calls itself is
-    # a reference cycle, and its memo would outlive the call until the next
-    # full garbage collection.
-    n = len(gram)
-    logp = tables[n].get(gram)
-    if logp is not None:
-        return logp
-    backed_off = memo.get(gram)
-    if backed_off is None:
-        if n == 1:
-            raise KeyError(f"no unigram entry for {gram[0]!r}")
-        backed_off = (backoffs[n - 1].get(gram[:-1], 0.0)
-                      + _memoized_value(tables, backoffs, memo, gram[1:]))
-        if n < len(tables) - 1:  # a top-order value is never the suffix of a longer gram
-            memo[gram] = backed_off
-    return backed_off
-
-
 def group_by_context(table: dict[NGram, float]) -> dict[NGram, list[NGram]]:
     """Group one order's stored grams by their context, in table order."""
     children: dict[NGram, list[NGram]] = {}
@@ -144,18 +102,20 @@ def group_by_context(table: dict[NGram, float]) -> dict[NGram, list[NGram]]:
     return children
 
 
-def leftover_masses(table: dict[NGram, float], lower: dict[NGram, float], value: Callable[[NGram], float],
-                    grams: list[NGram]) -> tuple[float, float, list[float]]:
-    """For the stored `grams` of one context h: 1 - sum p(w|h), 1 - sum p(w|h
-    minus first word) and each gram's log10 p(w|h minus first word), from
-    `lower` (the order below) or else `value`. Sums in `grams` order from 0.0."""
+def leftover_masses(lm: BackoffLM, k: int, grams: list[NGram]) -> tuple[float, float, list[float]]:
+    """For the stored k-grams `grams` of one context h: 1 - sum p(w|h), 1 - sum
+    p(w|h minus first word) and each gram's log10 p(w|h minus first word), the
+    stored (k-1)-gram's value or else `lm.walk`'s. Sums in `grams` order from 0.0."""
+    table = lm.tables[k]
+    lower = lm.tables[k - 1]
+    walk = lm.walk
     stored_sum = 0.0
     lower_sum = 0.0
     lowers = []
     for gram in grams:
         stored_sum += 10.0 ** table[gram]
         log_plower = lower.get(gram[1:])
-        lowers.append(value(gram[1:]) if log_plower is None else log_plower)
+        lowers.append(walk(gram[1:])[0] if log_plower is None else log_plower)
         lower_sum += 10.0 ** lowers[-1]
     return 1.0 - stored_sum, 1.0 - lower_sum, lowers
 
@@ -187,9 +147,9 @@ def context_probability_sums(lm: BackoffLM):
     contexts: list[NGram] = [()]
     for k in range(2, lm.order + 1):
         contexts.extend(group_by_context(lm.tables[k]))
-    value = memoized_log_prob(lm)
+    walk = lm.walk
     for ctx in contexts:
-        yield ctx, ordered_sum([10.0 ** value(ctx + (w,)) for w in predicted])
+        yield ctx, ordered_sum([10.0 ** walk(ctx + (w,))[0] for w in predicted])
 
 
 def rebuild_backoffs(lm: BackoffLM) -> None:
@@ -197,16 +157,11 @@ def rebuild_backoffs(lm: BackoffLM) -> None:
 
     A stored context with stored continuations gets `log_backoff` of its
     `leftover_masses`; any other gram below the top order has no weight.
-    Processed from short contexts to long ones, so the lower-order weights a
-    value reads are final before it is computed, and no memoized value goes
-    stale. Each order's weights are replaced in place, because the memo
-    holds the per-order dicts.
+    Processed from short contexts to long ones: the walks for one order's
+    weights read only the weights of shorter contexts, which are final.
     """
-    value = memoized_log_prob(lm)
     for ctx_len in range(1, lm.order):
         ctx_table = lm.tables[ctx_len]
-        gram_table = lm.tables[ctx_len + 1]
-        weights = {ctx: log_backoff(*leftover_masses(gram_table, ctx_table, value, grams)[:2])
-                   for ctx, grams in group_by_context(gram_table).items() if ctx in ctx_table}
-        lm.backoffs[ctx_len].clear()
-        lm.backoffs[ctx_len].update(weights)
+        lm.backoffs[ctx_len] = {
+            ctx: log_backoff(*leftover_masses(lm, ctx_len + 1, grams)[:2])
+            for ctx, grams in group_by_context(lm.tables[ctx_len + 1]).items() if ctx in ctx_table}

@@ -31,7 +31,8 @@ from asrlm.ngramcore import (
 from asrlm.ngramcore.evaluate import OOV_POLICIES
 from asrlm.pruner import prune_entropy
 from asrlm.textcorpus import (
-    Corpus, Vocabulary, build_vocabulary, concatenate, load_corpus, read_text, word_frequencies, write_text_atomic,
+    RESERVED, Corpus, Vocabulary, build_vocabulary, concatenate, load_corpus, read_text, word_frequencies,
+    write_text_atomic,
 )
 
 
@@ -40,6 +41,10 @@ class PipelineError(RuntimeError):
         super().__init__(f"stage {stage!r} failed: {cause}")
         self.stage = stage
 
+
+# Names the LM part gives its own models beside the per-corpus ones, in
+# `lm.<name>.arpa` files and `ppl_report.tsv` rows.
+_OWN_MODEL_NAMES = ("combined", "pruned", "mixture")
 
 # Optional input-file keys, in the order they are checked and listed.
 _OPTIONAL_PATH_KEYS = ("test", "seed_lexicon", "medical_lexicon", "word_list", "mapping",
@@ -85,6 +90,12 @@ class PipelineConfig:
             raise ValueError("at least one corpus is required (corpus.<id> = <path>)")
         if len({cid for cid, _ in self.corpora}) != len(self.corpora):
             raise ValueError("corpus ids must be distinct")
+        for cid, _ in self.corpora:
+            if cid in _OWN_MODEL_NAMES:
+                raise ValueError(f"corpus id {cid!r} is taken: the pipeline names its own models "
+                                 f"{', '.join(_OWN_MODEL_NAMES)}")
+            if "/" in cid or any(ch.isspace() for ch in cid):
+                raise ValueError(f"corpus id {cid!r} must hold no '/' or whitespace")
         if not self.dev:
             raise ValueError("a dev corpus is required")
         # `not x >= 0.0` also refuses NaN, which every comparison fails.
@@ -92,7 +103,11 @@ class PipelineConfig:
             raise ValueError(f"theta must be a number >= 0, got {self.theta!r}")
         if self.em_tol is None or not self.em_tol >= 0.0:
             raise ValueError(f"em_tol must be a number >= 0, got {self.em_tol!r}")
-        for key in ("em_max_iter", "g2p_order", "g2p_max_letters", "g2p_max_phones", "g2p_beam"):
+        if self.max_size is not None and self.max_size < len(RESERVED):
+            raise ValueError(f"max_size must be an integer >= {len(RESERVED)} to hold the reserved "
+                             f"markers, got {self.max_size!r}")
+        for key in ("min_count", "em_max_iter", "g2p_order", "g2p_max_letters", "g2p_max_phones",
+                    "g2p_beam"):
             value = getattr(self, key)
             if value is None or value < 1:
                 raise ValueError(f"{key} must be an integer >= 1, got {value!r}")

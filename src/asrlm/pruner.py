@@ -13,13 +13,13 @@ import math
 import warnings
 from dataclasses import dataclass
 
+from asrlm.ngramcore.evaluate import require_unigrams
 from asrlm.ngramcore.model import (
     BackoffLM,
     NGram,
     group_by_context,
     leftover_masses,
     log_backoff,
-    memoized_log_prob,
     rebuild_backoffs,
 )
 from asrlm.textcorpus import BOS, EOS
@@ -44,14 +44,16 @@ class PruneReport:
         return "\n".join(lines) + "\n"
 
 
-def _log_marginals(value, histories):
+def _log_marginals(tables, histories):
     """Yield (history, log10 p(history)) by the chain rule for sorted, distinct
-    histories of one length.
+    stored histories of one length, read from a model's `tables`.
 
+    By the prefix rule every prefix of a stored history is stored, so each
+    factor p(h[i] | h[:i]) is the stored value of h[:i + 1], one lookup, as
+    `walk` would return it. A leading `<s>` takes p(`</s>`), the usual
+    convention that keeps sentence-initial contexts at a realistic weight.
     Sorted histories that share a prefix are adjacent, so each reuses the
-    partial sums of the previous one up to their common prefix. A leading
-    `<s>` takes p(`</s>`), the usual convention that keeps sentence-initial
-    contexts at a realistic weight.
+    partial sums of the previous one up to their common prefix.
     """
     sums: list[float] = []  # sums[i] = log10 p(previous[:i + 1])
     previous: NGram = ()
@@ -62,29 +64,30 @@ def _log_marginals(value, histories):
         del sums[common:]
         for i in range(common, len(history)):
             if i == 0:
-                sums.append(value((EOS,) if history[0] == BOS else history[:1]))
+                sums.append(tables[1][(EOS,) if history[0] == BOS else history[:1]])
             else:
-                sums.append(sums[-1] + value(history[:i + 1]))
+                sums.append(sums[-1] + tables[i + 1][history[:i + 1]])
         previous = history
         yield history, sums[-1]
 
 
-def _entropy_deltas(lm: BackoffLM, value, k: int, protected):
+def _entropy_deltas(lm: BackoffLM, k: int, protected):
     """Yield (gram, delta) for every stored k-gram of `lm` not in `protected`:
     the relative-entropy cost, in log10 units, of removing that gram alone
     and recomputing its context's back-off weight (Stolcke 1998).
 
-    `value` is `memoized_log_prob(lm)`. The cost is p(h) * sum over the
-    predicted words w of p(w|h) * (log10 p(w|h) - log10 p'(w|h)), in closed
-    form: only the removed gram and the words h does not store change their
-    probability.
+    The cost is p(h) * sum over the predicted words w of p(w|h) *
+    (log10 p(w|h) - log10 p'(w|h)), in closed form: only the removed gram
+    and the words h does not store change their probability. p(h) is read
+    from the stored grams, and each p(w | h minus first word) comes from
+    `leftover_masses`.
     """
     table = lm.tables[k]
     siblings = group_by_context(table)
-    for history, log_marginal in _log_marginals(value, sorted(siblings)):
+    for history, log_marginal in _log_marginals(lm.tables, sorted(siblings)):
         grams = siblings[history]
         log_bow = lm.backoffs[k - 1].get(history, 0.0)
-        num, den, lowers = leftover_masses(table, lm.tables[k - 1], value, grams)
+        num, den, lowers = leftover_masses(lm, k, grams)
         h_marginal = 10.0 ** log_marginal
         for gram, log_plower in zip(grams, lowers):
             if gram in protected:
@@ -104,10 +107,12 @@ def prune_entropy(lm: BackoffLM, theta: float) -> tuple[BackoffLM, PruneReport]:
     retained higher-order n-gram is never removed. Back-off weights are
     recomputed afterwards so the pruned model still normalizes. Unigrams are
     never touched. A negative theta is a no-op with a warning; a NaN theta,
-    which no delta is below, is a ValueError.
+    which no delta is below, is a ValueError, and so is a model without a
+    `</s>` unigram, which sentence-initial contexts take their weight from.
     """
     if math.isnan(theta):
         raise ValueError(f"pruning threshold must be a number, got {theta!r}")
+    require_unigrams(lm, (EOS,), "sentence-initial contexts for pruning")
     size_before = lm.size_by_order()
     if theta < 0:
         warnings.warn(f"negative pruning threshold {theta!r}; model left unchanged", stacklevel=2)
@@ -119,13 +124,12 @@ def prune_entropy(lm: BackoffLM, theta: float) -> tuple[BackoffLM, PruneReport]:
         )
 
     pruned = lm.clone()
-    value = memoized_log_prob(lm)
     removed_by_order: dict[int, int] = {k: 0 for k in size_before}
     for k in range(lm.order, 1, -1):
         # Deltas come from the original model: removals at higher orders do
         # not touch the stored probabilities, weights or marginals they use.
         protected = {g[:-1] for g in pruned.tables.get(k + 1, {})}
-        to_remove = [gram for gram, delta_entropy in _entropy_deltas(lm, value, k, protected)
+        to_remove = [gram for gram, delta_entropy in _entropy_deltas(lm, k, protected)
                      if 10.0 ** delta_entropy - 1.0 < theta]
         table = pruned.tables[k]
         for gram in to_remove:

@@ -16,7 +16,9 @@ does the same float operations in the same order, so their results must be
 `==`, not merely close. They copy every helper that does arithmetic, and
 import only the types, the input checks and, for the dev probabilities EM
 starts from, `BackoffLM.log_prob`; EM's positions come from `iter_positions`
-above.
+above. Every other back-off value they read comes from `backoff_log10_prob`
+above, which adds in `BackoffLM.walk`'s order: the weights, then the stored
+value.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from __future__ import annotations
 import heapq
 import json
 import math
-from functools import partial
 from pathlib import Path
 
 from asrlm.lexg2p import (
@@ -810,26 +811,8 @@ def reference_count_ngrams(corpus, order, vocab):
     )
 
 
-def _ref_memoized_log_prob(lm):
-    tables = [{}] + [lm.tables[k] for k in range(1, lm.order + 1)]
-    backoffs = [{}] + [lm.backoffs[k] for k in range(1, lm.order + 1)]
-    return partial(_ref_memoized_value, tables, backoffs, {})
-
-
-def _ref_memoized_value(tables, backoffs, memo, gram):
-    n = len(gram)
-    logp = tables[n].get(gram)
-    if logp is not None:
-        return logp
-    backed_off = memo.get(gram)
-    if backed_off is None:
-        if n == 1:
-            raise KeyError(f"no unigram entry for {gram[0]!r}")
-        backed_off = (backoffs[n - 1].get(gram[:-1], 0.0)
-                      + _ref_memoized_value(tables, backoffs, memo, gram[1:]))
-        if n < len(tables) - 1:  # a top-order value is never the suffix of a longer gram
-            memo[gram] = backed_off
-    return backed_off
+def _ref_value(lm, gram):
+    return backoff_log10_prob(lm, gram[-1], gram[:-1])
 
 
 def _ref_group_by_context(table):
@@ -839,12 +822,13 @@ def _ref_group_by_context(table):
     return children
 
 
-def _ref_leftover_masses(table, value, grams):
+def _ref_leftover_masses(lm, grams):
+    table = lm.tables[len(grams[0])]
     stored_sum = 0.0
     lower_sum = 0.0
     for gram in grams:
         stored_sum += 10.0 ** table[gram]
-        lower_sum += 10.0 ** value(gram[1:])
+        lower_sum += 10.0 ** _ref_value(lm, gram[1:])
     return 1.0 - stored_sum, 1.0 - lower_sum
 
 
@@ -855,17 +839,15 @@ def _ref_log_backoff(num, den):
 
 
 def reference_rebuild_backoffs(lm):
-    value = _ref_memoized_log_prob(lm)
     for ctx_len in range(1, lm.order):
         ctx_table = lm.tables[ctx_len]
         gram_table = lm.tables[ctx_len + 1]
-        weights = {ctx: _ref_log_backoff(*_ref_leftover_masses(gram_table, value, grams))
+        weights = {ctx: _ref_log_backoff(*_ref_leftover_masses(lm, grams))
                    for ctx, grams in _ref_group_by_context(gram_table).items() if ctx in ctx_table}
-        lm.backoffs[ctx_len].clear()
-        lm.backoffs[ctx_len].update(weights)
+        lm.backoffs[ctx_len] = weights
 
 
-def _ref_log_marginals(value, histories):
+def _ref_log_marginals(lm, histories):
     sums = []
     previous = ()
     for history in histories:
@@ -875,25 +857,25 @@ def _ref_log_marginals(value, histories):
         del sums[common:]
         for i in range(common, len(history)):
             if i == 0:
-                sums.append(value((EOS,) if history[0] == BOS else history[:1]))
+                sums.append(_ref_value(lm, (EOS,) if history[0] == BOS else history[:1]))
             else:
-                sums.append(sums[-1] + value(history[:i + 1]))
+                sums.append(sums[-1] + _ref_value(lm, history[:i + 1]))
         previous = history
         yield history, sums[-1]
 
 
-def reference_entropy_deltas(lm, value, k, protected):
+def reference_entropy_deltas(lm, k, protected):
     table = lm.tables[k]
     siblings = _ref_group_by_context(table)
-    for history, log_marginal in _ref_log_marginals(value, sorted(siblings)):
+    for history, log_marginal in _ref_log_marginals(lm, sorted(siblings)):
         grams = siblings[history]
         log_bow = lm.backoffs[k - 1].get(history, 0.0)
-        num, den = _ref_leftover_masses(table, value, grams)
+        num, den = _ref_leftover_masses(lm, grams)
         h_marginal = 10.0 ** log_marginal
         for gram in grams:
             if gram in protected:
                 continue
-            log_plower = value(gram[1:])
+            log_plower = _ref_value(lm, gram[1:])
             logp = table[gram]
             p = 10.0 ** logp
             # The context's weight once this gram is left out.
@@ -966,7 +948,6 @@ def reference_interpolate_static(lms, weights):
         clone.metadata.update(merged_meta)
         return clone
 
-    values = [_ref_memoized_log_prob(lm) for lm in lms]
     tables = {}
     for k in range(1, order + 1):
         union = {}
@@ -979,8 +960,8 @@ def reference_interpolate_static(lms, weights):
                 tk[gram] = BOS_LOG10_PROB
                 continue
             mix = 0.0
-            for lam, value in zip(lambdas, values):
-                mix += lam * 10.0 ** value(gram)
+            for lam, lm in zip(lambdas, lms):
+                mix += lam * 10.0 ** _ref_value(lm, gram)
             tk[gram] = math.log10(mix)
         tables[k] = tk
     merged = BackoffLM(order=order, tables=tables, vocab=lms[0].vocab, metadata=merged_meta)

@@ -299,9 +299,9 @@ def test_excluded_oov_positions_are_never_scored(opposed_unigram_pair, monkeypat
     words = []
     walk = BackoffLM.walk
 
-    def counting_walk(self, word, history):
-        words.append(word)
-        return walk(self, word, history)
+    def counting_walk(self, gram):
+        words.append(gram[-1])
+        return walk(self, gram)
 
     monkeypatch.setattr(BackoffLM, "walk", counting_walk)
     report = score(lms, corpus_of("a z b\nz z"))

@@ -20,9 +20,8 @@ from asrlm.ngramcore import (
     write_arpa,
 )
 from asrlm.ngramcore.evaluate import PerplexityReport, walk_positions
-from asrlm.ngramcore.model import memoized_log_prob
 from asrlm.ngramcore.smoothing import closed_form_discounts
-from asrlm.pruner import prune_entropy
+from asrlm.pruner import _log_marginals, prune_entropy
 from asrlm.textcorpus import BOS, EOS, UNK, Corpus, Vocabulary, build_vocabulary
 from tests.conftest import corpus_of, random_corpus, train_on
 from tests.reference import BruteForceMKN, backoff_log10_prob, iter_positions, naive_perplexity
@@ -357,7 +356,7 @@ def test_walk_equals_log_prob_at_every_position(seeded_models, kind):
     oov = 0
     for (history, token, is_oov), (word, full_history) in zip(positions, raw):
         assert token == (UNK if is_oov else word)
-        assert lm.walk(token, history)[0] == lm.log_prob(word, full_history), (word, full_history)
+        assert lm.walk((*history, token))[0] == lm.log_prob(word, full_history), (word, full_history)
         oov += is_oov
     assert oov > 20
 
@@ -417,7 +416,7 @@ def test_walk_from_returned_history_equals_log_prob(seeded_models, kind, policy)
                 history = (*history, UNK)[-n:]
                 skipped += 1
                 continue
-            logp, history = lm.walk(token, history)
+            logp, history = lm.walk((*history, token))
             assert len(history) <= n
             shortened += len(history) < min(n, i + 1)
             expected.append(lm.log_prob(word, [BOS, *sent[:i]]))
@@ -428,14 +427,16 @@ def test_walk_from_returned_history_equals_log_prob(seeded_models, kind, policy)
     assert skipped > 20 if policy == "exclude" else skipped == 0
 
 
-@pytest.mark.parametrize("kind", ["trained", "merged", "pruned"])
-def test_memoized_log_prob_matches_log_prob(seeded_models, kind):
+@pytest.mark.parametrize("kind", ["trained", "merged", "pruned", "read_arpa", "with_unk"])
+def test_walk_of_gram_equals_log_prob(seeded_models, kind):
+    """`walk(gram)[0]`, as merging, rebuilding and pruning call it, is `==`
+    to `log_prob` and to the table-only oracle for every stored gram and for
+    every stored context followed by each predicted word."""
     lm = seeded_models[kind]
-    value = memoized_log_prob(lm)
     contexts = {()}
     for k in range(1, lm.order + 1):
         for gram in lm.tables[k]:
-            assert abs(value(gram) - lm.log_prob(gram[-1], gram[:-1])) <= 1e-12, gram
+            assert lm.walk(gram)[0] == lm.log_prob(gram[-1], gram[:-1]), gram
             if k < lm.order:
                 contexts.add(gram)
     backed_off = 0
@@ -443,8 +444,27 @@ def test_memoized_log_prob_matches_log_prob(seeded_models, kind):
         for w in lm.vocab.predicted_words():
             gram = ctx + (w,)
             backed_off += gram not in lm.tables[len(gram)]
-            assert abs(value(gram) - lm.log_prob(w, ctx)) <= 1e-12, gram
+            assert lm.walk(gram)[0] == lm.log_prob(w, ctx) == backoff_log10_prob(lm, w, ctx), gram
     assert backed_off > 0
+
+
+@pytest.mark.parametrize("kind", ["trained", "merged", "pruned", "read_arpa"])
+def test_log_marginals_equal_chain_rule_through_walk(seeded_models, kind):
+    """The pruner reads each stored history's marginal from its stored
+    prefixes. That is `==` to the chain rule through `walk`, added left to
+    right, a leading `<s>` taking p(`</s>`)."""
+    lm = seeded_models[kind]
+    compared = bos_led = 0
+    for k in range(2, lm.order + 1):
+        histories = sorted({gram[:-1] for gram in lm.tables[k]})
+        for history, log_marginal in _log_marginals(lm.tables, histories):
+            expected = lm.walk((EOS,) if history[0] == BOS else history[:1])[0]
+            for i in range(1, len(history)):
+                expected += lm.walk(history[:i + 1])[0]
+            assert log_marginal == expected, history
+            compared += 1
+            bos_led += history[0] == BOS
+    assert compared > 20 and bos_led > 0
 
 
 @pytest.mark.parametrize("policy", ["exclude", "as_unk"])

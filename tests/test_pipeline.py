@@ -121,6 +121,17 @@ def test_parse_config_empty_optional_number_is_none():
     ("oov_policy", "asunk", "oov_policy must be one of exclude, as_unk, got 'asunk'"),
     ("hyps", "", "refs and hyps must be given together"),
     ("corpus.x", "", "corpus.x: cannot read ''"),
+    ("corpus.combined", "fixtures/phonemes.txt",
+     "corpus id 'combined' is taken: the pipeline names its own models combined, pruned, mixture"),
+    ("corpus.pruned", "fixtures/phonemes.txt",
+     "corpus id 'pruned' is taken: the pipeline names its own models combined, pruned, mixture"),
+    ("corpus.mixture", "fixtures/phonemes.txt",
+     "corpus id 'mixture' is taken: the pipeline names its own models combined, pruned, mixture"),
+    ("corpus.a/b", "fixtures/phonemes.txt", "corpus id 'a/b' must hold no '/' or whitespace"),
+    ("corpus.a\tb", "fixtures/phonemes.txt", "corpus id 'a\\tb' must hold no '/' or whitespace"),
+    ("corpus.a b", "fixtures/phonemes.txt", "corpus id 'a b' must hold no '/' or whitespace"),
+    ("min_count", "0", "min_count must be an integer >= 1, got 0"),
+    ("max_size", "2", "max_size must be an integer >= 3 to hold the reserved markers, got 2"),
 ])
 def test_config_validation_refuses_bad_parameters_before_any_stage(
         monkeypatch, tmp_path, capsys, key, value, message):
@@ -834,6 +845,20 @@ def test_cli_refuses_arpa_word_without_unigram(tmp_path, capsys, command):
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == (
         "", f"error: {bad}:11: word 'zz' of 'a zz' has no unigram entry\n")
+    assert not out.exists()
+
+
+def test_cli_prune_refuses_a_model_without_an_end_unigram(tmp_path, capsys):
+    # A `<s>`-initial context takes its weight from p(`</s>`).
+    model = tmp_path / "m.arpa"
+    model.write_text("\\data\\\nngram 1=3\nngram 2=1\n\n\\1-grams:\n-99\t<s>\t-0.2\n-0.3\ta\n"
+                     "-0.5\t<unk>\n\n\\2-grams:\n-0.2\t<s> a\n\n\\end\\\n", encoding="utf-8")
+    out = tmp_path / "out.arpa"
+    assert main(["prune", "--lm", str(model), "--theta", "1e-6", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "", f"error: {model}: no unigram entry for </s>; "
+            "cannot score sentence-initial contexts for pruning\n")
     assert not out.exists()
 
 

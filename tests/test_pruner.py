@@ -4,7 +4,6 @@ import random
 import pytest
 
 from asrlm.ngramcore import context_probability_sums, perplexity
-from asrlm.ngramcore.model import memoized_log_prob
 from asrlm.pruner import _entropy_deltas, prune_entropy
 from asrlm.textcorpus import build_vocabulary
 from tests.conftest import corpus_of, random_corpus, train_on
@@ -140,9 +139,8 @@ def test_entropy_deltas_equal_brute_force_oracle():
     compared = 0
     for trial in range(15):
         lm = train_on(random_corpus(rng, max_sentences=25, max_vocab=10), 2 + trial % 3)
-        value = memoized_log_prob(lm)
         for k in range(2, lm.order + 1):
-            deltas = dict(_entropy_deltas(lm, value, k, set()))
+            deltas = dict(_entropy_deltas(lm, k, set()))
             assert deltas.keys() == lm.tables[k].keys()
             for gram, delta in deltas.items():
                 assert abs(delta - brute_force_prune_delta(lm, gram)) <= 1e-12, gram
