@@ -144,6 +144,7 @@ def cmd_g2p_train(args) -> int:
 
 
 def cmd_g2p_apply(args) -> int:
+    lexg2p.check_search(args.beam, args.n_best)  # before any word, even if there is none
     model = lexg2p.load_g2p_model(args.model)
     words = read_text(args.words).split()
     failures = 0

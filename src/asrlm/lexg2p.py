@@ -15,6 +15,7 @@ import json
 import logging
 import math
 from dataclasses import dataclass, field
+from itertools import chain, filterfalse, groupby
 from operator import itemgetter
 from pathlib import Path
 from typing import NamedTuple
@@ -170,8 +171,9 @@ class JointSequenceModel:
 
     Decoding reads a second, lazily built table, `_by_order1`: for each
     grapheme side ("piece") it has expanded, the order-1 conditional of
-    each of the piece's graphone ids, both sorted largest first and as
-    gid -> p. A piece's entry is built on first use and kept with the model.
+    each of the piece's graphone ids, both as runs of equal p, largest
+    first, each run's ids in (phonemes, gid) order, and as gid -> p. A
+    piece's entry is built on first use and kept with the model.
     """
 
     order: int
@@ -207,7 +209,7 @@ class JointSequenceModel:
         for gid, g in enumerate(self.graphones):
             self.by_grapheme.setdefault(g.graphemes, []).append(gid)
         self.letters = frozenset(ch for g in self.graphones for ch in g.graphemes)
-        self._by_order1: dict[str, tuple[list[tuple[float, int]], dict[int, float]]] = {}
+        self._by_order1: dict[str, tuple[list[tuple[float, list[int]]], dict[int, float]]] = {}
 
     def start_history(self) -> tuple[int, ...]:
         return (BOS_ID,) * (self.order - 1)
@@ -241,52 +243,56 @@ class JointSequenceModel:
             p = gamma * p if c is None else max(c - d, 0.0) / denom + gamma * p
         return p
 
-    def _rank(self, piece: str) -> tuple[list[tuple[float, int]], dict[int, float]]:
+    def _rank(self, piece: str) -> tuple[list[tuple[float, list[int]]], dict[int, float]]:
         """Build and keep `piece`'s entry of `_by_order1`."""
         levels = self._levels((), 1)
         p1 = {gid: self._lift(self._uniform, gid, levels) for gid in self.by_grapheme[piece]}
-        ranked = self._by_order1[piece] = (sorted(zip(p1.values(), p1), reverse=True), p1)
+        graphones = self.graphones
+        ids = sorted(p1, key=lambda gid: (-p1[gid], graphones[gid].phonemes, gid))
+        runs = [(p, list(run)) for p, run in groupby(ids, key=p1.__getitem__)]
+        ranked = self._by_order1[piece] = (runs, p1)
         return ranked
 
     def successors(self, history: tuple[int, ...], piece: str):
-        """Yield (log10 p(gid | history), gid) for each gid with grapheme
-        side `piece`, largest p first, each value equal to
-        `math.log10(self.cond_prob(gid, history))`. `history` holds
+        """Yield (log10 p, gids) once for each distinct log10 p(gid | history)
+        over the gids with grapheme side `piece`, largest first, each value
+        equal to `math.log10(self.cond_prob(gid, history))` and `gids` an
+        iterable of its gids in (phonemes, gid) order. Flattened, the gids
+        come in ascending (-log10 p, phonemes, gid) order, the order in which
+        the decoder's cut key ranks equal scores. `history` holds
         `order - 1` ids, and `piece` must be a key of `by_grapheme`.
 
-        Only the few gids that a context of order 2 or more on `history`'s
-        back-off chain stores get their own discounted term; each is
-        evaluated in full. Every other gid's p is its order-1 p times the
-        gamma of each such context, in chain order, and a product with the
-        same positive factors never reverses the order of two values, so
-        those gids come lazily from the piece's order-1 list. The two runs
-        are merged: a caller that stops after three successors pays for
-        three.
+        Only the few gids whose count exceeds the discount in a context of
+        order 2 or more on `history`'s back-off chain get a discounted term
+        of their own; each is evaluated in full. Every other gid's p is its
+        order-1 p times the gamma of each such context, in chain order, so
+        each of the piece's runs of equal order-1 p costs one product and
+        one log10, however many gids it holds, and its gids are read only as
+        the caller asks for them. Distinct p can share a log10, so the runs
+        and the stored gids are grouped by log10, and a group of several is
+        sorted by (phonemes, gid).
         """
-        ranked, p1 = self._by_order1.get(piece) or self._rank(piece)
+        runs, p1 = self._by_order1.get(piece) or self._rank(piece)
         levels = self._levels(history, 2)
+        d = self.discount
         gammas = []
         stored = set()
         for _, gamma, followers in levels:
             gammas.append(gamma)
-            stored |= followers.keys() & p1.keys()
-        exact = [(self._lift(p1[gid], gid, levels), gid) for gid in stored]
-        exact.sort(reverse=True)
-        exact.append((-1.0, EOS_ID))  # below every probability: ends the merge
-        i = 0
-        q = exact[0][0]
-        for p, gid in ranked:
-            if gid in stored:
-                continue
+            stored.update(gid for gid in followers.keys() & p1.keys() if followers[gid] > d)
+        groups: dict[float, list] = {}
+        for p, run in runs:
             for gamma in gammas:
                 p = gamma * p
-            while q >= p:
-                yield math.log10(q), exact[i][1]
-                i += 1
-                q = exact[i][0]
-            yield math.log10(p), gid
-        for q, gid in exact[i:-1]:
-            yield math.log10(q), gid
+            groups.setdefault(math.log10(p), []).append(
+                filterfalse(stored.__contains__, run) if stored else run)
+        for gid in stored:
+            groups.setdefault(math.log10(self._lift(p1[gid], gid, levels)), []).append((gid,))
+        graphones = self.graphones
+        for logp in sorted(groups, reverse=True):
+            parts = groups[logp]
+            yield logp, parts[0] if len(parts) == 1 else sorted(
+                chain(*parts), key=lambda gid: (graphones[gid].phonemes, gid))
 
     def cond_log10(self, gid: int, history: tuple[int, ...]) -> float:
         return math.log10(self.cond_prob(gid, history))
@@ -537,7 +543,8 @@ def train_g2p(
     )
 
 
-def _check_search(beam: int, n_best: int) -> None:
+def check_search(beam: int, n_best: int) -> None:
+    """Refuse a beam or an n-best count below 1."""
     if beam < 1:
         raise ValueError("beam must be >= 1")
     if n_best < 1:
@@ -575,15 +582,22 @@ def apply_g2p(model: JointSequenceModel, word: str, beam: int = 100, n_best: int
     their unpruned scores, and every other one is below them in both
     searches, so the cut keeps the same hypotheses with the same scores.
 
-    Each history's successors come best first from
-    `JointSequenceModel.successors`, and its members best first by score,
-    so a history stops at its first successor that cannot lift its best
+    Each history's successors come from `JointSequenceModel.successors` in
+    groups of equal log10 p, best first, and its members best first by
+    score, so a history stops at its first group that cannot lift its best
     member to the bound's score, and a successor at its first member that
-    it cannot lift to it.
+    it cannot lift to it. A group stops at its first successor that no
+    member passes the bound with: nothing entered, so the bound stands, and
+    with each later successor of the group every member gets the same score
+    and a key (phones + phonemes, next history) that sorts no earlier, since
+    the group comes in (phonemes, gid) order and of two equal phonemes the
+    larger gid ends a next history that sorts no earlier. The stop ends only
+    the group: a score plus a lower log10 p can round to the same float, so
+    the next group is tested like the first.
     """
     if not word:
         raise G2PError("empty word")
-    _check_search(beam, n_best)
+    check_search(beam, n_best)
     unseen = sorted(set(word) - model.letters)
     if unseen:
         raise G2PError(f"letters never seen in any graphone: {unseen}")
@@ -626,29 +640,34 @@ def apply_g2p(model: JointSequenceModel, word: str, beam: int = 100, n_best: int
             bound, bound_key = (-top[-1][0], top[-1][1:]) if len(top) == beam else (-math.inf, ())
             for hist, members in by_history.items():
                 lead = members[0][1]
-                for logp, gid in model.successors(hist, piece):
+                for logp, gids in model.successors(hist, piece):
                     if lead + logp < bound:
                         break
-                    # The next history drops the oldest id.
-                    nhist = (hist + (gid,))[1:]
-                    phonemes = graphones[gid].phonemes
-                    for phones, score in members:
-                        nscore = score + logp
-                        if nscore < bound:
+                    for gid in gids:
+                        # The next history drops the oldest id.
+                        nhist = (hist + (gid,))[1:]
+                        phonemes = graphones[gid].phonemes
+                        rejected = True
+                        for phones, score in members:
+                            nscore = score + logp
+                            if nscore < bound:
+                                break
+                            nkey = (phones + phonemes, nhist)
+                            if nscore == bound and nkey > bound_key:
+                                continue
+                            rejected = False
+                            old = lvl.get(nkey)
+                            if old is None:
+                                lvl[nkey] = nscore
+                                bisect.insort(top, (-nscore,) + nkey)
+                                if len(top) > beam:
+                                    top.pop()
+                                if len(top) == beam:
+                                    bound, bound_key = -top[-1][0], top[-1][1:]
+                            elif nscore > old:
+                                lvl[nkey] = nscore
+                        if rejected:
                             break
-                        nkey = (phones + phonemes, nhist)
-                        if nscore == bound and nkey > bound_key:
-                            continue
-                        old = lvl.get(nkey)
-                        if old is None:
-                            lvl[nkey] = nscore
-                            bisect.insort(top, (-nscore,) + nkey)
-                            if len(top) > beam:
-                                top.pop()
-                            if len(top) == beam:
-                                bound, bound_key = -top[-1][0], top[-1][1:]
-                        elif nscore > old:
-                            lvl[nkey] = nscore
     best: dict[tuple[str, ...], float] = {}
     for (phones, hist), score in levels[n].items():
         total = score + model.cond_log10(EOS_ID, hist)
@@ -681,7 +700,7 @@ def extend_lexicon(
     Existing entries are never changed. Per-word conversion failures are
     collected in the report and do not stop the remaining words.
     """
-    _check_search(beam, n_best)  # before any word, even if every word is known
+    check_search(beam, n_best)  # before any word, even if every word is known
     added: dict[str, tuple[tuple[str, ...], ...]] = {}
     failed: dict[str, str] = {}
     for word in words:
@@ -760,7 +779,7 @@ def _is_number(x) -> bool:
 def _is_graphone_gram(gram: tuple, k: int, ids: range) -> bool:
     """k ids from `ids`, where `BOS_ID` may also pad the history and `EOS_ID`
     may also be the predicted (last) id."""
-    if k < 1 or len(gram) != k or any(type(g) is not int for g in gram):
+    if len(gram) != k or any(type(g) is not int for g in gram):
         return False
     return all(g in ids or g == BOS_ID for g in gram[:-1]) and (gram[-1] in ids or gram[-1] == EOS_ID)
 
@@ -769,8 +788,9 @@ def load_g2p_model(path: str | Path) -> JointSequenceModel:
     """Read a model written by `save_g2p_model`.
 
     Raises ValueError naming the path for a file that is not such a model,
-    lacks a field, or has malformed counts, a count gram that is not k
-    graphone ids, a non-finite or negative count, a likelihood trace that is
+    lacks a field, or has malformed counts, a count order outside
+    1..order, a count gram that is not k graphone ids or that its order
+    lists twice, a non-finite or negative count, a likelihood trace that is
     not a list of finite numbers, a discount outside (0, 1], an order or
     size limit that is not an integer in range, both minimum sizes 0, or
     graphones that are not [graphemes, [phonemes, ...]] string pairs. A JSON
@@ -802,21 +822,27 @@ def load_g2p_model(path: str | Path) -> JointSequenceModel:
         raise ValueError(f"{path}: graphones are not a list of [graphemes, [phonemes, ...]] "
                          "string pairs")
     try:
-        counts = {
-            int(k): {tuple(gram): c for gram, c in table}
-            for k, table in payload["counts"].items()
-        }
+        tables = [(int(k), [(tuple(gram), c) for gram, c in table])
+                  for k, table in payload["counts"].items()]
     except (AttributeError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: malformed counts: {exc}") from exc
+    order = payload["order"]
     ids = range(len(graphones))
-    for k, table in counts.items():
-        for gram, c in table.items():
+    counts: dict[int, dict[tuple[int, ...], float]] = {}
+    for k, items in tables:
+        if not 1 <= k <= order:
+            raise ValueError(f"{path}: count order {k} is outside 1..{order}")
+        table = counts.setdefault(k, {})
+        for gram, c in items:
             if not _is_graphone_gram(gram, k, ids):
                 raise ValueError(f"{path}: {k}-gram {list(gram)} is not {k} graphone ids "
                                  "(BOS_ID only before the last place, EOS_ID only in it)")
             if not _is_number(c) or not math.isfinite(c) or c < 0.0:
                 raise ValueError(f"{path}: count {c!r} of {k}-gram {list(gram)} "
                                  "is not a finite number >= 0")
+            if gram in table:
+                raise ValueError(f"{path}: {k}-gram {list(gram)} is listed twice")
+            table[gram] = c
     trace = payload["log10_likelihood_trace"]
     if not isinstance(trace, list) or not all(
         _is_number(x) and math.isfinite(x) for x in trace

@@ -389,10 +389,107 @@ def test_apply_g2p_equals_reference_with_binding_beam():
     assert binding > 100  # beam 1 and beam 30 disagree often: the cut binds
 
 
+def test_apply_g2p_equals_reference_with_shuffled_graphone_ids():
+    # The decoder stops a group of equal-score successors at its first
+    # rejected one, which is exact only if the group comes in the cut key's
+    # order: by phonemes, then by id. Training numbers graphones in phoneme
+    # order, so shuffled ids, a graphone listed twice and distinct p with
+    # one log10 test the tie order that a trained model would hide.
+    rng = random.Random(89)
+    models = []
+    for order in (1, 2, 3):
+        for max_letters in (1, 2):
+            for em_iters in (0, 2):
+                lex = random_lexicon(rng, n_words=10, alphabet="abc", phones=("P", "Q", "R"))
+                models.append(permuted(train_g2p(lex, order=order, max_letters=max_letters,
+                                                 max_phones=2, em_iters=em_iters), rng))
+    model = train_g2p(random_lexicon(rng, n_words=10, alphabet="abc"), order=2, max_letters=2,
+                      max_phones=2, em_iters=2)
+    most = max(range(len(model.graphones)), key=lambda gid: model.counts[1].get((gid,), 0.0))
+    models += [duplicated(model, most), log10_collision_model()]
+    binding = 0
+    for model in models:
+        alphabet = sorted(model.letters)
+        for length in range(1, 9):
+            word = "".join(rng.choice(alphabet) for _ in range(length))
+            for n_best in (1, 3):
+                outputs = []
+                for beam in (30, 5, 3, 2, 1):
+                    expected = _decode(reference_apply_g2p, model, word, beam, n_best)
+                    assert _decode(apply_g2p, model, word, beam, n_best) == expected, (
+                        model.order, model.max_letters, word, beam, n_best)
+                    outputs.append(expected)
+                binding += outputs[-1] != outputs[0]
+    assert binding > 100
+
+
+def test_a_rejected_tie_stops_only_its_own_log10_group():
+    # "a" as X has a log10 p just below that of "a" as Y or Z, but after
+    # "bbb" both scores round to one float. At beam 1, Y enters, Z ties with
+    # it and is rejected by its phonemes, and X still ties with Y and sorts
+    # first: a stop that left the history at Z would keep Y.
+    graphones = (Graphone("a", ("X",)), Graphone("a", ("Y",)), Graphone("a", ("Z",)),
+                 Graphone("b", ("B",)))
+    counts = {1: {(0,): math.nextafter(math.nextafter(math.nextafter(3.0, 0), 0), 0), (1,): 3.0,
+                  (2,): 3.0, (3,): 0.75, (EOS_ID,): 1.0}}
+    model = JointSequenceModel(order=1, max_letters=1, max_phones=1, min_letters=1, min_phones=1,
+                               graphones=graphones, counts=counts, discount=0.5)
+    prefix = 3 * model.cond_log10(3, ())
+    x, y = model.cond_log10(0, ()), model.cond_log10(1, ())
+    assert x < y and prefix + x == prefix + y
+    expected = reference_apply_g2p(model, "bbba", beam=1)
+    assert expected[0][0] == ("B", "B", "B", "X")
+    assert apply_g2p(model, "bbba", beam=1) == expected
+
+
+def rebuilt(model, graphones, counts):
+    return JointSequenceModel(order=model.order, max_letters=model.max_letters,
+                              max_phones=model.max_phones, min_letters=model.min_letters,
+                              min_phones=model.min_phones, graphones=graphones, counts=counts,
+                              discount=model.discount)
+
+
+def permuted(model, rng):
+    """`model` with its graphone ids shuffled: the same conditionals, bit for
+    bit, since each table keeps its count order, but other id tie orders."""
+    new_id = list(range(len(model.graphones)))
+    rng.shuffle(new_id)
+    graphones = [None] * len(new_id)
+    for gid, new in enumerate(new_id):
+        graphones[new] = model.graphones[gid]
+    counts = {k: {tuple(g if g < 0 else new_id[g] for g in gram): c for gram, c in table.items()}
+              for k, table in model.counts.items()}
+    return rebuilt(model, tuple(graphones), counts)
+
+
+def duplicated(model, gid):
+    """`model` plus a last graphone equal to graphone `gid`, with gid's counts
+    wherever gid is the predicted id: the two tie in every such context."""
+    new = len(model.graphones)
+    counts = {k: {**table, **{gram[:-1] + (new,): c for gram, c in table.items() if gram[-1] == gid}}
+              for k, table in model.counts.items()}
+    return rebuilt(model, model.graphones + (model.graphones[gid],), counts)
+
+
+def log10_collision_model():
+    """An order-2 model over "ab" whose "a" graphones have two order-1 p one
+    ulp apart with the same log10, the larger on Z and X and the smaller on
+    Y and W, and whose phonemes sort against their ids."""
+    graphones = tuple(Graphone("a", (ph,)) for ph in "ZYXWVU") + (Graphone("b", ("B",)),)
+    c = math.nextafter(1.5, 2.0)
+    counts = {1: {(0,): c, (1,): 1.5, (2,): c, (3,): 1.5, (4,): 1.0, (5,): 0.25, (6,): 1000.0,
+                  (EOS_ID,): 2.0},
+              2: {(6, 5): 3.0, (6, 4): 0.4, (6, 1): 0.5, (BOS_ID, 6): 4.0, (0, EOS_ID): 1.0}}
+    return JointSequenceModel(order=2, max_letters=1, max_phones=1, min_letters=1, min_phones=1,
+                              graphones=graphones, counts=counts, discount=0.5)
+
+
 def test_successors_yield_the_full_conditional_list_best_first():
     # The stream must give exactly the (log10 p, gid) multiset of the whole
-    # conditional list, compared with ==, in non-increasing log10 p: the
-    # merge assumes that ordering by p orders by math.log10(p).
+    # conditional list, compared with ==, one group per distinct log10 p,
+    # and flattened in ascending (-log10 p, phonemes, gid): the decoder
+    # stops a group at its first rejected gid because the cut key ranks
+    # equal scores by phonemes.
     rng = random.Random(71)
     models = [train_g2p(random_lexicon(rng, n_words=10, alphabet="abc"), order=order,
                         max_letters=2, max_phones=2, em_iters=2) for order in (1, 2, 3)]
@@ -400,6 +497,8 @@ def test_successors_yield_the_full_conditional_list_best_first():
                             max_letters=2, max_phones=1, min_letters=0, em_iters=2))
     models.append(train_g2p(random_lexicon(rng, n_words=10, alphabet="abc"), order=3,
                             max_letters=2, max_phones=2, em_iters=0))  # every score ties
+    models += [permuted(models[2], rng), log10_collision_model()]
+    merged = 0  # groups that hold more than one distinct p
     for model in models:
         contexts = reference_contexts(model)
         start = model.start_history()
@@ -411,9 +510,16 @@ def test_successors_yield_the_full_conditional_list_best_first():
             for hist in histories:
                 probs = reference_cond_list(model, contexts, hist, gids, memo)
                 full = [(math.log10(p), gid) for gid, p in zip(gids, probs)]
-                stream = list(model.successors(hist, piece))
+                groups = [(logp, list(gids)) for logp, gids in model.successors(hist, piece)]
+                stream = [(logp, gid) for logp, gids in groups for gid in gids]
                 assert sorted(stream) == sorted(full), (model.order, piece, hist)
-                assert all(a[0] >= b[0] for a, b in zip(stream, stream[1:])), (piece, hist)
+                keys = [(-logp, model.graphones[gid].phonemes, gid) for logp, gid in stream]
+                assert keys == sorted(keys), (model.order, piece, hist)
+                values = [logp for logp, _ in groups]
+                assert values == sorted(set(values), reverse=True), (piece, hist)
+                p_of = dict(zip(gids, probs))
+                merged += sum(len({p_of[gid] for gid in group}) > 1 for _, group in groups)
+    assert merged
 
 
 def test_beam_scores_are_log10_of_sequence_probability():
@@ -574,6 +680,12 @@ def _set_count(order, value):
                  "2-gram [0, -1] is not 2 graphone ids", id="bos-last"),
     pytest.param(lambda payload: payload.update(counts={"2": [[[-2, 0], 1.0]]}),
                  "2-gram [-2, 0] is not 2 graphone ids", id="eos-in-history"),
+    pytest.param(lambda payload: payload.update(counts={"1": [[[0], 1.0], [[0], 2.0]]}),
+                 "1-gram [0] is listed twice", id="repeated-gram"),
+    pytest.param(lambda payload: payload["counts"].update({"3": [[[0, 0, 0], 1.0]]}),
+                 "count order 3 is outside 1..2", id="order-above-model"),
+    pytest.param(lambda payload: payload["counts"].update({"0": []}),
+                 "count order 0 is outside 1..2", id="order-zero"),
     pytest.param(lambda payload: payload.update(order=True),
                  "order True is not an integer >= 1", id="bool-order"),
     pytest.param(lambda payload: payload.update(min_letters=False),

@@ -597,6 +597,21 @@ def test_cli_g2p_refuses_zero_n_best(tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag, message", [("--beam", "beam"), ("--n-best", "n_best")])
+def test_cli_g2p_apply_refuses_bad_search_without_words(tmp_path, capsys, flag, message):
+    lex = tmp_path / "lex.tsv"
+    lex.write_text("ab\ta b\nba\tb a\n", encoding="utf-8")
+    model = str(tmp_path / "g2p.json")
+    assert main(["g2p", "train", "--lexicon", str(lex), "--order", "2", "--max-letters", "1",
+                 "--max-phones", "1", "--em-iters", "1", "--out", model]) == 0
+    words = tmp_path / "words.txt"
+    words.write_text("", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["g2p", "apply", "--model", model, "--words", str(words), flag, "0"]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message} must be >= 1\n")
+
+
 def test_cli_lexicon_extend_refuses_zero_n_best_when_every_word_is_known(tmp_path, capsys):
     lex = tmp_path / "lex.tsv"
     lex.write_text("ab\ta b\nba\tb a\n", encoding="utf-8")
