@@ -32,9 +32,6 @@ class MappingTable:
             if not src or not dst:
                 raise MappingError("empty word in mapping")
 
-    def __len__(self) -> int:
-        return len(self.pairs)
-
 
 def load_mapping(path: str | Path) -> MappingTable:
     """Read `dialect<TAB>standard[<TAB>note]` lines; `#` lines are comments.

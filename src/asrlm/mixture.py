@@ -47,7 +47,7 @@ def _check_weights(weights, components: int) -> tuple[float, ...]:
         raise ValueError("one weight per component required")
     if not all(math.isfinite(lam) and lam >= 0.0 for lam in lambdas):
         raise ValueError(f"weights must be finite and non-negative, got {list(lambdas)}")
-    total = sum(lambdas)
+    total = ordered_sum(lambdas)
     if abs(total - 1.0) > 1e-9:
         raise ValueError(f"weights sum to {total}, not 1")
     return lambdas
@@ -248,7 +248,7 @@ def load_weights(path: str | Path, lms: list[BackoffLM]) -> InterpolationWeights
             if not a & n:
                 raise ValueError(f"{path}: weights list {ids}, not in model order "
                                  f"{list(expected)} ({lm_id!r} is not model {i + 1})")
-    total = sum(lambdas)
+    total = ordered_sum(lambdas)
     if abs(total - 1.0) > WEIGHT_FILE_TOLERANCE:
         raise ValueError(f"{path}: weights sum to {total}, expected 1 within {WEIGHT_FILE_TOLERANCE}")
     lambdas = [l / total for l in lambdas]

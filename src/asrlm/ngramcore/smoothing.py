@@ -23,10 +23,6 @@ class DiscountSet:
     by_order: dict[int, tuple[float, float, float]]
     fallback_orders: frozenset[int] = frozenset()
 
-    @classmethod
-    def uniform(cls, order: int, value: float = FALLBACK_DISCOUNT) -> "DiscountSet":
-        return cls(by_order={k: (value, value, value) for k in range(1, order + 1)})
-
 
 def closed_form_discounts(n1: int, n2: int, n3: int, n4: int) -> tuple[float, float, float]:
     """The count-of-counts closed forms: Y = n1/(n1+2*n2), Dk = k - (k+1)*Y*n(k+1)/nk."""

@@ -9,6 +9,7 @@ into `lexicon/` and `dialect/`. Reruns produce byte-identical artifacts.
 
 from __future__ import annotations
 
+import fcntl
 import hashlib
 import json
 import os
@@ -31,8 +32,8 @@ from asrlm.ngramcore import (
 from asrlm.ngramcore.evaluate import OOV_POLICIES
 from asrlm.pruner import prune_entropy
 from asrlm.textcorpus import (
-    RESERVED, Corpus, Vocabulary, build_vocabulary, concatenate, load_corpus, read_text, word_frequencies,
-    write_text_atomic,
+    RESERVED, Corpus, Vocabulary, build_vocabulary, concatenate, load_corpus, read_text,
+    remove_dead_temp_files, word_frequencies, write_text_atomic,
 )
 
 
@@ -216,44 +217,27 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _pid_is_dead(text: str) -> bool:
-    """True when `text` names a PID that no longer exists; anything else may be alive."""
-    try:
-        os.kill(int(text), 0)
-    except ProcessLookupError:
-        return True
-    except (OSError, ValueError, OverflowError):
-        pass  # not a PID, or a live process of another user
-    return False
-
-
-def _lock_is_stale(lock: Path) -> bool:
-    """True when `lock` names a PID that no longer exists; anything else is held."""
-    try:
-        return _pid_is_dead(lock.read_text(encoding="ascii"))
-    except (OSError, ValueError):
-        return False  # unreadable
-
-
 class _Run:
     """One pipeline run over `out_dir`: `with _Run(config) as run:`.
 
-    Creating it validates the config. Entering creates `out_dir`, takes its
-    lock, removes the temp files `write_text_atomic` left there or in its
-    part subdirectories in processes that no longer exist, and writes the
+    Creating it validates the config. Entering creates `out_dir` and takes
+    its lock: an exclusive `flock` on a descriptor of `out_dir` itself, which
+    the kernel drops when the run's process ends, however it ends; a lock
+    another process holds is a PipelineError of stage `lock`. It then removes
+    the temp files that `write_text_atomic` left there or in its part
+    subdirectories in processes that no longer exist, and writes the
     `running` manifest: parameters and input hashes, no artifacts. The body
     opens each stage with `begin`, parses corpora once through `load`, and
     writes artifacts through `path` or `write`; `result` writes the `ok`
     manifest. An exception inside a stage writes the `failed` manifest and
-    surfaces as a PipelineError for that stage. The lock is removed on every
-    way out.
+    surfaces as a PipelineError for that stage. The lock is released on
+    every way out, after the last manifest is written.
     """
 
     def __init__(self, config: PipelineConfig):
         config.validate()
         self.config = config
         self.out_dir = Path(config.out_dir)
-        self.lock = self.out_dir / ".lock"
         self.stage = ""
         self.stages: list[str] = []
         self.artifacts: list[str] = []
@@ -262,30 +246,22 @@ class _Run:
 
     def __enter__(self) -> "_Run":
         self.out_dir.mkdir(parents=True, exist_ok=True)
-        for attempt in range(2):  # a stale lock is removed and taken once more
-            try:
-                fd = os.open(self.lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-                break
-            except FileExistsError:
-                if attempt or not _lock_is_stale(self.lock):
-                    raise PipelineError(
-                        "lock", f"{self.lock} exists; another run owns {self.out_dir}")
-                self.lock.unlink(missing_ok=True)
-        os.write(fd, str(os.getpid()).encode())
-        os.close(fd)
+        self.lock_fd = os.open(self.out_dir, os.O_RDONLY)
         try:
+            try:
+                fcntl.flock(self.lock_fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            except BlockingIOError:
+                raise PipelineError(
+                    "lock", f"another run holds the lock on {self.out_dir}") from None
             # A run killed while writing leaves `.NAME.PID.tmp`, which would
             # differ between otherwise identical out_dirs.
-            for pattern in (".*.tmp", "lexicon/.*.tmp", "dialect/.*.tmp"):
-                for tmp in self.out_dir.glob(pattern):
-                    pid = tmp.name[:-len(".tmp")].rpartition(".")[2]
-                    if pid.isdecimal() and _pid_is_dead(pid):
-                        tmp.unlink(missing_ok=True)
+            for sub in ("", "lexicon", "dialect"):
+                remove_dead_temp_files(self.out_dir / sub)
             # A run killed before `result` leaves this manifest, not the
             # `ok` one of an earlier run whose artifacts it may have replaced.
             self.write_manifest("running")
         except BaseException:
-            self.lock.unlink(missing_ok=True)
+            os.close(self.lock_fd)
             raise
         return self
 
@@ -295,7 +271,7 @@ class _Run:
                 self.write_manifest("failed", failed_stage=self.stage)
                 raise PipelineError(self.stage, str(exc)) from exc
         finally:
-            self.lock.unlink(missing_ok=True)
+            os.close(self.lock_fd)  # closing the last descriptor releases the lock
 
     def begin(self, stage: str) -> None:
         """Mark the current stage complete and open `stage`."""

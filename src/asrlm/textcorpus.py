@@ -99,6 +99,11 @@ def write_text_atomic(path: str | Path, text: str | Iterable[str]) -> None:
     existing target that is not a regular file (such as `/dev/stdout`), is
     written in place instead, from the chunks joined first. Either way a chunk
     source that raises leaves `path` as it was.
+
+    Nothing is fsynced, so this guards against a killed process, not against
+    power loss: after a crash of the machine the file system may hold an
+    empty or old `path`. A killed process leaves at most its temp file, which
+    `remove_dead_temp_files` clears.
     """
     path = Path(path)
     if isinstance(text, str):
@@ -118,6 +123,27 @@ def write_text_atomic(path: str | Path, text: str | Iterable[str]) -> None:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def _pid_is_dead(pid: int) -> bool:
+    """True when `pid` names a process that no longer exists; anything else may be alive."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    except (OSError, OverflowError):
+        pass  # a live process of another user, or no PID at all
+    return False
+
+
+def remove_dead_temp_files(directory: str | Path) -> None:
+    """Remove the `.NAME.PID.tmp` files that `write_text_atomic` left in
+    `directory` in processes that no longer exist; a live writer's stay."""
+    for tmp in Path(directory).glob(".*.tmp"):
+        pid = tmp.name[:-len(".tmp")].rpartition(".")[2]
+        # Decimal digits only: `os.kill` takes a negative PID for a process group.
+        if pid.isdecimal() and _pid_is_dead(int(pid)):
+            tmp.unlink(missing_ok=True)
 
 
 def save_corpus(corpus: Corpus, path: str | Path) -> None:
@@ -183,12 +209,6 @@ class Vocabulary:
 
     def __hash__(self):
         return hash(self._words)
-
-    def index(self, word: str) -> int:
-        return self.ids[word]
-
-    def word(self, idx: int) -> str:
-        return self._words[idx]
 
     def save(self, path: str | Path) -> None:
         write_text_atomic(path, "".join(w + "\n" for w in self._words))

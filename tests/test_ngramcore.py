@@ -195,7 +195,7 @@ def test_scale_invariance_with_scaled_top_order_discount():
     vocab = build_vocabulary([c1])
     t1 = count_ngrams(c1, 3, vocab)
     t2 = count_ngrams(c2, 3, vocab)
-    lm1 = train_mkn(t1, DiscountSet.uniform(3, 0.5))
+    lm1 = train_mkn(t1, DiscountSet(by_order={k: (0.5,) * 3 for k in (1, 2, 3)}))
     scaled = DiscountSet(by_order={1: (0.5,) * 3, 2: (0.5,) * 3, 3: (1.0,) * 3})
     lm2 = train_mkn(t2, scaled)
     compared = 0

@@ -1,3 +1,5 @@
+import errno
+import fcntl
 import hashlib
 import json
 import os
@@ -234,14 +236,48 @@ def test_pipeline_stage_failure_reported(small_setup, tmp_path):
     assert manifest["failed_stage"] == "load"
 
 
+def hold_lock(directory: Path) -> int:
+    """A new descriptor of `directory` that holds the lock a run takes on it."""
+    fd = os.open(directory, os.O_RDONLY)
+    fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+    return fd
+
+
+def lock_is_free(directory: Path) -> bool:
+    """True when a run could take the lock on `directory` now."""
+    try:
+        os.close(hold_lock(directory))
+    except BlockingIOError:
+        return False
+    return True
+
+
+# A child that takes the lock on argv[1], says so, and holds it until its
+# stdin closes.
+HOLD_LOCK = """
+import fcntl, os, sys
+fcntl.flock(os.open(sys.argv[1], os.O_RDONLY), fcntl.LOCK_EX)
+print("held", flush=True)
+sys.stdin.read()
+"""
+
+
 def test_pipeline_lock_prevents_concurrent_runs(small_setup):
     c1, _, dev, tmp = small_setup
     out = tmp / "locked"
     out.mkdir()
-    (out / ".lock").write_text("held", encoding="utf-8")
     config = PipelineConfig(corpora=(("a", c1),), dev=dev, out_dir=str(out))
-    with pytest.raises(PipelineError, match="lock"):
-        run_lm_pipeline(config)
+    # Leaving the `with` closes the holder's stdin and waits for it to exit.
+    with subprocess.Popen([sys.executable, "-c", HOLD_LOCK, str(out)], text=True,
+                          stdin=subprocess.PIPE, stdout=subprocess.PIPE) as holder:
+        assert holder.stdout.readline() == "held\n"
+        with pytest.raises(PipelineError, match="lock") as err:
+            run_lm_pipeline(config)
+        assert err.value.stage == "lock"
+        assert list(out.iterdir()) == []
+    assert holder.returncode == 0
+    run_lm_pipeline(config)
+    assert json.loads((out / "manifest.json").read_text(encoding="utf-8"))["status"] == "ok"
 
 
 def _reaped_child_pid() -> int:
@@ -254,30 +290,43 @@ def test_pipeline_takes_over_lock_of_dead_process(small_setup):
     c1, _, dev, tmp = small_setup
     out = tmp / "stale"
     out.mkdir()
-    (out / ".lock").write_text(str(_reaped_child_pid()), encoding="utf-8")
+    kill_holder = HOLD_LOCK + "import signal\nos.kill(os.getpid(), signal.SIGKILL)\n"
+    killed = subprocess.run([sys.executable, "-c", kill_holder, str(out)], input="",
+                            capture_output=True, text=True, timeout=60)
+    assert killed.returncode == -signal.SIGKILL and killed.stdout == "held\n"
+    # An older version's lock file, naming a live process, is inert.
+    (out / ".lock").write_text(str(os.getpid()), encoding="utf-8")
     run_lm_pipeline(PipelineConfig(corpora=(("a", c1),), dev=dev, out_dir=str(out)))
     assert json.loads((out / "manifest.json").read_text(encoding="utf-8"))["status"] == "ok"
-    assert not (out / ".lock").exists()
+    assert (out / ".lock").read_text(encoding="utf-8") == str(os.getpid())
+    assert lock_is_free(out)
 
 
 def test_pipeline_lock_of_live_process_blocks(small_setup):
     c1, _, dev, tmp = small_setup
     out = tmp / "live"
     out.mkdir()
-    (out / ".lock").write_text(str(os.getpid()), encoding="utf-8")
-    with pytest.raises(PipelineError, match="lock"):
-        run_lm_pipeline(PipelineConfig(corpora=(("a", c1),), dev=dev, out_dir=str(out)))
-    assert (out / ".lock").read_text(encoding="utf-8") == str(os.getpid())
-    assert not (out / "manifest.json").exists()
+    fd = hold_lock(out)  # a flock belongs to a descriptor: this one is the other run
+    try:
+        with pytest.raises(PipelineError, match="lock"):
+            run_lm_pipeline(PipelineConfig(corpora=(("a", c1),), dev=dev, out_dir=str(out)))
+        assert not lock_is_free(out)
+        assert list(out.iterdir()) == []
+    finally:
+        os.close(fd)
+    assert lock_is_free(out)
 
 
 @pytest.mark.parametrize("runner", [run_lexicon_pipeline, run_pipeline])
 def test_lexicon_and_dialect_pipelines_refuse_held_lock(tmp_path, monkeypatch, runner):
     monkeypatch.chdir(FIXTURES.parent)
-    (tmp_path / ".lock").write_text("held", encoding="utf-8")
-    with pytest.raises(PipelineError, match="lock"):
-        runner(parse_config(FIXTURES / "pipeline.cfg", [f"out_dir={tmp_path}"]))
-    assert sorted(p.name for p in tmp_path.iterdir()) == [".lock"]
+    fd = hold_lock(tmp_path)
+    try:
+        with pytest.raises(PipelineError, match="lock"):
+            runner(parse_config(FIXTURES / "pipeline.cfg", [f"out_dir={tmp_path}"]))
+    finally:
+        os.close(fd)
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("runner, key, stage, first_artifact", [
@@ -314,6 +363,7 @@ def test_no_lock_or_temp_file_remains_after_runs(small_setup, tmp_path):
     for out in (ok, failed):
         hidden = [p.name for p in out.iterdir() if p.name.startswith(".")]
         assert hidden == [], out
+        assert lock_is_free(out)
 
 
 def test_run_removes_temp_files_of_dead_processes_only(small_setup):
@@ -323,13 +373,16 @@ def test_run_removes_temp_files_of_dead_processes_only(small_setup):
     (out / "lexicon").mkdir(parents=True)
     dead_pid = _reaped_child_pid()
     dead = [out / f".weights.tsv.{dead_pid}.tmp", out / "lexicon" / f".g2p_model.json.{dead_pid}.tmp"]
-    live = [out / f".weights.tsv.{os.getppid()}.tmp",
-            out / "lexicon" / f".g2p_model.json.{os.getppid()}.tmp"]
-    for path in dead + live:
+    # A negative field would probe a process group; neither it nor a
+    # non-decimal one is a PID, so both stay.
+    kept = [out / f".weights.tsv.{os.getppid()}.tmp",
+            out / "lexicon" / f".g2p_model.json.{os.getppid()}.tmp",
+            out / ".a.-5.tmp", out / ".a.x.tmp"]
+    for path in dead + kept:
         path.write_text("partial", encoding="utf-8")
     run_lm_pipeline(PipelineConfig(corpora=(("a", c1),), dev=dev, out_dir=str(out)))
     assert not any(path.exists() for path in dead)
-    assert all(path.read_text(encoding="utf-8") == "partial" for path in live)
+    assert all(path.read_text(encoding="utf-8") == "partial" for path in kept)
 
 
 # A child run that SIGKILLs itself when the prune stage starts: the replaced
@@ -346,6 +399,7 @@ pipeline.run_lm_pipeline(pipeline.PipelineConfig(
 
 
 def test_killed_run_leaves_a_running_manifest_and_a_lock_the_next_run_takes_over(small_setup):
+    """The kernel drops a killed run's lock, so the next run goes ahead."""
     c1, c2, dev, tmp = small_setup
     out = tmp / "killed"
     base = dict(corpora=(("first", c1), ("second", c2)), dev=dev, theta=1e-3, out_dir=str(out))
@@ -356,12 +410,68 @@ def test_killed_run_leaves_a_running_manifest_and_a_lock_the_next_run_takes_over
     manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
     assert manifest["status"] == "running"
     assert manifest["parameters"]["order"] == 2 and manifest["artifacts"] == {}
-    assert (out / ".lock").read_text(encoding="utf-8") == str(child.pid)
+    assert lock_is_free(out)
 
     run_lm_pipeline(PipelineConfig(order=2, **base))
     manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
     assert manifest["status"] == "ok" and manifest["parameters"]["order"] == 2
     assert [p.name for p in out.iterdir() if p.name.startswith(".")] == []
+
+
+def _tree(root: Path) -> dict[str, bytes]:
+    """The bytes of every file under `root`, by path relative to `root`."""
+    return {p.relative_to(root).as_posix(): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+def test_each_failed_artifact_write_leaves_a_consistent_out_dir(tmp_path, monkeypatch):
+    """Make the N-th `os.replace` of a fixture run raise, for every N. Order 2
+    and a G2P beam of 10 keep every write of the fixture run at a third of
+    its cost."""
+    monkeypatch.chdir(FIXTURES.parent)
+    real_replace = os.replace
+    calls = fail_at = 0
+
+    def replace(src, dst):
+        nonlocal calls
+        calls += 1
+        if calls == fail_at:
+            raise OSError(errno.EIO, "injected write failure", str(dst))
+        real_replace(src, dst)
+
+    def run(out: Path, fail: int = 0):
+        nonlocal calls, fail_at
+        calls, fail_at = 0, fail
+        run_pipeline(parse_config(FIXTURES / "pipeline.cfg",
+                                  [f"out_dir={out}", "order=2", "g2p_beam=10"]))
+
+    monkeypatch.setattr(os, "replace", replace)
+    run(tmp_path / "reference")
+    reference = _tree(tmp_path / "reference")
+    stages = json.loads(reference["manifest.json"])["stages"]
+    writes = calls
+    assert writes == len(reference) + 1  # every artifact, then the `running` and `ok` manifests
+    for n in range(1, writes + 1):
+        out = tmp_path / str(n)
+        if n == 1:
+            # The `running` manifest fails before any stage opens: the error
+            # surfaces as it is, and the run leaves no file at all.
+            with pytest.raises(OSError, match="injected"):
+                run(out, n)
+            assert list(out.iterdir()) == []
+        else:
+            with pytest.raises(PipelineError, match="injected") as err:
+                run(out, n)
+            left = _tree(out)
+            manifest = json.loads(left.pop("manifest.json"))
+            assert manifest["status"] == "failed", n
+            assert manifest["failed_stage"] == err.value.stage in stages, n
+            assert manifest["stages"] == stages[:len(manifest["stages"])], n
+            assert sorted(manifest["artifacts"]) == sorted(left), n
+            assert not [name for name in left if name.rpartition("/")[2].startswith(".")], n
+            assert all(data == reference[name] for name, data in left.items()), n
+        assert lock_is_free(out), n
+        run(out)
+        assert calls == writes and _tree(out) == reference, n
 
 
 def test_cli_lm_train_and_ppl(small_setup, capsys):

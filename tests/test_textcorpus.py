@@ -131,7 +131,7 @@ def test_vocabulary_reserved_and_bijection():
     v = Vocabulary(["b", "a"])
     assert v.words[:3] == (UNK, BOS, EOS)
     for i, w in enumerate(v.words):
-        assert v.index(w) == i and v.word(i) == w
+        assert v.ids[w] == i and v.words[i] == w
     assert BOS not in v.predicted_words()
 
 
