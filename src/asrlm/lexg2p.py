@@ -14,10 +14,12 @@ import heapq
 import json
 import logging
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from itertools import chain, filterfalse, groupby
+from itertools import chain, filterfalse, groupby, islice
 from operator import itemgetter
 from pathlib import Path
+from types import MappingProxyType
 from typing import NamedTuple
 
 from asrlm.textcorpus import read_text, write_text_atomic
@@ -150,6 +152,30 @@ def merge_lexicons(base: Lexicon, addon: Lexicon, policy: str = "union", symbol_
     return merged
 
 
+class _Counts(Mapping):
+    """One order's gram -> count, read through its per-context table."""
+
+    def __init__(self, table):
+        self._table = table
+
+    def __getitem__(self, gram):
+        return self._table[gram[:-1]][2][gram[-1]]
+
+    def get(self, gram, default=None):
+        stats = self._table.get(gram[:-1])
+        return default if stats is None else stats[2].get(gram[-1], default)
+
+    def __iter__(self):
+        return (gram for gram, _ in self.items())
+
+    def __len__(self):
+        return sum(len(stats[2]) for stats in self._table.values())
+
+    def items(self):
+        return ((ctx + (gid,), c) for ctx, (_, _, follow) in self._table.items()
+                for gid, c in follow.items())
+
+
 @dataclass
 class JointSequenceModel:
     """Graphone n-gram model: inventory plus expected n-gram counts.
@@ -159,14 +185,15 @@ class JointSequenceModel:
     finally to a uniform distribution over the inventory plus the end marker,
     so every graphone sequence over the inventory has positive probability.
 
-    `__post_init__` derives a per-context table for each order, context ->
-    (count total, gamma, followers), where gamma is the discounted mass over
-    the total and followers maps each graphone id seen after the context to
-    its count. It groups each order's counts by context first, in count
-    order, then adds each context's total and discounted mass over its
-    followers in that order. The table holds only contexts with a positive
-    total; any other context passes the lower-order value through unchanged.
-    It also indexes graphone ids by grapheme side and freezes the set of
+    The counts, given in any order, are held once, in a per-context table
+    for each order, context -> (count total, gamma, followers), where gamma
+    is the discounted mass over the total and followers maps each graphone
+    id seen after the context to its count. Contexts and followers are in
+    sorted gram order, the model file's, and each total adds its followers
+    in that order, so a model equals its saved and reloaded copy. A context
+    whose counts are all 0 has gamma 1.0: it passes the lower order through.
+    `counts` reads the given orders back from the tables. The constructor
+    also indexes graphone ids by grapheme side and freezes the set of
     letters the inventory covers.
 
     Decoding reads a second, lazily built table, `_by_order1`: for each
@@ -182,7 +209,7 @@ class JointSequenceModel:
     min_letters: int
     min_phones: int
     graphones: tuple[Graphone, ...]
-    counts: dict[int, dict[tuple[int, ...], float]]
+    counts: Mapping[int, Mapping[tuple[int, ...], float]]
     discount: float
     log10_likelihood_trace: tuple[float, ...] = ()
     training_report: dict = field(default_factory=dict)
@@ -191,19 +218,19 @@ class JointSequenceModel:
         self._contexts: dict[int, dict[tuple[int, ...], tuple[float, float, dict[int, float]]]] = {}
         d = self.discount
         for k in range(1, self.order + 1):
-            followers: dict[tuple[int, ...], dict[int, float]] = {}
-            for gram, c in self.counts.get(k, {}).items():
-                followers.setdefault(gram[:-1], {})[gram[-1]] = c
+            grams = self.counts.get(k, {})
             table = self._contexts[k] = {}
-            for ctx, follow in followers.items():
-                # An explicit loop, not sum(): the totals must add in count
+            for gram in sorted(grams):
+                table.setdefault(gram[:-1], {})[gram[-1]] = grams[gram]
+            for ctx, follow in table.items():
+                # An explicit loop, not sum(): the totals must add in follower
                 # order from 0.0, and float sum() compensates on Python 3.12.
                 denom = gnum = 0.0
                 for c in follow.values():
                     denom += c
-                    gnum += min(d, c)
-                if denom > 0.0:
-                    table[ctx] = (denom, gnum / denom, follow)
+                    gnum += c if c < d else d
+                table[ctx] = (denom, gnum / denom if denom else 1.0, follow)
+        self.counts = MappingProxyType({k: _Counts(self._contexts[k]) for k in sorted(self.counts)})
         self._uniform = 1.0 / (len(self.graphones) + 1)
         self.by_grapheme: dict[str, list[int]] = {}
         for gid, g in enumerate(self.graphones):
@@ -213,11 +240,6 @@ class JointSequenceModel:
 
     def start_history(self) -> tuple[int, ...]:
         return (BOS_ID,) * (self.order - 1)
-
-    def shift(self, history: tuple[int, ...], gid: int) -> tuple[int, ...]:
-        if self.order == 1:
-            return ()
-        return (history + (gid,))[-(self.order - 1):]
 
     def cond_prob(self, gid: int, history: tuple[int, ...]) -> float:
         """p(graphone or EOS | history) with absolute-discount back-off."""
@@ -238,9 +260,9 @@ class JointSequenceModel:
         level interpolates its discounted count with the value below."""
         d = self.discount
         for denom, gamma, followers in levels:
-            c = followers.get(gid)
-            # An unseen gid's discounted count is 0.0, and 0.0 / denom + x == x.
-            p = gamma * p if c is None else max(c - d, 0.0) / denom + gamma * p
+            c = followers.get(gid, 0.0)
+            # A count at most d discounts to 0.0, and 0.0 / denom + x == x.
+            p = (c - d) / denom + gamma * p if c > d else gamma * p
         return p
 
     def _rank(self, piece: str) -> tuple[list[tuple[float, list[int]]], dict[int, float]]:
@@ -749,18 +771,18 @@ def save_g2p_model(model: JointSequenceModel, path: str | Path) -> None:
     write_text_atomic(path, _model_chunks(model.counts, json.dumps(payload, sort_keys=True)))
 
 
-def _model_chunks(counts: dict[int, dict[tuple[int, ...], float]], rest: str):
+def _model_chunks(counts: Mapping[int, Mapping[tuple[int, ...], float]], rest: str):
     """The text of `{"counts": {str(k): [[gram, count], ...]}, **rest}` under
     `sort_keys`: "counts" sorts before every other key, the orders sort as
-    strings ("10" before "2"), and each table by gram."""
+    strings ("10" before "2"), and each table is in sorted gram order."""
     yield '{"counts": {'
     for i, k in enumerate(sorted(counts, key=str)):
-        table = counts[k]
         yield f'{", " if i else ""}"{k}": ['
-        grams = sorted(table)
-        for start in range(0, len(grams), _CHUNK_GRAMS):
-            part = [(gram, table[gram]) for gram in grams[start:start + _CHUNK_GRAMS]]
-            yield (", " if start else "") + json.dumps(part)[1:-1]
+        grams = iter(counts[k].items())
+        sep = ""
+        while part := list(islice(grams, _CHUNK_GRAMS)):
+            yield sep + json.dumps(part)[1:-1]
+            sep = ", "
         yield "]"
     yield "}, " + rest[1:]
 

@@ -259,7 +259,7 @@ class _Run:
                 remove_dead_temp_files(self.out_dir / sub)
             # A run killed before `result` leaves this manifest, not the
             # `ok` one of an earlier run whose artifacts it may have replaced.
-            self.write_manifest("running")
+            self.write_manifest("running", [])
         except BaseException:
             os.close(self.lock_fd)
             raise
@@ -268,7 +268,7 @@ class _Run:
     def __exit__(self, exc_type, exc, tb) -> None:
         try:
             if isinstance(exc, Exception) and not isinstance(exc, PipelineError):
-                self.write_manifest("failed", failed_stage=self.stage)
+                self.write_manifest("failed", self.stages, failed_stage=self.stage)
                 raise PipelineError(self.stage, str(exc)) from exc
         finally:
             os.close(self.lock_fd)  # closing the last descriptor releases the lock
@@ -298,12 +298,14 @@ class _Run:
         write_text_atomic(self.path(name), text)
 
     def result(self) -> dict[str, Path]:
-        """Complete the last stage, write the `ok` manifest; returns name -> path."""
-        self.stages.append(self.stage)
-        self.write_manifest("ok")
+        """Write the `ok` manifest, which lists the last stage as complete;
+        returns name -> path. Until that write succeeds, the last stage is
+        the one a `failed` manifest names."""
+        self.write_manifest("ok", self.stages + [self.stage])
         return {name: self.out_dir / name for name in self.artifacts + ["manifest.json"]}
 
-    def write_manifest(self, status: str, failed_stage: str | None = None) -> None:
+    def write_manifest(self, status: str, stages: list[str],
+                       failed_stage: str | None = None) -> None:
         # out_dir is self-referential, not an input.
         params = {f.name: getattr(self.config, f.name)
                   for f in fields(PipelineConfig) if f.name != "out_dir"}
@@ -316,7 +318,7 @@ class _Run:
                 name: _sha256(Path(path))
                 for name, path in sorted(self.config.input_paths().items())
             },
-            "stages": self.stages,
+            "stages": stages,
             "artifacts": {
                 name: _sha256(self.out_dir / name)
                 for name in sorted(set(self.artifacts))

@@ -343,6 +343,11 @@ def graphone_cond_prob(model, gid, history):
     return prob(history)
 
 
+def graphone_shift(model, history, gid):
+    """The history after `gid` follows `history`: its last `order - 1` ids."""
+    return (history + (gid,))[-(model.order - 1):] if model.order > 1 else ()
+
+
 def sequence_log10(model, gids):
     """log10 joint probability of a complete graphone sequence plus EOS,
     summed from the model's own conditionals in path order."""
@@ -350,7 +355,7 @@ def sequence_log10(model, gids):
     total = 0.0
     for gid in gids:
         total += model.cond_log10(gid, hist)
-        hist = model.shift(hist, gid)
+        hist = graphone_shift(model, hist, gid)
     return total + model.cond_log10(EOS_ID, hist)
 
 

@@ -465,6 +465,7 @@ def test_each_failed_artifact_write_leaves_a_consistent_out_dir(tmp_path, monkey
             manifest = json.loads(left.pop("manifest.json"))
             assert manifest["status"] == "failed", n
             assert manifest["failed_stage"] == err.value.stage in stages, n
+            assert manifest["failed_stage"] not in manifest["stages"], n
             assert manifest["stages"] == stages[:len(manifest["stages"])], n
             assert sorted(manifest["artifacts"]) == sorted(left), n
             assert not [name for name in left if name.rpartition("/")[2].startswith(".")], n
