@@ -810,13 +810,13 @@ def load_g2p_model(path: str | Path) -> JointSequenceModel:
     """Read a model written by `save_g2p_model`.
 
     Raises ValueError naming the path for a file that is not such a model,
-    lacks a field, or has malformed counts, a count order outside
-    1..order, a count gram that is not k graphone ids or that its order
-    lists twice, a non-finite or negative count, a likelihood trace that is
-    not a list of finite numbers, a discount outside (0, 1], an order or
-    size limit that is not an integer in range, both minimum sizes 0, or
-    graphones that are not [graphemes, [phonemes, ...]] string pairs. A JSON
-    boolean is neither an integer nor a number here.
+    lacks a field, or has malformed counts, a count order outside 1..order
+    or not written as `str(order)`, a count gram that is not k graphone ids
+    or that its order lists twice, a non-finite or negative count, a
+    likelihood trace that is not a list of finite numbers, a discount
+    outside (0, 1], an order or size limit that is not an integer in range,
+    both minimum sizes 0, or graphones that are not [graphemes, [phonemes,
+    ...]] string pairs. A JSON boolean is neither an integer nor a number.
     """
     try:
         payload = json.loads(read_text(path))
@@ -844,14 +844,16 @@ def load_g2p_model(path: str | Path) -> JointSequenceModel:
         raise ValueError(f"{path}: graphones are not a list of [graphemes, [phonemes, ...]] "
                          "string pairs")
     try:
-        tables = [(int(k), [(tuple(gram), c) for gram, c in table])
-                  for k, table in payload["counts"].items()]
+        tables = [(key, int(key), [(tuple(gram), c) for gram, c in table])
+                  for key, table in payload["counts"].items()]
     except (AttributeError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: malformed counts: {exc}") from exc
     order = payload["order"]
     ids = range(len(graphones))
     counts: dict[int, dict[tuple[int, ...], float]] = {}
-    for k, items in tables:
+    for key, k, items in tables:
+        if key != str(k):  # such as " 01" or "1_0", which int() reads
+            raise ValueError(f"{path}: count order {key!r} is not written as {str(k)!r}")
         if not 1 <= k <= order:
             raise ValueError(f"{path}: count order {k} is outside 1..{order}")
         table = counts.setdefault(k, {})

@@ -10,6 +10,7 @@ from pathlib import Path
 
 from asrlm.ngramcore.evaluate import (
     PerplexityReport,
+    position_columns,
     require_unigrams,
     score_corpus,
     walk_positions,
@@ -84,7 +85,7 @@ def _check_reserved_unigrams(lms: list[BackoffLM]) -> None:
         require_unigrams(lm, (EOS, UNK), "as a mixture component")
 
 
-def _mix_log10(lambdas, logps) -> float:
+def mix_log10(lambdas, logps) -> float:
     """log10 of the weighted mixture of the components' log10 p(word | history)."""
     return math.log10(ordered_sum([lam * 10.0 ** logp for lam, logp in zip(lambdas, logps)]))
 
@@ -96,16 +97,8 @@ def em_weights(
     tol: float = 1e-6,
     max_iter: int = 100,
 ) -> InterpolationWeights:
-    """Estimate mixture weights by EM on dev-set likelihood.
-
-    Each iteration sets every weight to the average posterior responsibility
-    of its component over all predicted positions, which cannot decrease the
-    dev log-likelihood. Stops when the log10-likelihood improves by less
-    than `tol` or after `max_iter` iterations; `max_iter` must be >= 1 and
-    `tol` a number >= 0. Every sum runs in component or position order from
-    0.0, as `ordered_sum` adds, never through `sum()`. A single component
-    keeps weight 1.0 exactly, each of its posteriors being p / p.
-    """
+    """Estimate mixture weights by EM on dev-set likelihood: `em_columns`
+    over the components' `position_columns` on `dev`."""
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter!r}")
     if not tol >= 0.0:  # also refuses NaN
@@ -113,11 +106,26 @@ def em_weights(
     _check_components(lms)
     if len(dev) == 0:
         raise ValueError("dev corpus is empty")
+    init = None if init is None else _check_weights(init, len(lms))
+    return em_columns(lms, position_columns(lms, dev)[0], init, tol, max_iter)
+
+
+def em_columns(lms: list[BackoffLM], columns: list, init, tol: float, max_iter: int):
+    """EM from `init` (uniform when None) over `columns`, each component's
+    log10 p at every dev position, an OOV word scored as `<unk>`, so every
+    position has positive probability under every component.
+
+    Each iteration sets every weight to the average posterior responsibility
+    of its component over all predicted positions, which cannot decrease the
+    dev log-likelihood. Stops when the log10-likelihood improves by less
+    than `tol` (a number >= 0) or after `max_iter` (>= 1) iterations. Every
+    sum runs in component or position order from 0.0, as `ordered_sum`
+    adds, never through `sum()`. A single component keeps weight 1.0
+    exactly, each of its posteriors being p / p.
+    """
     m = len(lms)
-    weights = [1.0 / m] * m if init is None else list(_check_weights(init, m))
-    # OOV positions are scored as `<unk>`, so each position has positive
-    # probability under every open-vocabulary component.
-    columns = [[10.0 ** logp for logp in walk_positions(lm, dev, False)] for lm in lms]
+    weights = [1.0 / m] * m if init is None else list(init)
+    columns = [[10.0 ** logp for logp in column] for column in columns]
     n_positions = len(columns[0])
 
     def log_likelihood_and_posteriors(ws):
@@ -148,7 +156,7 @@ def em_weights(
 
 def mixture_log_prob(lms: list[BackoffLM], lambdas, word: str, history=()) -> float:
     _check_reserved_unigrams(lms)
-    return _mix_log10(_check_weights(lambdas, len(lms)), [lm.log_prob(word, history) for lm in lms])
+    return mix_log10(_check_weights(lambdas, len(lms)), [lm.log_prob(word, history) for lm in lms])
 
 
 def perplexity_mixture(
@@ -159,8 +167,9 @@ def perplexity_mixture(
 ) -> PerplexityReport:
     """Perplexity of the position-wise weighted mixture of the components."""
     _check_components(lms)
-    mix = partial(_mix_log10, _check_weights(weights, len(lms)))
-    return score_corpus(lms, corpus, oov_policy, mix)
+    mix = partial(mix_log10, _check_weights(weights, len(lms)))
+    walks = [walk_positions(lm, corpus, oov_policy == "exclude") for lm in lms]
+    return score_corpus(walks, corpus, oov_policy, mix=mix)
 
 
 def interpolate_static(

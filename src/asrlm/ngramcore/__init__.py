@@ -2,7 +2,7 @@
 
 from asrlm.ngramcore.counts import NGramCountTable, count_ngrams, effective_counts
 from asrlm.ngramcore.smoothing import DiscountSet, estimate_discounts, train_mkn
-from asrlm.ngramcore.model import BackoffLM, context_probability_sums, rebuild_backoffs
+from asrlm.ngramcore.model import BackoffLM, rebuild_backoffs
 from asrlm.ngramcore.arpa import ArpaError, read_arpa, write_arpa
 from asrlm.ngramcore.evaluate import PerplexityReport, oov_rate, perplexity
 
@@ -12,7 +12,6 @@ __all__ = [
     "DiscountSet",
     "NGramCountTable",
     "PerplexityReport",
-    "context_probability_sums",
     "count_ngrams",
     "effective_counts",
     "estimate_discounts",

@@ -26,11 +26,6 @@ class ArpaError(ValueError):
         self.lineno = lineno
 
 
-def _non_finite(path, k: int, gram: NGram, field: str, value: float) -> ValueError:
-    return ValueError(f"{path}: {k}-gram {' '.join(gram)!r} has non-finite {field} "
-                      f"{value!r}; no file written")
-
-
 # Lines per chunk handed to the writer: bounds the text held at once.
 _CHUNK_LINES = 1024
 
@@ -43,34 +38,29 @@ def write_arpa(lm: BackoffLM, path: str | Path) -> None:
 
 
 def _arpa_chunks(lm: BackoffLM, path: str | Path):
-    lines = ["\\data\\"]
-    for k in range(1, lm.order + 1):
-        lines.append(f"ngram {k}={len(lm.tables[k])}")
-    lines.append("")
-    for k in range(1, lm.order + 1):
-        lines.append(f"\\{k}-grams:")
+    orders = range(1, lm.order + 1)
+    yield "".join(["\\data\\\n", *[f"ngram {k}={len(lm.tables[k])}\n" for k in orders], "\n"])
+    for k in orders:
         table = lm.tables[k]
-        bows = lm.backoffs[k] if k < lm.order else {}
-        for gram in sorted(table):
-            logp = table[gram]
-            # Adding 0.0 writes -0.0 as "0". A finite value's text ends in a
-            # digit; "nan", "inf" and "-inf" end in a letter, above "9".
-            text = f"{logp + 0.0:.7g}"
-            if text[-1] > "9":
-                raise _non_finite(path, k, gram, "log-prob", logp)
-            line = f"{text}\t{' '.join(gram)}"
-            if gram in bows and gram[-1] != EOS:
-                text = f"{bows[gram] + 0.0:.7g}"
-                if text[-1] > "9":
-                    raise _non_finite(path, k, gram, "back-off weight", bows[gram])
-                line += f"\t{text}"
-            lines.append(line)
-            if len(lines) == _CHUNK_LINES:
-                yield "\n".join(lines) + "\n"
-                lines = []
-        lines.append("")
-    lines.append("\\end\\")
-    yield "\n".join(lines) + "\n"
+        # The weights written: none at the top order or on a `</s>`-final gram.
+        bows = {} if k == lm.order else {
+            gram: bow for gram, bow in lm.backoffs[k].items() if gram[-1] != EOS}
+        grams = sorted(table)
+        if not (all(map(math.isfinite, table.values())) and all(map(math.isfinite, bows.values()))):
+            for gram in grams:  # the first non-finite value written, in file order
+                for field, value in (("log-prob", table[gram]),
+                                     ("back-off weight", bows.get(gram, 0.0))):
+                    if not math.isfinite(value):
+                        raise ValueError(f"{path}: {k}-gram {' '.join(gram)!r} has non-finite "
+                                         f"{field} {value!r}; no file written")
+        yield f"\\{k}-grams:\n"
+        for start in range(0, len(grams), _CHUNK_LINES):
+            # Adding 0.0 writes -0.0 as "0".
+            yield "".join([f"{table[g] + 0.0:.7g}\t{' '.join(g)}\t{bows[g] + 0.0:.7g}\n"
+                           if g in bows else f"{table[g] + 0.0:.7g}\t{' '.join(g)}\n"
+                           for g in grams[start:start + _CHUNK_LINES]])
+        yield "\n"
+    yield "\\end\\\n"
 
 
 def read_arpa(path: str | Path) -> BackoffLM:

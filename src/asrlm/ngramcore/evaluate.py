@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 
 from asrlm.ngramcore.model import BackoffLM
 from asrlm.textcorpus import BOS, EOS, UNK, Corpus, Vocabulary
@@ -49,20 +50,33 @@ def walk_positions(lm: BackoffLM, corpus: Corpus, exclude: bool):
         yield walk(history + (EOS,))[0]
 
 
-def score_corpus(lms: list[BackoffLM], corpus: Corpus, oov_policy: str,
+def position_columns(lms: list[BackoffLM], corpus: Corpus) -> tuple[list[list[float]], list]:
+    """One `as_unk` walk of each model over `corpus`: its log10 p at every
+    position, and whether `exclude` scores each position (`</s>` or a word
+    of the models' shared vocabulary). Either policy's reports read these
+    bit for bit: after an OOV word, `exclude` walks on from the last history
+    plus `<unk>` and `as_unk` from the gram it matched, and by `BackoffLM`'s
+    two invariants the next value is the same."""
+    ids = lms[0].vocab.ids
+    known = [tok in ids for sent in corpus.sentences for tok in (*sent, EOS)]
+    return [list(walk_positions(lm, corpus, False)) for lm in lms], known
+
+
+def score_corpus(walks: list, corpus: Corpus, oov_policy: str, known=None,
                  mix=None) -> PerplexityReport:
-    """The one corpus-scoring loop: the report of the log10 p that
-    `walk_positions` yields under one model, or, given `mix`, of `mix(row)`
-    over each position's row of component log10 p, the components walked
-    position by position. Under `exclude`, OOV positions are counted and
-    skipped; under `as_unk` they score `<unk>`. Every sentence scores its
-    `</s>`, so a corpus that is not empty has a scored position."""
+    """The one corpus-scoring loop: the report of the log10 p in `walks[0]`,
+    or, given `mix`, of `mix(row)` over each position's row of `walks`, one
+    iterable per model of the positions `oov_policy` scores, or, given the
+    `known` mask of `position_columns`, of every position. Positions not
+    scored are OOV. Every sentence scores its `</s>`, so a corpus that is
+    not empty has a scored position."""
     if oov_policy not in OOV_POLICIES:
         raise ValueError(f"unknown OOV policy {oov_policy!r}")
     sentences = len(corpus.sentences)
     if sentences == 0:
         raise ValueError(f"corpus {corpus.id!r} is empty")
-    walks = [walk_positions(lm, corpus, oov_policy == "exclude") for lm in lms]
+    if known is not None and oov_policy == "exclude":
+        walks = [compress(walk, known) for walk in walks]
     total = 0.0
     scored = 0
     for logp in walks[0] if mix is None else map(mix, zip(*walks)):
@@ -94,19 +108,15 @@ def perplexity(lm: BackoffLM, corpus: Corpus, oov_policy: str = "exclude") -> Pe
 
     A model without a `</s>` unigram (or, under `as_unk`, a `<unk>` unigram)
     cannot score every position; that raises ValueError naming its source.
+    Its `exclude` walk skips OOV positions, so needs no `<unk>` unigram.
     """
     require_unigrams(lm, (EOS, UNK) if oov_policy == "as_unk" else (EOS,),
                      f"under oov_policy {oov_policy!r}")
-    return score_corpus([lm], corpus, oov_policy)
+    return score_corpus([walk_positions(lm, corpus, oov_policy == "exclude")], corpus, oov_policy)
 
 
 def oov_rate(vocab: Vocabulary, corpus: Corpus) -> float:
     """Fraction of word tokens absent from the vocabulary (`</s>` not counted)."""
     if corpus.token_count == 0:
         raise ValueError(f"corpus {corpus.id!r} has no tokens")
-    oov = 0
-    for sent in corpus.sentences:
-        for tok in sent:
-            if tok not in vocab:
-                oov += 1
-    return oov / corpus.token_count
+    return sum(tok not in vocab.ids for sent in corpus.sentences for tok in sent) / corpus.token_count

@@ -137,21 +137,6 @@ def log_backoff(num: float, den: float) -> float:
     return math.log10(num) - math.log10(den)
 
 
-def context_probability_sums(lm: BackoffLM):
-    """Yield (context, sum over predicted vocab of p(w|context)) for every stored context.
-
-    The empty context (unigram distribution) is included. `<s>` is excluded
-    from the summation because it is never predicted.
-    """
-    predicted = lm.vocab.predicted_words()
-    contexts: list[NGram] = [()]
-    for k in range(2, lm.order + 1):
-        contexts.extend(group_by_context(lm.tables[k]))
-    walk = lm.walk
-    for ctx in contexts:
-        yield ctx, ordered_sum([10.0 ** walk(ctx + (w,))[0] for w in predicted])
-
-
 def rebuild_backoffs(lm: BackoffLM) -> None:
     """Recompute every back-off weight so all stored contexts normalize to 1.
 

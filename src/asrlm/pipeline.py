@@ -18,7 +18,8 @@ from functools import partial
 from pathlib import Path
 
 from asrlm import dialectmap, lexg2p, scorer
-from asrlm.mixture import em_weights, interpolate_static, perplexity_mixture, save_weights
+from asrlm.mixture import em_columns, interpolate_static, mix_log10, save_weights
+from asrlm.mixture import em_weights, perplexity_mixture  # noqa: F401, traced by the benchmark
 from asrlm.ngramcore import (
     BackoffLM,
     PerplexityReport,
@@ -29,7 +30,7 @@ from asrlm.ngramcore import (
     train_mkn,
     write_arpa,
 )
-from asrlm.ngramcore.evaluate import OOV_POLICIES
+from asrlm.ngramcore.evaluate import OOV_POLICIES, position_columns, score_corpus
 from asrlm.pruner import prune_entropy
 from asrlm.textcorpus import (
     RESERVED, Corpus, Vocabulary, build_vocabulary, concatenate, load_corpus, read_text,
@@ -400,7 +401,8 @@ def _lm_part(run: _Run, config: PipelineConfig):
         write_arpa(lm, run.path(f"lm.{corpus.id}.arpa"))
 
     run.begin("weights")
-    weights = em_weights(lms, dev, tol=config.em_tol, max_iter=config.em_max_iter)
+    dev_columns = position_columns(lms, dev)
+    weights = em_columns(lms, dev_columns[0], None, config.em_tol, config.em_max_iter)
     save_weights(weights, run.path("weights.tsv"))
 
     run.begin("merge")
@@ -417,15 +419,16 @@ def _lm_part(run: _Run, config: PipelineConfig):
     run.begin("evaluate")
     eval_sets = [("dev", dev)] + ([("test", test)] if test is not None else [])
     ppl_lines = ["model\teval\tsentences\tscored\toov\tlog10_sum\tppl\n"]
-    scored_models = [(corpus.id, lm) for corpus, lm in zip(corpora, lms)]
-    scored_models.append(("combined", combined))
-    if config.theta is not None:
-        scored_models.append(("pruned", final_lm))
+    built = [("combined", combined)] + ([("pruned", final_lm)] if config.theta is not None else [])
     for eval_id, corpus in eval_sets:
-        reports = [(model_id, perplexity(lm, corpus, config.oov_policy))
-                   for model_id, lm in scored_models]
+        # Each component is walked once per corpus; every row of it reads its column.
+        columns, known = dev_columns if eval_id == "dev" else position_columns(lms, corpus)
+        reports = [(c.id, score_corpus([column], corpus, config.oov_policy, known))
+                   for c, column in zip(corpora, columns)]
+        reports += [(model_id, perplexity(lm, corpus, config.oov_policy)) for model_id, lm in built]
         if len(lms) > 1:
-            reports.append(("mixture", perplexity_mixture(lms, weights, corpus, config.oov_policy)))
+            mix = partial(mix_log10, weights.lambdas)
+            reports.append(("mixture", score_corpus(columns, corpus, config.oov_policy, known, mix)))
         ppl_lines += [_ppl_line(model_id, eval_id, report=report) for model_id, report in reports]
         if eval_id == "dev":  # the dev report of the model the LM part builds
             run.dev_report = reports[-1 if len(lms) > 1 else 0][1]
@@ -530,8 +533,9 @@ def _train_and_score(corpora: list[Corpus], dev: Corpus, config: PipelineConfig,
     lms = train_lms(corpora, vocab, config.order)
     if len(lms) == 1:
         return perplexity(lms[0], dev, config.oov_policy)
-    weights = em_weights(lms, dev, tol=config.em_tol, max_iter=config.em_max_iter)
-    return perplexity_mixture(lms, weights, dev, config.oov_policy)
+    columns, known = position_columns(lms, dev)  # one walk serves EM and the report
+    weights = em_columns(lms, columns, None, config.em_tol, config.em_max_iter)
+    return score_corpus(columns, dev, config.oov_policy, known, partial(mix_log10, weights.lambdas))
 
 
 def mapped_lm_eval(corpora: list[Corpus], dev: Corpus, table: dialectmap.MappingTable,

@@ -6,14 +6,16 @@ no code with the package under test. The exceptions are the result type
 `EditAlignment`, which `reference_align` returns so that whole alignments can
 be compared with `==`; the G2P id markers and error type, which
 `reference_apply_g2p` uses so that its results and messages compare with `==`;
-and the G2P segmentation lattice, `Graphone` and `JointSequenceModel`, which
-`reference_train_g2p` builds its graphs and result from.
+the G2P segmentation lattice, `Graphone` and `JointSequenceModel`, which
+`reference_train_g2p` builds its graphs and result from; and
+`BackoffLM.walk`, which `context_probability_sums` asks, because a
+normalization test checks the answers the model gives.
 
 The last section is different in kind: frozen copies of the LM build's hot
-loops (counting, merge, back-off rebuild, pruning costs, EM) as they stood
-before their inner loops were tightened. They guard that the package still
-does the same float operations in the same order, so their results must be
-`==`, not merely close. They copy every helper that does arithmetic, and
+loops (counting, merge, back-off rebuild, pruning costs, EM, the ARPA
+writer) as they stood before their inner loops were tightened. They guard
+that the package still does the same float operations in the same order, so
+their results must be `==`, not merely close. They copy every helper that does arithmetic, and
 import only the types, the input checks and, for the dev probabilities EM
 starts from, `BackoffLM.log_prob`; EM's positions come from `iter_positions`
 above. Every other back-off value they read comes from `backoff_log10_prob`
@@ -240,6 +242,22 @@ def backoff_log10_prob(lm, word, history):
             total += bow
         context = context[1:]
     return total + lm.tables[len(context) + 1][context + (w,)]
+
+
+def context_probability_sums(lm):
+    """Yield (context, sum of p(w | context) over every predicted word) for
+    the empty context and then each stored context of a longer gram, order
+    by order in table order. `<s>` is never predicted, so it is not summed.
+    The probabilities are the model's own answers, from `lm.walk`, added in
+    vocabulary order from 0.0: a normalization test checks what the model
+    answers to queries."""
+    predicted = [w for w in lm.vocab.words if w != BOS]
+    contexts = dict.fromkeys(gram[:-1] for k in range(2, lm.order + 1) for gram in lm.tables[k])
+    for ctx in ((), *contexts):
+        total = 0.0
+        for w in predicted:
+            total += 10.0 ** lm.walk(ctx + (w,))[0]
+        yield ctx, total
 
 
 def brute_force_prune_delta(lm, gram):
@@ -972,3 +990,36 @@ def reference_interpolate_static(lms, weights):
     merged = BackoffLM(order=order, tables=tables, vocab=lms[0].vocab, metadata=merged_meta)
     reference_rebuild_backoffs(merged)
     return merged
+
+
+# The ARPA writer as a per-line loop, before it formatted each chunk in one
+# pass: `write_arpa` must write its bytes and raise its first error.
+def reference_arpa_text(lm, path):
+    lines = ["\\data\\"]
+    for k in range(1, lm.order + 1):
+        lines.append(f"ngram {k}={len(lm.tables[k])}")
+    lines.append("")
+    for k in range(1, lm.order + 1):
+        lines.append(f"\\{k}-grams:")
+        table = lm.tables[k]
+        bows = lm.backoffs[k] if k < lm.order else {}
+        for gram in sorted(table):
+            logp = table[gram]
+            text = f"{logp + 0.0:.7g}"
+            if text[-1] > "9":
+                raise _ref_non_finite(path, k, gram, "log-prob", logp)
+            line = f"{text}\t{' '.join(gram)}"
+            if gram in bows and gram[-1] != EOS:
+                text = f"{bows[gram] + 0.0:.7g}"
+                if text[-1] > "9":
+                    raise _ref_non_finite(path, k, gram, "back-off weight", bows[gram])
+                line += f"\t{text}"
+            lines.append(line)
+        lines.append("")
+    lines.append("\\end\\")
+    return "\n".join(lines) + "\n"
+
+
+def _ref_non_finite(path, k, gram, field, value):
+    return ValueError(f"{path}: {k}-gram {' '.join(gram)!r} has non-finite {field} "
+                      f"{value!r}; no file written")

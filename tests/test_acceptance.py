@@ -16,13 +16,18 @@ import pytest
 from asrlm.dialectmap import MappingTable
 from asrlm.lexg2p import apply_g2p, make_lexicon, train_g2p
 from asrlm.mixture import em_weights, interpolate_static
-from asrlm.ngramcore import context_probability_sums, read_arpa, write_arpa
+from asrlm.ngramcore import read_arpa, write_arpa
 from asrlm.pipeline import PipelineConfig, mapped_lm_eval
 from asrlm.pruner import prune_entropy
 from asrlm.scorer import align, wer
 from asrlm.textcorpus import BOS, EOS, UNK, Corpus, Vocabulary, build_vocabulary
 from tests.conftest import corpus_of, random_corpus, train_on
-from tests.reference import BruteForceMKN, brute_edit_distance, exhaustive_g2p
+from tests.reference import (
+    BruteForceMKN,
+    brute_edit_distance,
+    context_probability_sums,
+    exhaustive_g2p,
+)
 from tests.test_dialectmap import synthetic_dialect_setup
 from tests.test_mixture import unigram_lm
 

@@ -7,8 +7,9 @@ from asrlm.cli import main
 from asrlm.mixture import interpolate_static
 from asrlm.ngramcore import ArpaError, BackoffLM, arpa, read_arpa, write_arpa
 from asrlm.pruner import prune_entropy
-from asrlm.textcorpus import BOS, EOS, Vocabulary
+from asrlm.textcorpus import BOS, EOS, Vocabulary, build_vocabulary
 from tests.conftest import corpus_of, random_corpus, traced_peak, train_on
+from tests.reference import reference_arpa_text
 
 
 def models_equal_within(lm1, lm2, tol=1e-6):
@@ -305,3 +306,83 @@ def test_read_accepts_leading_bos_without_bos_unigram(tmp_path):
     assert pruned.tables[2] == {(BOS, "a"): -0.2}
     merged = interpolate_static([lm, read_arpa(p)], [0.5, 0.5])
     assert merged.tables[2].keys() == {(BOS, "a")}
+
+
+@pytest.fixture(scope="module")
+def written_models(tmp_path_factory):
+    """Trained, merged, pruned and read-back models, and one of several chunks."""
+    rng = random.Random(97)
+    corpora = [random_corpus(rng, max_sentences=60, max_vocab=25, corpus_id=f"c{i}")
+               for i in range(3)]
+    vocab = build_vocabulary(corpora)
+    lms = [train_on(corpus, 4, vocab) for corpus in corpora]
+    merged = interpolate_static(lms, [0.5, 0.3, 0.2])
+    pruned = prune_entropy(merged, 1e-4)[0]
+    path = tmp_path_factory.mktemp("arpa") / "pruned.arpa"
+    write_arpa(pruned, path)
+    return {"trained": lms[0], "merged": merged, "pruned": pruned, "read_back": read_arpa(path),
+            "wide": wide_lm(3 * arpa._CHUNK_LINES + 5)}
+
+
+@pytest.mark.parametrize("kind", ["trained", "merged", "pruned", "read_back", "wide"])
+def test_write_arpa_bytes_equal_the_per_line_writer(written_models, kind, tmp_path):
+    lm = written_models[kind]
+    p = tmp_path / "m.arpa"
+    write_arpa(lm, p)
+    assert p.read_bytes() == reference_arpa_text(lm, p).encode("utf-8")
+
+
+def test_no_chunk_exceeds_the_chunk_size(written_models, monkeypatch):
+    lm = written_models["merged"]
+    monkeypatch.setattr(arpa, "_CHUNK_LINES", 7)
+    chunks = list(arpa._arpa_chunks(lm, "m.arpa"))
+    assert max(chunk.count("\n") for chunk in chunks) == 7
+    assert all(chunk.endswith("\n") for chunk in chunks)
+    assert "".join(chunks) == reference_arpa_text(lm, "m.arpa")
+
+
+def test_negative_zero_is_written_as_zero(tmp_path):
+    lm = train_on(corpus_of("a b a\nb c a\nc"), 2)
+    lm.tables[1][("a",)] = -0.0
+    lm.backoffs[1][("b",)] = -0.0
+    p = tmp_path / "m.arpa"
+    write_arpa(lm, p)
+    lines = p.read_text(encoding="utf-8").splitlines()
+    assert "0\ta\t" + f"{lm.backoffs[1][('a',)]:.7g}" in lines
+    assert any(line.startswith(f"{lm.tables[1][('b',)]:.7g}\tb\t0") for line in lines)
+    assert not any(field == "-0" for line in lines for field in line.split("\t"))
+    assert p.read_text(encoding="utf-8") == reference_arpa_text(lm, p)
+
+
+@pytest.mark.parametrize("edits", [
+    [(0, 1, ("c",), math.nan), (0, 1, ("a",), math.inf)],        # the first gram in file order
+    [(1, 1, ("a",), -math.inf), (0, 1, ("a",), math.nan)],       # its log-prob before its weight
+    [(1, 1, ("b",), math.nan), (0, 2, ("a", "b"), math.inf)],    # the lower order first
+    [(1, 2, ("b", "a"), math.inf), (0, 3, ("c", "a", EOS), math.nan)],
+    [(1, 2, ("a", EOS), math.nan), (1, 3, ("a", "b", "a"), math.inf),  # never written
+     (0, 3, ("c", "a", EOS), -math.inf)],
+], ids=["order", "field", "lower-order", "weight", "after-unwritten"])
+def test_write_arpa_names_the_first_non_finite_value_written(tmp_path, edits):
+    lm = train_on(corpus_of("a b a\nb c a\nc"), 3)
+    for slot, k, gram, value in edits:
+        assert gram in lm.tables[k]
+        (lm.tables, lm.backoffs)[slot][k][gram] = value
+    p = tmp_path / "m.arpa"
+    with pytest.raises(ValueError) as expected:
+        reference_arpa_text(lm, p)
+    with pytest.raises(ValueError) as exc:
+        write_arpa(lm, p)
+    assert str(exc.value) == str(expected.value)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("slot", ["eos-final", "top-order", "not-stored"])
+def test_non_finite_weights_never_written_are_no_error(tmp_path, slot):
+    lm = train_on(corpus_of("a b a\nb c a\nc"), 3)
+    k, gram = {"eos-final": (2, ("a", EOS)), "top-order": (3, ("a", "b", "a")),
+               "not-stored": (2, ("c", "c"))}[slot]
+    assert (gram in lm.tables[k]) == (slot != "not-stored")
+    lm.backoffs[k][gram] = math.nan
+    p = tmp_path / "m.arpa"
+    write_arpa(lm, p)
+    assert p.read_text(encoding="utf-8") == reference_arpa_text(lm, p)

@@ -695,6 +695,15 @@ def _set_count(order, value):
     return edit
 
 
+def _split_order(order, key):
+    """Move the first gram of `order` under `key`, a key that `int()` reads
+    as `order`: loading would merge it back, and saving write it under
+    `str(order)`, so such a file cannot load and save to the same bytes."""
+    def edit(payload):
+        payload["counts"][key] = [payload["counts"][str(order)].pop(0)]
+    return edit
+
+
 @pytest.mark.parametrize("edit, message", [
     pytest.param(lambda payload: payload.pop("counts"), "model file lacks counts", id="no-counts"),
     pytest.param(_set_count(1, float("nan")), "count nan of 1-gram", id="nan-count"),
@@ -738,6 +747,12 @@ def _set_count(order, value):
                  "count order 3 is outside 1..2", id="order-above-model"),
     pytest.param(lambda payload: payload["counts"].update({"0": []}),
                  "count order 0 is outside 1..2", id="order-zero"),
+    pytest.param(_split_order(1, " 01"), "count order ' 01' is not written as '1'",
+                 id="order-padded"),
+    pytest.param(lambda payload: payload["counts"].update({"1_0": []}),
+                 "count order '1_0' is not written as '10'", id="order-underscored"),
+    pytest.param(lambda payload: payload["counts"].update({"+2": []}),
+                 "count order '+2' is not written as '2'", id="order-signed"),
     pytest.param(lambda payload: payload.update(order=True),
                  "order True is not an integer >= 1", id="bool-order"),
     pytest.param(lambda payload: payload.update(min_letters=False),

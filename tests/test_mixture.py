@@ -1,22 +1,26 @@
 import math
 import random
 import re
+from functools import partial
 
 import pytest
 
 from asrlm.mixture import (
     InterpolationWeights,
+    em_columns,
     em_weights,
     interpolate_static,
     load_weights,
+    mix_log10,
     mixture_log_prob,
     perplexity_mixture,
     save_weights,
 )
-from asrlm.ngramcore import BackoffLM, context_probability_sums, perplexity
+from asrlm.ngramcore import BackoffLM, perplexity
+from asrlm.ngramcore.evaluate import OOV_POLICIES, position_columns, score_corpus
 from asrlm.textcorpus import BOS, EOS, UNK, Corpus, Vocabulary, build_vocabulary, concatenate
 from tests.conftest import corpus_of, random_corpus, train_on
-from tests.reference import reference_em_weights
+from tests.reference import context_probability_sums, reference_em_weights
 
 
 def unigram_lm(probs: dict[str, float], vocab: Vocabulary, lm_id: str) -> BackoffLM:
@@ -342,3 +346,35 @@ def test_mixed_order_components_equal_log_prob_sums(orders):
         assert (report.log10_prob_sum, report.scored_tokens, report.oov_tokens) == (total, scored, oov)
         assert report.ppl == 10.0 ** (-total / scored)
         assert oov > 0 if policy == "exclude" else oov == 0
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_reports_read_from_position_columns_equal_their_own_walks(order):
+    """One `as_unk` walk per component gives every report the pipeline
+    writes, bit for bit: each component's and the mixture's under either
+    policy, and EM. OOV words stand at a sentence start, back to back and
+    right before `</s>`, where the `exclude` walk's history differs from the
+    `as_unk` walk's."""
+    rng = random.Random(70 + order)
+    corpora = [random_corpus(rng, max_sentences=40, max_vocab=12, corpus_id=f"c{i}")
+               for i in range(3)]
+    vocab = build_vocabulary(corpora)
+    lms = [train_on(corpus, order, vocab) for corpus in corpora]
+    words = [w for w in vocab.words if w not in (BOS, EOS, UNK)]
+    a, b = words[:2]
+    placed = [("oov1", a, b), (a, "oov1", "oov2", b), (a, b, "oov1"), ("oov1",), ("oov1", "oov2")]
+    drawn = [tuple(rng.choice(words + ["oov1", "oov2"]) for _ in range(rng.randint(1, 12)))
+             for _ in range(30)]
+    dev = Corpus(id="dev", sentences=tuple(placed + drawn))
+    weights = em_weights(lms, dev)
+    columns, known = position_columns(lms, dev)
+    assert len(known) == dev.token_count + len(dev) and known.count(False) > len(placed)
+    assert em_columns(lms, columns, None, 1e-6, 100) == weights
+    mix = partial(mix_log10, weights.lambdas)
+    mixed = {}
+    for policy in OOV_POLICIES:
+        for lm, column in zip(lms, columns):
+            assert score_corpus([column], dev, policy, known) == perplexity(lm, dev, policy)
+        mixed[policy] = score_corpus(columns, dev, policy, known, mix)
+        assert mixed[policy] == perplexity_mixture(lms, weights, dev, policy)
+    assert mixed["as_unk"].log10_prob_sum == weights.dev_log10_likelihood

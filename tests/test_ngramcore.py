@@ -9,7 +9,6 @@ from asrlm.mixture import interpolate_static, perplexity_mixture
 from asrlm.ngramcore import (
     BackoffLM,
     DiscountSet,
-    context_probability_sums,
     count_ngrams,
     effective_counts,
     estimate_discounts,
@@ -24,7 +23,13 @@ from asrlm.ngramcore.smoothing import closed_form_discounts
 from asrlm.pruner import _log_marginals, prune_entropy
 from asrlm.textcorpus import BOS, EOS, UNK, Corpus, Vocabulary, build_vocabulary
 from tests.conftest import corpus_of, random_corpus, train_on
-from tests.reference import BruteForceMKN, backoff_log10_prob, iter_positions, naive_perplexity
+from tests.reference import (
+    BruteForceMKN,
+    backoff_log10_prob,
+    context_probability_sums,
+    iter_positions,
+    naive_perplexity,
+)
 
 
 def test_count_ngrams_bigrams_and_unigrams():

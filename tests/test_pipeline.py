@@ -7,16 +7,20 @@ import re
 import signal
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+from asrlm import mixture
 from asrlm.cli import main
+from asrlm.dialectmap import load_mapping
 from asrlm.mixture import interpolate_static, perplexity_mixture
-from asrlm.ngramcore import perplexity, read_arpa, write_arpa
+from asrlm.ngramcore import evaluate, perplexity, read_arpa, write_arpa
 from asrlm.pipeline import (
     PipelineConfig,
     PipelineError,
+    _train_and_score,
     parse_config,
     run_lexicon_pipeline,
     run_lm_pipeline,
@@ -1060,3 +1064,46 @@ def test_synthetic_study_script_is_deterministic_and_names_fallback_corpora():
             assert f"corpus {corpus!r}: degenerate count-of-counts" in proc.stderr
     assert runs[0].stdout == runs[1].stdout
     assert "interpolation weights (EM on dev)" in runs[0].stdout
+
+
+def walk_counter(monkeypatch) -> list:
+    """Record each `walk_positions` call's (model, corpus) pair from here on."""
+    pairs = []
+    walk = evaluate.walk_positions
+
+    def counting(lm, corpus, exclude):
+        pairs.append((lm, corpus))
+        return walk(lm, corpus, exclude)
+
+    monkeypatch.setattr(evaluate, "walk_positions", counting)
+    monkeypatch.setattr(mixture, "walk_positions", counting)
+    return pairs
+
+
+def walks_per_pair(pairs) -> list[int]:
+    # `pairs` holds every model and corpus alive, so no id is reused.
+    return sorted(Counter((id(lm), id(corpus)) for lm, corpus in pairs).values())
+
+
+def test_lm_part_walks_each_model_over_each_eval_corpus_once(monkeypatch, tmp_path):
+    """EM, every `ppl_report.tsv` row of a component and the mixture row
+    read one walk of each component per eval corpus; the combined and
+    pruned models are walked once per corpus too."""
+    monkeypatch.chdir(FIXTURES.parent)
+    config = parse_config(FIXTURES / "pipeline.cfg", [f"out_dir={tmp_path}"])
+    pairs = walk_counter(monkeypatch)
+    run_lm_pipeline(config)
+    models = len(config.corpora) + 2  # the components, combined and pruned
+    assert walks_per_pair(pairs) == [1] * models * 2  # dev and test
+
+
+def test_train_and_score_walks_each_model_over_dev_once(monkeypatch):
+    """The dialect part's EM and mixture report share one walk per model."""
+    monkeypatch.chdir(FIXTURES.parent)
+    config = parse_config(FIXTURES / "pipeline.cfg")
+    corpora = [load_corpus(path, corpus_id=cid) for cid, path in config.corpora]
+    dev = load_corpus(config.dev, corpus_id="dev")
+    pairs = walk_counter(monkeypatch)
+    report = _train_and_score(corpora, dev, config, load_mapping(config.mapping))
+    assert walks_per_pair(pairs) == [1] * len(corpora)
+    assert report.scored_tokens > 0

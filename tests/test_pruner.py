@@ -3,11 +3,11 @@ import random
 
 import pytest
 
-from asrlm.ngramcore import context_probability_sums, perplexity
+from asrlm.ngramcore import perplexity
 from asrlm.pruner import _entropy_deltas, prune_entropy
 from asrlm.textcorpus import build_vocabulary
 from tests.conftest import corpus_of, random_corpus, train_on
-from tests.reference import brute_force_prune_delta
+from tests.reference import brute_force_prune_delta, context_probability_sums
 
 
 def retained_set(lm):
