@@ -17,7 +17,7 @@ import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from itertools import chain, filterfalse, groupby, islice
-from operator import itemgetter
+from operator import itemgetter, lt
 from pathlib import Path
 from types import MappingProxyType
 from typing import NamedTuple
@@ -152,11 +152,27 @@ def merge_lexicons(base: Lexicon, addon: Lexicon, policy: str = "union", symbol_
     return merged
 
 
-class _Counts(Mapping):
-    """One order's gram -> count, read through its per-context table."""
+def _context_table(items, discount: float) -> dict:
+    """An order's table, context -> (total, gamma, followers), from sorted (gram, count) pairs."""
+    table = {}
+    for ctx, group in groupby(items, key=lambda item: item[0][:-1]):
+        follow = {}
+        # A loop from 0.0 in follower order, not sum(), which compensates on Python 3.12.
+        denom = gnum = 0.0
+        for gram, c in group:
+            follow[gram[-1]] = c
+            denom += c
+            gnum += c if c < discount else discount
+        table[ctx] = (denom, gnum / denom if denom else 1.0, follow)
+    return table
 
-    def __init__(self, table):
+
+class _Counts(Mapping):
+    """One order's gram -> count, read through its table, built under `discount`."""
+
+    def __init__(self, table, discount: float):
         self._table = table
+        self.discount = discount
 
     def __getitem__(self, gram):
         return self._table[gram[:-1]][2][gram[-1]]
@@ -188,13 +204,13 @@ class JointSequenceModel:
     The counts, given in any order, are held once, in a per-context table
     for each order, context -> (count total, gamma, followers), where gamma
     is the discounted mass over the total and followers maps each graphone
-    id seen after the context to its count. Contexts and followers are in
-    sorted gram order, the model file's, and each total adds its followers
-    in that order, so a model equals its saved and reloaded copy. A context
-    whose counts are all 0 has gamma 1.0: it passes the lower order through.
-    `counts` reads the given orders back from the tables. The constructor
-    also indexes graphone ids by grapheme side and freezes the set of
-    letters the inventory covers.
+    id seen after the context to its count. `_context_table` builds every
+    table in sorted gram order, the model file's, from the given counts or
+    from `train_g2p`'s tallies and `load_g2p_model`'s grams, which arrive
+    as `counts` views. A context whose counts are all 0 has gamma 1.0: it
+    passes the lower order through. `counts` reads the given orders back
+    from the tables. The constructor also indexes graphone ids by grapheme
+    side and freezes the set of letters the inventory covers.
 
     Decoding reads a second, lazily built table, `_by_order1`: for each
     grapheme side ("piece") it has expanded, the order-1 conditional of
@@ -219,18 +235,9 @@ class JointSequenceModel:
         d = self.discount
         for k in range(1, self.order + 1):
             grams = self.counts.get(k, {})
-            table = self._contexts[k] = {}
-            for gram in sorted(grams):
-                table.setdefault(gram[:-1], {})[gram[-1]] = grams[gram]
-            for ctx, follow in table.items():
-                # An explicit loop, not sum(): the totals must add in follower
-                # order from 0.0, and float sum() compensates on Python 3.12.
-                denom = gnum = 0.0
-                for c in follow.values():
-                    denom += c
-                    gnum += c if c < d else d
-                table[ctx] = (denom, gnum / denom if denom else 1.0, follow)
-        self.counts = MappingProxyType({k: _Counts(self._contexts[k]) for k in sorted(self.counts)})
+            self._contexts[k] = (grams._table if isinstance(grams, _Counts) and grams.discount == d
+                                 else _context_table(sorted(grams.items()), d))
+        self.counts = MappingProxyType({k: _Counts(self._contexts[k], d) for k in sorted(self.counts)})
         self._uniform = 1.0 / (len(self.graphones) + 1)
         self.by_grapheme: dict[str, list[int]] = {}
         for gid, g in enumerate(self.graphones):
@@ -360,15 +367,17 @@ def _entry_graph(edges, end, order, gid_of, gram_ids):
 
     Returns the graph as integer lists, transitions in breadth-first
     discovery order: each transition's source state, destination state and
-    gram id; each state's outgoing transition indices; and (state, gram id)
-    of the end move of each state at `end`.
+    gram id; each state's outgoing transition indices, as a range; and
+    (state, gram id) of the end move of each state at `end`.
     """
     start = ((0, 0), (BOS_ID,) * (order - 1))
     states = [start]
     seen = {start}
     found = []
+    spans = {}
     for state in states:  # grows while it is walked
         cell, hist = state
+        lo = len(found)
         for graphone, tgt in edges[cell]:
             gram = hist + (gid_of[graphone],)
             nstate = (tgt, gram[1:])
@@ -376,14 +385,13 @@ def _entry_graph(edges, end, order, gid_of, gram_ids):
             if nstate not in seen:
                 seen.add(nstate)
                 states.append(nstate)
+        spans[state] = range(lo, len(found))
     states.sort()
     index = {state: s for s, state in enumerate(states)}
     src = [index[state] for state, _, _ in found]
     dst = [index[nstate] for _, nstate, _ in found]
     grams = [g for _, _, g in found]
-    out: list[list[int]] = [[] for _ in states]
-    for t, s in enumerate(src):
-        out[s].append(t)
+    out = list(map(spans.__getitem__, states))
     finals = [(s, gram_ids.setdefault(hist + (EOS_ID,), len(gram_ids)))
               for s, (cell, hist) in enumerate(states) if cell == end]
     return src, dst, grams, out, finals
@@ -416,10 +424,10 @@ def train_g2p(
     orders, so the E-steps before the last M-step count the full order
     alone, the last M-step's E-step counts every order, and the final E-step,
     which only extends the likelihood trace, counts nothing. Each key's
-    posteriors are added in entry, transition, then end order, and each
-    order's counts keep the order in which their keys first had a non-zero
-    posterior, so the sums and the model's count tables do not depend on
-    which orders an E-step counts.
+    posteriors are added in entry, transition, then end order, so the sums
+    do not depend on which orders an E-step counts. Each order's last
+    tallies go in sorted key order to `_context_table`, the model's one
+    table builder, and no gram -> count dict is made.
     """
     if len(lexicon) == 0:
         raise ValueError("lexicon is empty")
@@ -434,7 +442,7 @@ def train_g2p(
              for lp in range(min_phones, max_phones + 1) if lg or lp]
     entry_list = []
     skipped = []
-    inventory: dict[Graphone, None] = {}
+    inventory: set[Graphone] = set()
     for word in sorted(lexicon.entries):
         for pron in lexicon.entries[word]:
             edges = _segmentation_lattice(word, pron, steps)
@@ -442,9 +450,7 @@ def train_g2p(
                 skipped.append((word, pron, "no segmentation within size limits"))
                 continue
             entry_list.append((word, pron, edges))
-            for moves in edges.values():
-                for graphone, _ in moves:
-                    inventory.setdefault(graphone)
+            inventory.update(graphone for moves in edges.values() for graphone, _ in moves)
     if skipped:
         log.warning("skipped %d unsegmentable lexicon entries", len(skipped))
     if not entry_list:
@@ -455,7 +461,7 @@ def train_g2p(
     graphs = [_entry_graph(edges, (len(word), len(pron)), order, gid_of, gram_ids)
               for word, pron, edges in entry_list]
     words = [word for word, _, _ in entry_list]
-    del entry_list
+    del entry_list, inventory
     grams = list(gram_ids)
     del gram_ids
     # Per order: its key tuples and each gram's key id; the full order's key is the gram.
@@ -543,9 +549,12 @@ def train_g2p(
         for g in first:
             pv[g] = sums[g] / denoms[ctx_of[g]]
     trace.append(run_e_step(pv, ()))
-    counts = {k: {keys[k][i]: sums[i] for i in first} for k, sums, first in tallies if first}
-    # Free the E-step state before the model builds its index.
-    del graphs, pv, keys, key_of, ctx_of, tallies
+    del graphs, pv, key_of, ctx_of, grams  # and each order's tallies once its table is built
+    counts = {}
+    while tallies:  # every counted order has a key with a non-zero posterior: an end move's
+        k, sums, first = tallies.pop()
+        first.sort(key=(key := keys.pop(k).__getitem__))
+        counts[k] = _Counts(_context_table(((key(i), sums[i]) for i in first), discount), discount)
 
     return JointSequenceModel(
         order=order,
@@ -844,33 +853,39 @@ def load_g2p_model(path: str | Path) -> JointSequenceModel:
         raise ValueError(f"{path}: graphones are not a list of [graphemes, [phonemes, ...]] "
                          "string pairs")
     try:
-        tables = [(key, int(key), [(tuple(gram), c) for gram, c in table])
+        tables = [(key, int(key), [tuple(gram) for gram, _ in table], [c for _, c in table])
                   for key, table in payload["counts"].items()]
     except (AttributeError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: malformed counts: {exc}") from exc
     order = payload["order"]
     ids = range(len(graphones))
-    counts: dict[int, dict[tuple[int, ...], float]] = {}
-    for key, k, items in tables:
+    counts = {}
+    for key, k, grams, cs in tables:
         if key != str(k):  # such as " 01" or "1_0", which int() reads
             raise ValueError(f"{path}: count order {key!r} is not written as {str(k)!r}")
         if not 1 <= k <= order:
             raise ValueError(f"{path}: count order {k} is outside 1..{order}")
-        table = counts.setdefault(k, {})
-        for gram, c in items:
-            if not _is_graphone_gram(gram, k, ids):
-                raise ValueError(f"{path}: {k}-gram {list(gram)} is not {k} graphone ids "
-                                 "(BOS_ID only before the last place, EOS_ID only in it)")
-            if not _is_number(c) or not math.isfinite(c) or c < 0.0:
-                raise ValueError(f"{path}: count {c!r} of {k}-gram {list(gram)} "
-                                 "is not a finite number >= 0")
-            if gram in table:
-                raise ValueError(f"{path}: {k}-gram {list(gram)} is listed twice")
-            table[gram] = c
+        items = zip(grams, cs)
+        if not ({*map(len, grams)} <= {k} and {*map(type, chain(*grams))} <= {int}
+                and all({*ids, BOS_ID}.issuperset(map(itemgetter(i), grams)) for i in range(k - 1))
+                and {*ids, EOS_ID}.issuperset(map(itemgetter(-1), grams))
+                and {*map(type, cs)} <= {int, float} and all(map(math.isfinite, cs))
+                and min(cs, default=0.0) >= 0.0 and all(map(lt, grams, grams[1:]))):
+            seen = set()  # a failed or unsorted table: find its first error in file order
+            for gram, c in items:
+                if not _is_graphone_gram(gram, k, ids):
+                    raise ValueError(f"{path}: {k}-gram {list(gram)} is not {k} graphone ids "
+                                     "(BOS_ID only before the last place, EOS_ID only in it)")
+                if not _is_number(c) or not math.isfinite(c) or c < 0.0:
+                    raise ValueError(f"{path}: count {c!r} of {k}-gram {list(gram)} "
+                                     "is not a finite number >= 0")
+                if gram in seen:
+                    raise ValueError(f"{path}: {k}-gram {list(gram)} is listed twice")
+                seen.add(gram)
+            items = sorted(zip(grams, cs))
+        counts[k] = _Counts(_context_table(items, discount), discount)
     trace = payload["log10_likelihood_trace"]
-    if not isinstance(trace, list) or not all(
-        _is_number(x) and math.isfinite(x) for x in trace
-    ):
+    if not isinstance(trace, list) or not all(_is_number(x) and math.isfinite(x) for x in trace):
         raise ValueError(f"{path}: log10_likelihood_trace {trace!r} is not a list of finite numbers")
     return JointSequenceModel(
         **{key: payload[key] for key in _INT_FIELDS},

@@ -1,7 +1,13 @@
+import contextlib
+import dataclasses
+import gc
 import json
 import math
 import random
 import re
+import tracemalloc
+from operator import itemgetter
+from pathlib import Path
 
 import pytest
 
@@ -33,10 +39,14 @@ from tests.reference import (
     reference_apply_g2p,
     reference_cond_list,
     reference_contexts,
+    reference_model_counts,
     reference_save_g2p_model,
     reference_train_g2p,
     sequence_log10,
 )
+
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def identity_lexicon(words):
@@ -571,6 +581,13 @@ def _listed(contexts):
             for k, table in contexts.items()}
 
 
+def _positive(model):
+    """The model's tables without the contexts whose counts are all 0, which
+    `reference_contexts` leaves out."""
+    return {k: {ctx: stats for ctx, stats in table.items() if stats[0] > 0.0}
+            for k, table in model._contexts.items()}
+
+
 def test_model_json_round_trip(tmp_path):
     # Training and loading build the tables by one path, in sorted gram
     # order. At this seed, totals added in first-posterior order made the
@@ -647,9 +664,7 @@ def test_model_contexts_equal_reference():
     models.append(hand_built_model(rng, [8, 50, 0, 400], n_ids=6))
     zero_contexts = 0
     for model in models:
-        positive = {k: {ctx: stats for ctx, stats in table.items() if stats[0] > 0.0}
-                    for k, table in model._contexts.items()}
-        assert _listed(positive) == _listed(reference_contexts(model))
+        assert _listed(_positive(model)) == _listed(reference_contexts(model))
         for table in model._contexts.values():
             for denom, gamma, follow in table.values():
                 if denom == 0.0:
@@ -786,3 +801,180 @@ def test_train_g2p_validation():
         train_g2p(lex, min_letters=0, min_phones=0)
     with pytest.raises(ValueError, match="^em_iters must be >= 0, got -1$"):
         train_g2p(lex, em_iters=-1)
+
+
+def _assert_tables_in_gram_order(model):
+    for k, table in model._contexts.items():
+        assert list(table) == sorted(table), k
+        for _, _, follow in table.values():
+            assert list(follow) == sorted(follow), k
+
+
+def test_trained_loaded_and_shuffled_models_build_the_same_tables(tmp_path):
+    # Training, loading and the constructor feed one table builder: EM's
+    # tallies, the file's grams and a counts mapping in any order all give
+    # tables in sorted gram order, with the reference's totals, that save to
+    # the same bytes, and models that are ==.
+    rng = random.Random(89)
+    for order, em_iters in ((1, 2), (2, 3), (3, 3), (4, 1)):
+        lex = random_lexicon(rng, n_words=12)
+        trained = train_g2p(lex, order=order, em_iters=em_iters)
+        assert trained == reference_train_g2p(lex, order=order, em_iters=em_iters)
+        save_g2p_model(trained, tmp_path / "trained.json")
+        loaded = load_g2p_model(tmp_path / "trained.json")
+        assert loaded == trained
+        shuffled = dataclasses.replace(trained, counts={
+            k: dict(rng.sample(sorted(table.items()), len(table)))
+            for k, table in reversed(trained.counts.items())})
+        for model in (trained, loaded, shuffled):
+            _assert_tables_in_gram_order(model)
+            assert _listed(_positive(model)) == _listed(reference_contexts(model))
+            save_g2p_model(model, tmp_path / "again.json")
+            assert (tmp_path / "again.json").read_bytes() == (tmp_path / "trained.json").read_bytes()
+        assert _listed(shuffled._contexts) == _listed(trained._contexts)
+        # A file written out of gram order loads to the same model.
+        payload = json.loads((tmp_path / "trained.json").read_text(encoding="utf-8"))
+        for table in payload["counts"].values():
+            rng.shuffle(table)
+        (tmp_path / "shuffled.json").write_text(json.dumps(payload), encoding="utf-8")
+        unsorted = load_g2p_model(tmp_path / "shuffled.json")
+        assert unsorted == trained
+        assert _listed(unsorted._contexts) == _listed(trained._contexts)
+
+
+def test_adjacent_duplicate_gram_is_listed_twice(tmp_path):
+    model = train_g2p(random_lexicon(random.Random(97), n_words=10), order=2, em_iters=2)
+    p = tmp_path / "g2p.json"
+    save_g2p_model(model, p)
+    payload = json.loads(p.read_text(encoding="utf-8"))
+    table = payload["counts"]["2"]
+    gram, c = table[3]
+    table.insert(4, [gram, c + 1.0])
+    p.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(ValueError) as exc:
+        load_g2p_model(p)
+    assert str(exc.value) == f"{p}: 2-gram {gram} is listed twice"
+
+
+# Ways to break one [gram, count] pair of a model file; `n` is the number of
+# graphones. Some leave the pair valid, such as EOS_ID as an order-1 gram.
+BREAKS = (
+    lambda gram, c, n: (gram[:-1], c),
+    lambda gram, c, n: (gram + [0], c),
+    lambda gram, c, n: (gram[:-1] + ["x"], c),
+    lambda gram, c, n: (gram[:-1] + [n + 3], c),
+    lambda gram, c, n: (gram[:-1] + [BOS_ID], c),
+    lambda gram, c, n: ([EOS_ID] + gram[1:], c),
+    lambda gram, c, n: ([-3] + gram[1:], c),
+    lambda gram, c, n: ([n + 3] + gram[1:], c),
+    lambda gram, c, n: (gram[:-1] + [True], c),
+    lambda gram, c, n: (gram[:-1] + [float(gram[-1])], c),
+    lambda gram, c, n: (gram, float("nan")),
+    lambda gram, c, n: (gram, float("inf")),
+    lambda gram, c, n: (gram, -0.5),
+    lambda gram, c, n: (gram, True),
+    lambda gram, c, n: (gram, "1"),
+    lambda gram, c, n: (gram, None),
+)
+# Edits that leave a pair valid.
+KEEPS = (lambda gram, c, n: (gram, 3), lambda gram, c, n: (gram, 0.0), lambda gram, c, n: (gram, c))
+
+
+def _first_error(load, path, *args):
+    try:
+        load(path, *args)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def test_load_reports_the_first_error_of_the_per_gram_checks(tmp_path):
+    # The loader checks each order's table at once and scans only a table
+    # that fails: whatever the breaks, it must report the error the per-gram
+    # loop reported first, naming the path, or load the counts that loop
+    # accepted. Edits land two in one order, or one in each of two orders,
+    # some copying a pair from elsewhere in its order (listed twice), and
+    # some trials swap two pairs (out of gram order). Some edits leave their
+    # pair valid, and one trial in five makes only such edits. A break mostly
+    # leaves its table out of order, which alone sends it to the scan, so
+    # each edited table is sorted again, where its grams still compare, in
+    # half the trials.
+    model = train_g2p(random_lexicon(random.Random(101), n_words=10), order=3, em_iters=2)
+    p = tmp_path / "g2p.json"
+    save_g2p_model(model, p)
+    text = p.read_text(encoding="utf-8")
+    n = len(model.graphones)
+    rng = random.Random(103)
+    seen = {"same order": 0, "two orders": 0, "loads": 0}
+    for trial in range(200):
+        payload = json.loads(text)
+        tables = payload["counts"]
+        keys = rng.sample(sorted(tables), 2)
+        spots = ([(keys[0], i) for i in rng.sample(range(len(tables[keys[0]])), 2)]
+                 if trial % 2 else [(key, rng.randrange(len(tables[key]))) for key in keys])
+        for key, i in spots:
+            table = tables[key]
+            if trial % 5 == 0 or rng.random() < 0.3:
+                table[i] = list(rng.choice(KEEPS)(*table[i], n))
+            elif rng.random() < 0.15:
+                table[i] = list(table[rng.randrange(len(table))])
+            else:
+                table[i] = list(rng.choice(BREAKS)(*table[i], n))
+        for key in keys:
+            if rng.random() < 0.5:
+                with contextlib.suppress(TypeError):  # a string id does not compare
+                    tables[key].sort(key=itemgetter(0))
+        if rng.random() < 0.3:
+            table = tables[rng.choice(keys)]
+            i, j = rng.sample(range(len(table)), 2)
+            table[i], table[j] = table[j], table[i]
+        p.write_text(json.dumps(payload), encoding="utf-8")
+        expected = _first_error(reference_model_counts, p, payload)
+        assert _first_error(load_g2p_model, p) == expected, (trial, spots)
+        if expected is None:
+            seen["loads"] += 1
+            counts = reference_model_counts(p, payload)
+            assert load_g2p_model(p).counts == {k: counts.get(k, {}) for k in sorted(counts)}
+        else:
+            assert expected.startswith(f"{p}: ")
+            seen["same order" if trial % 2 else "two orders"] += 1
+    assert min(seen.values()) >= 10, seen
+
+
+@pytest.mark.parametrize("breaks, message", [
+    pytest.param({("3", 9): (None, -1.0), ("3", 4): ([0, 1], None)},
+                 "3-gram [0, 1] is not 3 graphone ids", id="two-in-one-order"),
+    pytest.param({("3", 0): ([0, 0, 0.5], None), ("1", 6): (None, float("nan"))},
+                 "count nan of 1-gram", id="two-orders"),
+])
+def test_load_reports_the_first_error_in_file_order(tmp_path, breaks, message):
+    model = train_g2p(random_lexicon(random.Random(107), n_words=10), order=3, em_iters=2)
+    p = tmp_path / "g2p.json"
+    save_g2p_model(model, p)
+    payload = json.loads(p.read_text(encoding="utf-8"))
+    for (key, i), (gram, c) in breaks.items():
+        old = payload["counts"][key][i]
+        payload["counts"][key][i] = [old[0] if gram is None else gram, old[1] if c is None else c]
+    p.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(ValueError) as exc:
+        load_g2p_model(p)
+    assert str(exc.value).startswith(f"{p}: {message}")
+    assert _first_error(reference_model_counts, p, payload) == str(exc.value)
+
+
+def test_train_g2p_peak_stays_near_the_model_it_keeps():
+    # Training frees the E-step state, then builds each order's table from
+    # its tallies: no gram -> count dict is held next to the tables. On the
+    # fixture seed lexicon with the fixture pipeline's settings, building
+    # such a dict first peaked at 1.70 times the trained model's size; the
+    # tables built from the tallies peak at 1.47 times it.
+    lexicon = load_lexicon(FIXTURES / "seed_lexicon.tsv")
+    gc.collect()  # empties the object free lists, whose reuse tracemalloc does not see
+    tracemalloc.start()
+    try:
+        model = train_g2p(lexicon, order=2, em_iters=3)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(model.counts[2]) > 100
+    assert peak / kept < 1.58, (peak, kept)
