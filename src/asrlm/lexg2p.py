@@ -17,7 +17,7 @@ import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from itertools import chain, filterfalse, groupby, islice
-from operator import itemgetter, lt
+from operator import itemgetter
 from pathlib import Path
 from types import MappingProxyType
 from typing import NamedTuple
@@ -853,37 +853,33 @@ def load_g2p_model(path: str | Path) -> JointSequenceModel:
         raise ValueError(f"{path}: graphones are not a list of [graphemes, [phonemes, ...]] "
                          "string pairs")
     try:
-        tables = [(key, int(key), [tuple(gram) for gram, _ in table], [c for _, c in table])
+        tables = [(key, int(key), [(tuple(gram), c) for gram, c in table])
                   for key, table in payload["counts"].items()]
     except (AttributeError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: malformed counts: {exc}") from exc
     order = payload["order"]
     ids = range(len(graphones))
     counts = {}
-    for key, k, grams, cs in tables:
+    for key, k, items in tables:
         if key != str(k):  # such as " 01" or "1_0", which int() reads
             raise ValueError(f"{path}: count order {key!r} is not written as {str(k)!r}")
         if not 1 <= k <= order:
             raise ValueError(f"{path}: count order {k} is outside 1..{order}")
-        items = zip(grams, cs)
-        if not ({*map(len, grams)} <= {k} and {*map(type, chain(*grams))} <= {int}
-                and all({*ids, BOS_ID}.issuperset(map(itemgetter(i), grams)) for i in range(k - 1))
-                and {*ids, EOS_ID}.issuperset(map(itemgetter(-1), grams))
-                and {*map(type, cs)} <= {int, float} and all(map(math.isfinite, cs))
-                and min(cs, default=0.0) >= 0.0 and all(map(lt, grams, grams[1:]))):
-            seen = set()  # a failed or unsorted table: find its first error in file order
-            for gram, c in items:
-                if not _is_graphone_gram(gram, k, ids):
-                    raise ValueError(f"{path}: {k}-gram {list(gram)} is not {k} graphone ids "
-                                     "(BOS_ID only before the last place, EOS_ID only in it)")
-                if not _is_number(c) or not math.isfinite(c) or c < 0.0:
-                    raise ValueError(f"{path}: count {c!r} of {k}-gram {list(gram)} "
-                                     "is not a finite number >= 0")
-                if gram in seen:
-                    raise ValueError(f"{path}: {k}-gram {list(gram)} is listed twice")
-                seen.add(gram)
-            items = sorted(zip(grams, cs))
-        counts[k] = _Counts(_context_table(items, discount), discount)
+        seen = set()
+        prev, in_order = (), True  # () sorts before every gram
+        for gram, c in items:
+            if not _is_graphone_gram(gram, k, ids):
+                raise ValueError(f"{path}: {k}-gram {list(gram)} is not {k} graphone ids "
+                                 "(BOS_ID only before the last place, EOS_ID only in it)")
+            if not _is_number(c) or not math.isfinite(c) or c < 0.0:
+                raise ValueError(f"{path}: count {c!r} of {k}-gram {list(gram)} "
+                                 "is not a finite number >= 0")
+            if gram in seen:
+                raise ValueError(f"{path}: {k}-gram {list(gram)} is listed twice")
+            seen.add(gram)
+            in_order = in_order and prev < gram
+            prev = gram
+        counts[k] = _Counts(_context_table(items if in_order else sorted(items), discount), discount)
     trace = payload["log10_likelihood_trace"]
     if not isinstance(trace, list) or not all(_is_number(x) and math.isfinite(x) for x in trace):
         raise ValueError(f"{path}: log10_likelihood_trace {trace!r} is not a list of finite numbers")

@@ -454,49 +454,6 @@ def reference_save_g2p_model(model, path):
     Path(path).write_text(json.dumps(payload, sort_keys=True), encoding="utf-8", newline="")
 
 
-def reference_model_counts(path, payload):
-    """The count checks of `asrlm.lexg2p.load_g2p_model` as they were when
-    it checked each gram in turn, kept as the first-error oracle of its
-    per-table checks: per order in file order, the order key, then each
-    (gram, count) pair in file order, its gram, its count, then whether an
-    earlier pair listed the gram. Raises the first error's ValueError, or
-    returns the counts as order -> {gram: count} in file order."""
-    def is_graphone_gram(gram, k, ids):
-        if len(gram) != k or any(type(g) is not int for g in gram):
-            return False
-        return (all(g in ids or g == BOS_ID for g in gram[:-1])
-                and (gram[-1] in ids or gram[-1] == EOS_ID))
-
-    def is_number(x):
-        return isinstance(x, (int, float)) and not isinstance(x, bool)
-
-    try:
-        tables = [(key, int(key), [(tuple(gram), c) for gram, c in table])
-                  for key, table in payload["counts"].items()]
-    except (AttributeError, TypeError, ValueError) as exc:
-        raise ValueError(f"{path}: malformed counts: {exc}") from exc
-    order = payload["order"]
-    ids = range(len(payload["graphones"]))
-    counts = {}
-    for key, k, items in tables:
-        if key != str(k):
-            raise ValueError(f"{path}: count order {key!r} is not written as {str(k)!r}")
-        if not 1 <= k <= order:
-            raise ValueError(f"{path}: count order {k} is outside 1..{order}")
-        table = counts.setdefault(k, {})
-        for gram, c in items:
-            if not is_graphone_gram(gram, k, ids):
-                raise ValueError(f"{path}: {k}-gram {list(gram)} is not {k} graphone ids "
-                                 "(BOS_ID only before the last place, EOS_ID only in it)")
-            if not is_number(c) or not math.isfinite(c) or c < 0.0:
-                raise ValueError(f"{path}: count {c!r} of {k}-gram {list(gram)} "
-                                 "is not a finite number >= 0")
-            if gram in table:
-                raise ValueError(f"{path}: {k}-gram {list(gram)} is listed twice")
-            table[gram] = c
-    return counts
-
-
 def reference_cond_list(model, contexts, ctx, gids, memo):
     """p(gid | ctx) for every gid in `gids`, looking each count up as the
     full gram `ctx + (gid,)`; `memo` is shared only between equal `gids`."""

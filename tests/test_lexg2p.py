@@ -1,4 +1,3 @@
-import contextlib
 import dataclasses
 import gc
 import json
@@ -6,7 +5,6 @@ import math
 import random
 import re
 import tracemalloc
-from operator import itemgetter
 from pathlib import Path
 
 import pytest
@@ -39,7 +37,6 @@ from tests.reference import (
     reference_apply_g2p,
     reference_cond_list,
     reference_contexts,
-    reference_model_counts,
     reference_save_g2p_model,
     reference_train_g2p,
     sequence_log10,
@@ -856,98 +853,15 @@ def test_adjacent_duplicate_gram_is_listed_twice(tmp_path):
     assert str(exc.value) == f"{p}: 2-gram {gram} is listed twice"
 
 
-# Ways to break one [gram, count] pair of a model file; `n` is the number of
-# graphones. Some leave the pair valid, such as EOS_ID as an order-1 gram.
-BREAKS = (
-    lambda gram, c, n: (gram[:-1], c),
-    lambda gram, c, n: (gram + [0], c),
-    lambda gram, c, n: (gram[:-1] + ["x"], c),
-    lambda gram, c, n: (gram[:-1] + [n + 3], c),
-    lambda gram, c, n: (gram[:-1] + [BOS_ID], c),
-    lambda gram, c, n: ([EOS_ID] + gram[1:], c),
-    lambda gram, c, n: ([-3] + gram[1:], c),
-    lambda gram, c, n: ([n + 3] + gram[1:], c),
-    lambda gram, c, n: (gram[:-1] + [True], c),
-    lambda gram, c, n: (gram[:-1] + [float(gram[-1])], c),
-    lambda gram, c, n: (gram, float("nan")),
-    lambda gram, c, n: (gram, float("inf")),
-    lambda gram, c, n: (gram, -0.5),
-    lambda gram, c, n: (gram, True),
-    lambda gram, c, n: (gram, "1"),
-    lambda gram, c, n: (gram, None),
-)
-# Edits that leave a pair valid.
-KEEPS = (lambda gram, c, n: (gram, 3), lambda gram, c, n: (gram, 0.0), lambda gram, c, n: (gram, c))
-
-
-def _first_error(load, path, *args):
-    try:
-        load(path, *args)
-    except ValueError as exc:
-        return str(exc)
-    return None
-
-
-def test_load_reports_the_first_error_of_the_per_gram_checks(tmp_path):
-    # The loader checks each order's table at once and scans only a table
-    # that fails: whatever the breaks, it must report the error the per-gram
-    # loop reported first, naming the path, or load the counts that loop
-    # accepted. Edits land two in one order, or one in each of two orders,
-    # some copying a pair from elsewhere in its order (listed twice), and
-    # some trials swap two pairs (out of gram order). Some edits leave their
-    # pair valid, and one trial in five makes only such edits. A break mostly
-    # leaves its table out of order, which alone sends it to the scan, so
-    # each edited table is sorted again, where its grams still compare, in
-    # half the trials.
-    model = train_g2p(random_lexicon(random.Random(101), n_words=10), order=3, em_iters=2)
-    p = tmp_path / "g2p.json"
-    save_g2p_model(model, p)
-    text = p.read_text(encoding="utf-8")
-    n = len(model.graphones)
-    rng = random.Random(103)
-    seen = {"same order": 0, "two orders": 0, "loads": 0}
-    for trial in range(200):
-        payload = json.loads(text)
-        tables = payload["counts"]
-        keys = rng.sample(sorted(tables), 2)
-        spots = ([(keys[0], i) for i in rng.sample(range(len(tables[keys[0]])), 2)]
-                 if trial % 2 else [(key, rng.randrange(len(tables[key]))) for key in keys])
-        for key, i in spots:
-            table = tables[key]
-            if trial % 5 == 0 or rng.random() < 0.3:
-                table[i] = list(rng.choice(KEEPS)(*table[i], n))
-            elif rng.random() < 0.15:
-                table[i] = list(table[rng.randrange(len(table))])
-            else:
-                table[i] = list(rng.choice(BREAKS)(*table[i], n))
-        for key in keys:
-            if rng.random() < 0.5:
-                with contextlib.suppress(TypeError):  # a string id does not compare
-                    tables[key].sort(key=itemgetter(0))
-        if rng.random() < 0.3:
-            table = tables[rng.choice(keys)]
-            i, j = rng.sample(range(len(table)), 2)
-            table[i], table[j] = table[j], table[i]
-        p.write_text(json.dumps(payload), encoding="utf-8")
-        expected = _first_error(reference_model_counts, p, payload)
-        assert _first_error(load_g2p_model, p) == expected, (trial, spots)
-        if expected is None:
-            seen["loads"] += 1
-            counts = reference_model_counts(p, payload)
-            assert load_g2p_model(p).counts == {k: counts.get(k, {}) for k in sorted(counts)}
-        else:
-            assert expected.startswith(f"{p}: ")
-            seen["same order" if trial % 2 else "two orders"] += 1
-    assert min(seen.values()) >= 10, seen
-
-
 @pytest.mark.parametrize("breaks, message", [
     pytest.param({("3", 9): (None, -1.0), ("3", 4): ([0, 1], None)},
-                 "3-gram [0, 1] is not 3 graphone ids", id="two-in-one-order"),
+                 "3-gram [0, 1] is not 3 graphone ids "
+                 "(BOS_ID only before the last place, EOS_ID only in it)", id="two-in-one-order"),
     pytest.param({("3", 0): ([0, 0, 0.5], None), ("1", 6): (None, float("nan"))},
-                 "count nan of 1-gram", id="two-orders"),
+                 "count nan of 1-gram {gram} is not a finite number >= 0", id="two-orders"),
 ])
 def test_load_reports_the_first_error_in_file_order(tmp_path, breaks, message):
+    # Orders are checked in file order, and each order's pairs in file order.
     model = train_g2p(random_lexicon(random.Random(107), n_words=10), order=3, em_iters=2)
     p = tmp_path / "g2p.json"
     save_g2p_model(model, p)
@@ -958,8 +872,7 @@ def test_load_reports_the_first_error_in_file_order(tmp_path, breaks, message):
     p.write_text(json.dumps(payload), encoding="utf-8")
     with pytest.raises(ValueError) as exc:
         load_g2p_model(p)
-    assert str(exc.value).startswith(f"{p}: {message}")
-    assert _first_error(reference_model_counts, p, payload) == str(exc.value)
+    assert str(exc.value) == f"{p}: " + message.format(gram=payload["counts"]["1"][6][0])
 
 
 def test_train_g2p_peak_stays_near_the_model_it_keeps():
@@ -967,7 +880,9 @@ def test_train_g2p_peak_stays_near_the_model_it_keeps():
     # its tallies: no gram -> count dict is held next to the tables. On the
     # fixture seed lexicon with the fixture pipeline's settings, building
     # such a dict first peaked at 1.70 times the trained model's size; the
-    # tables built from the tallies peak at 1.47 times it.
+    # tables built from the tallies peak at 1.47 times it. Both figures are
+    # from CPython 3.11.7; they rest on the sizes of its objects, which
+    # other CPython releases may change.
     lexicon = load_lexicon(FIXTURES / "seed_lexicon.tsv")
     gc.collect()  # empties the object free lists, whose reuse tracemalloc does not see
     tracemalloc.start()
