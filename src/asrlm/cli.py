@@ -7,7 +7,7 @@ import dataclasses
 import sys
 from pathlib import Path
 
-from asrlm import dialectmap, lexg2p, scorer
+from asrlm import dialectmap, lexg2p, pipeline, scorer
 from asrlm.mixture import (
     em_weights,
     interpolate_static,
@@ -415,7 +415,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with pipeline.paused_gc():
+            return args.func(args)
     except PipelineError as exc:
         print(f"error [{exc.stage}]: {exc}", file=sys.stderr)
         return 1

@@ -14,6 +14,7 @@ import heapq
 import json
 import logging
 import math
+import sys
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from itertools import chain, filterfalse, groupby, islice
@@ -802,9 +803,9 @@ _MODEL_KEYS = ("order", "max_letters", "max_phones", "min_letters", "min_phones"
 _INT_FIELDS = {"order": 1, "max_letters": 1, "max_phones": 1, "min_letters": 0, "min_phones": 0}
 
 
-def _is_number(x) -> bool:
-    """An int or float, but not a bool: JSON `true` is not a count."""
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+def _is_finite_number(x) -> bool:
+    """An int or float a float can hold, not inf or NaN, and not a bool: JSON `true` is not a count."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
 
 
 def _is_graphone_gram(gram: tuple, k: int, ids: range) -> bool:
@@ -837,7 +838,7 @@ def load_g2p_model(path: str | Path) -> JointSequenceModel:
     if missing:
         raise ValueError(f"{path}: model file lacks {', '.join(missing)}")
     discount = payload["discount"]
-    if not _is_number(discount) or not 0.0 < discount <= 1.0:
+    if not _is_finite_number(discount) or not 0.0 < discount <= 1.0:
         raise ValueError(f"{path}: discount {discount!r} is outside (0, 1]")
     for key, least in _INT_FIELDS.items():
         if type(payload[key]) is not int or payload[key] < least:
@@ -871,7 +872,7 @@ def load_g2p_model(path: str | Path) -> JointSequenceModel:
             if not _is_graphone_gram(gram, k, ids):
                 raise ValueError(f"{path}: {k}-gram {list(gram)} is not {k} graphone ids "
                                  "(BOS_ID only before the last place, EOS_ID only in it)")
-            if not _is_number(c) or not math.isfinite(c) or c < 0.0:
+            if not _is_finite_number(c) or c < 0.0:
                 raise ValueError(f"{path}: count {c!r} of {k}-gram {list(gram)} "
                                  "is not a finite number >= 0")
             if gram in seen:
@@ -881,7 +882,7 @@ def load_g2p_model(path: str | Path) -> JointSequenceModel:
             prev = gram
         counts[k] = _Counts(_context_table(items if in_order else sorted(items), discount), discount)
     trace = payload["log10_likelihood_trace"]
-    if not isinstance(trace, list) or not all(_is_number(x) and math.isfinite(x) for x in trace):
+    if not isinstance(trace, list) or not all(map(_is_finite_number, trace)):
         raise ValueError(f"{path}: log10_likelihood_trace {trace!r} is not a list of finite numbers")
     return JointSequenceModel(
         **{key: payload[key] for key in _INT_FIELDS},

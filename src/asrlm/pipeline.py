@@ -10,9 +10,11 @@ into `lexicon/` and `dialect/`. Reruns produce byte-identical artifacts.
 from __future__ import annotations
 
 import fcntl
+import gc
 import hashlib
 import json
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from functools import partial
 from pathlib import Path
@@ -350,12 +352,24 @@ def train_lms(corpora: list[Corpus], vocab: Vocabulary, order: int) -> list[Back
     return lms
 
 
+@contextmanager
+def paused_gc():
+    """Pause the cyclic GC, process-wide, for the block: a run makes no cycles that grow with input."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def _run_parts(config: PipelineConfig, *parts) -> dict[str, Path]:
-    """Run `parts` in one `_Run`; returns artifact name -> path. A part is a
-    generator function of the run and config that yields once, after its load
-    stage. Every part's load stage runs before any part goes on, so every
-    input is parsed before the first stage that trains."""
-    with _Run(config) as run:
+    """Run `parts` in one `_Run` with the collector paused; returns artifact
+    name -> path. A part is a generator function of the run and config that
+    yields once, after its load stage. Every part's load stage runs before any
+    part goes on, so every input is parsed before the first stage that trains."""
+    with paused_gc(), _Run(config) as run:
         steps = [part(run, config) for part in parts]
         for step in steps:
             next(step)

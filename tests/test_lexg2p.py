@@ -774,6 +774,11 @@ def _split_order(order, key):
     pytest.param(_set_count(1, True), "count True of 1-gram", id="bool-count"),
     pytest.param(lambda payload: payload.update(log10_likelihood_trace=[True, False]),
                  "log10_likelihood_trace [True, False] is not a list", id="bool-trace"),
+    # JSON integers beyond float range: no float holds them
+    pytest.param(_set_count(1, 10**400), f"count {10**400} of 1-gram", id="count-beyond-float"),
+    pytest.param(lambda payload: payload.update(log10_likelihood_trace=[-3.0, -10**400]),
+                 f"log10_likelihood_trace [-3.0, {-10**400}] is not a list of finite numbers",
+                 id="trace-beyond-float"),
 ])
 def test_load_g2p_model_rejects_bad_files(tmp_path, edit, message):
     model = train_g2p(identity_lexicon(["ab", "ba"]), order=2, max_letters=1,

@@ -1,5 +1,6 @@
 import errno
 import fcntl
+import gc
 import hashlib
 import json
 import os
@@ -445,10 +446,16 @@ def test_each_failed_artifact_write_leaves_a_consistent_out_dir(tmp_path, monkey
     def run(out: Path, fail: int = 0):
         nonlocal calls, fail_at
         calls, fail_at = 0, fail
-        run_pipeline(parse_config(FIXTURES / "pipeline.cfg",
-                                  [f"out_dir={out}", "order=2", "g2p_beam=10"]))
+        enabled = gc.isenabled()
+        try:
+            run_pipeline(parse_config(FIXTURES / "pipeline.cfg",
+                                      [f"out_dir={out}", "order=2", "g2p_beam=10"]))
+        finally:
+            # The run pauses the cyclic collector; every way out restores its state.
+            assert gc.isenabled() == enabled, fail
 
     monkeypatch.setattr(os, "replace", replace)
+    assert gc.isenabled()
     run(tmp_path / "reference")
     reference = _tree(tmp_path / "reference")
     stages = json.loads(reference["manifest.json"])["stages"]
@@ -477,6 +484,31 @@ def test_each_failed_artifact_write_leaves_a_consistent_out_dir(tmp_path, monkey
         assert lock_is_free(out), n
         run(out)
         assert calls == writes and _tree(out) == reference, n
+    gc.disable()
+    try:
+        run(tmp_path / "collector-off")
+    finally:
+        gc.enable()
+    assert _tree(tmp_path / "collector-off") == reference
+
+
+def test_a_run_makes_no_cycles_that_grow_with_its_input(tmp_path, monkeypatch):
+    """A run pauses the cyclic collector, so a cycle per n-gram, graphone or
+    lexicon entry would pile up until the run ends. The run's cycles are the
+    same few at either size; `gc.collect` returns how many objects it found
+    unreachable."""
+    monkeypatch.chdir(FIXTURES.parent)
+    found = {}
+    gc.disable()
+    try:
+        for order in (2, 4):
+            gc.collect()
+            run_pipeline(parse_config(FIXTURES / "pipeline.cfg", [
+                f"out_dir={tmp_path / str(order)}", f"order={order}", f"g2p_order={order - 1}"]))
+            found[order] = gc.collect()
+    finally:
+        gc.enable()
+    assert found[2] == found[4], found
 
 
 def test_cli_lm_train_and_ppl(small_setup, capsys):
@@ -486,6 +518,17 @@ def test_cli_lm_train_and_ppl(small_setup, capsys):
     assert main(["lm", "ppl", "--lm", arpa, "--corpus", dev]) == 0
     out = capsys.readouterr().out
     assert "ppl=" in out
+    # A command pauses the cyclic collector; its exit restores the state.
+    assert gc.isenabled()
+    assert main(["lm", "ppl", "--lm", str(tmp / "missing.arpa"), "--corpus", dev]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert gc.isenabled()
+    gc.disable()
+    try:
+        assert main(["lm", "ppl", "--lm", arpa, "--corpus", dev]) == 0
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
 
 
 def test_cli_score_wer(tmp_path, capsys):
