@@ -6,6 +6,7 @@ import math
 import re
 from dataclasses import dataclass
 from functools import partial
+from itertools import chain
 from pathlib import Path
 
 from asrlm.ngramcore.evaluate import (
@@ -178,11 +179,11 @@ def interpolate_static(
 ) -> BackoffLM:
     """Merge components into one back-off model.
 
-    The merged model stores the union of the component n-gram sets; each
-    stored n-gram carries the exact mixture probability and back-off weights
-    are recomputed so every context normalizes. A component's stored value
-    is one lookup; any other comes from its own `walk`. The
-    mixture adds in component order from 0.0, as `ordered_sum` does, never
+    The merged model stores the sorted union of the component n-gram sets;
+    each stored n-gram carries the exact mixture probability and back-off
+    weights are recomputed so every context normalizes. A component's stored
+    value is one lookup; any other comes from its own `walk`. The mixture
+    adds in component order from 0.0, as `ordered_sum` does, never
     through `sum()`. A single component with weight 1 is returned unchanged
     (bit-exact).
     """
@@ -204,16 +205,14 @@ def interpolate_static(
 
     tables: dict[int, dict[NGram, float]] = {}
     for k in range(1, order + 1):
-        union: dict[NGram, None] = {}
-        for lm in lms:
-            union.update(dict.fromkeys(sorted(lm.tables[k])))
-        grams = [gram for gram in union if gram != (BOS,)]  # `<s>` takes the stand-in
+        # The sorted union: timsort merges the components' sorted runs.
+        tables[k] = dict.fromkeys(sorted(chain(*[lm.tables[k] for lm in lms])), BOS_LOG10_PROB)
+        grams = [gram for gram in tables[k] if gram != (BOS,)]  # `<s>` takes the stand-in
         mixes = [0.0] * len(grams)
         for lam, lm in zip(lambdas, lms):
             stored, walk = lm.tables[k].get, lm.walk
             logps = [logp if (logp := stored(gram)) is not None else walk(gram)[0] for gram in grams]
             mixes = [mix + lam * 10.0 ** logp for mix, logp in zip(mixes, logps)]
-        tables[k] = dict.fromkeys(union, BOS_LOG10_PROB)
         tables[k].update(zip(grams, map(math.log10, mixes)))
     merged = BackoffLM(order=order, tables=tables, vocab=lms[0].vocab, metadata=merged_meta)
     rebuild_backoffs(merged)

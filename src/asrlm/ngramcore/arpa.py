@@ -6,12 +6,15 @@ footer; only blank lines may follow the footer. UTF-8, LF endings, log10
 values at 7 significant digits. The back-off field is omitted at the
 highest order and for n-grams ending in `</s>`. Every word of a longer
 n-gram has a unigram entry (a leading `<s>` may lack one), and the context
-of every k-gram, k > 2, is a (k-1)-gram entry: the prefix rule.
+of every k-gram, k > 2, is a (k-1)-gram entry: the prefix rule. Reading
+accepts a section's n-grams in any order; writing emits them in sorted
+gram order, the order of every `BackoffLM` table.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import islice
 from pathlib import Path
 
 from asrlm.ngramcore.model import BackoffLM, NGram
@@ -45,20 +48,20 @@ def _arpa_chunks(lm: BackoffLM, path: str | Path):
         # The weights written: none at the top order or on a `</s>`-final gram.
         bows = {} if k == lm.order else {
             gram: bow for gram, bow in lm.backoffs[k].items() if gram[-1] != EOS}
-        grams = sorted(table)
         if not (all(map(math.isfinite, table.values())) and all(map(math.isfinite, bows.values()))):
-            for gram in grams:  # the first non-finite value written, in file order
+            for gram in table:  # the first non-finite value written, in file order
                 for field, value in (("log-prob", table[gram]),
                                      ("back-off weight", bows.get(gram, 0.0))):
                     if not math.isfinite(value):
                         raise ValueError(f"{path}: {k}-gram {' '.join(gram)!r} has non-finite "
                                          f"{field} {value!r}; no file written")
         yield f"\\{k}-grams:\n"
-        for start in range(0, len(grams), _CHUNK_LINES):
+        grams = iter(table)  # in sorted gram order, a `BackoffLM` invariant
+        while chunk := list(islice(grams, _CHUNK_LINES)):
             # Adding 0.0 writes -0.0 as "0".
             yield "".join([f"{table[g] + 0.0:.7g}\t{' '.join(g)}\t{bows[g] + 0.0:.7g}\n"
                            if g in bows else f"{table[g] + 0.0:.7g}\t{' '.join(g)}\n"
-                           for g in grams[start:start + _CHUNK_LINES]])
+                           for g in chunk])
         yield "\n"
     yield "\\end\\\n"
 

@@ -56,7 +56,7 @@ def position_columns(lms: list[BackoffLM], corpus: Corpus) -> tuple[list[list[fl
     of the models' shared vocabulary). Either policy's reports read these
     bit for bit: after an OOV word, `exclude` walks on from the last history
     plus `<unk>` and `as_unk` from the gram it matched, and by `BackoffLM`'s
-    two invariants the next value is the same."""
+    first two invariants the next value is the same."""
     ids = lms[0].vocab.ids
     known = [tok in ids for sent in corpus.sentences for tok in (*sent, EOS)]
     return [list(walk_positions(lm, corpus, False)) for lm in lms], known

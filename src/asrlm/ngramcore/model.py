@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
+from itertools import groupby, islice
 
 from asrlm.textcorpus import UNK, Vocabulary
 
@@ -20,18 +22,26 @@ class BackoffLM:
     log10 back-off weight. Both hold a dict, possibly empty, for every order
     1..`order`; one missing at construction is added. `walk` is the one
     back-off recursion: queries, merging, back-off rebuilding and pruning all
-    evaluate through it. Two invariants hold for every model `train_mkn`,
+    evaluate through it. Three invariants hold for every model `train_mkn`,
     `interpolate_static`, `prune_entropy` and `read_arpa` make; `walk`'s next
-    history and the pruner's marginals rely on them:
+    history, the pruner's marginals and the ARPA writer rely on them:
 
     - prefix rule: the context `gram[:-1]` of every stored gram is itself
       stored, except the lone `(<s>,)` context of a bigram;
     - weights on stored grams only: every key of `backoffs[k]` is a key of
       `tables[k]`. A gram without a weight, such as the context of no
-      stored gram, is no key, and backing off through it adds 0.
+      stored gram, is no key, and backing off through it adds 0;
+    - sorted gram order: each `tables[k]` iterates its grams in sorted
+      order, so the grams of one context are adjacent. The constructor
+      alone establishes it. It sorts a table that arrives out of order, as
+      `train_mkn`'s corpus-order tables, a hand-built one or one read from
+      an unsorted ARPA file do, and keeps one that arrives sorted, as the
+      merge's union, `clone`'s copies and a file `write_arpa` wrote do.
+      Pruning only deletes grams, which keeps the order.
 
     Instances are treated as immutable after construction; concurrent reads
-    are safe.
+    are safe. A gram added to a table after construction is outside this
+    contract: neither the writer nor the grouping sorts again.
     """
 
     order: int
@@ -42,7 +52,9 @@ class BackoffLM:
 
     def __post_init__(self):
         for k in range(1, self.order + 1):
-            self.tables.setdefault(k, {})
+            table = self.tables.setdefault(k, {})
+            if not all(map(operator.lt, table, islice(table, 1, None))):
+                self.tables[k] = {gram: table[gram] for gram in sorted(table)}
             self.backoffs.setdefault(k, {})
 
     def size_by_order(self) -> dict[int, int]:
@@ -68,7 +80,7 @@ class BackoffLM:
         `<unk>`, at most `order` of them. Adds the back-off weights on the
         way down, then the stored value, so a stored gram yields its stored
         value. The next history is the gram the walk matched, cut to its
-        last `order - 1` tokens: by the two invariants above, a longer
+        last `order - 1` tokens: by the first two invariants above, a longer
         suffix of `gram` is no stored gram, so it would neither match nor
         add a weight in the next walk."""
         tables = self.tables
@@ -94,18 +106,17 @@ class BackoffLM:
         )
 
 
-def group_by_context(table: dict[NGram, float]) -> dict[NGram, list[NGram]]:
-    """Group one order's stored grams by their context, in table order."""
-    children: dict[NGram, list[NGram]] = {}
-    for gram in table:
-        children.setdefault(gram[:-1], []).append(gram)
-    return children
+def by_context(table: dict[NGram, float]):
+    """(context, its grams) per run of adjacent grams sharing a context: one
+    group per context, in sorted order, for a table in sorted gram order."""
+    return groupby(table, key=operator.itemgetter(slice(-1)))
 
 
-def leftover_masses(lm: BackoffLM, k: int, grams: list[NGram]) -> tuple[float, float, list[float]]:
+def leftover_masses(lm: BackoffLM, k: int, grams) -> tuple[float, float, list[float]]:
     """For the stored k-grams `grams` of one context h: 1 - sum p(w|h), 1 - sum
     p(w|h minus first word) and each gram's log10 p(w|h minus first word), the
-    stored (k-1)-gram's value or else `lm.walk`'s. Sums in `grams` order from 0.0."""
+    stored (k-1)-gram's value or else `lm.walk`'s. Sums in `grams` order, the
+    sorted gram order of a `by_context` group, from 0.0."""
     table = lm.tables[k]
     lower = lm.tables[k - 1]
     walk = lm.walk
@@ -143,10 +154,12 @@ def rebuild_backoffs(lm: BackoffLM) -> None:
     A stored context with stored continuations gets `log_backoff` of its
     `leftover_masses`; any other gram below the top order has no weight.
     Processed from short contexts to long ones: the walks for one order's
-    weights read only the weights of shorter contexts, which are final.
+    weights read only the weights of shorter contexts, which are final. Each
+    context's grams are adjacent in the sorted table and sum in sorted gram
+    order.
     """
     for ctx_len in range(1, lm.order):
         ctx_table = lm.tables[ctx_len]
         lm.backoffs[ctx_len] = {
             ctx: log_backoff(*leftover_masses(lm, ctx_len + 1, grams)[:2])
-            for ctx, grams in group_by_context(lm.tables[ctx_len + 1]).items() if ctx in ctx_table}
+            for ctx, grams in by_context(lm.tables[ctx_len + 1]) if ctx in ctx_table}

@@ -17,7 +17,7 @@ from asrlm.ngramcore.evaluate import require_unigrams
 from asrlm.ngramcore.model import (
     BackoffLM,
     NGram,
-    group_by_context,
+    by_context,
     leftover_masses,
     log_backoff,
     rebuild_backoffs,
@@ -53,7 +53,8 @@ def _log_marginals(tables, histories):
     `walk` would return it. A leading `<s>` takes p(`</s>`), the usual
     convention that keeps sentence-initial contexts at a realistic weight.
     Sorted histories that share a prefix are adjacent, so each reuses the
-    partial sums of the previous one up to their common prefix.
+    partial sums of the previous one up to their common prefix. The contexts
+    of a table in sorted gram order come in this order, with no sort.
     """
     sums: list[float] = []  # sums[i] = log10 p(previous[:i + 1])
     previous: NGram = ()
@@ -80,12 +81,13 @@ def _entropy_deltas(lm: BackoffLM, k: int, protected):
     (log10 p(w|h) - log10 p'(w|h)), in closed form: only the removed gram
     and the words h does not store change their probability. p(h) is read
     from the stored grams, and each p(w | h minus first word) comes from
-    `leftover_masses`.
+    `leftover_masses`. Histories come in sorted order, and each one's grams
+    sum in sorted gram order, as the sorted table holds them.
     """
     table = lm.tables[k]
-    siblings = group_by_context(table)
-    for history, log_marginal in _log_marginals(lm.tables, sorted(siblings)):
-        grams = siblings[history]
+    siblings = [(history, list(grams)) for history, grams in by_context(table)]
+    marginals = _log_marginals(lm.tables, [history for history, _ in siblings])
+    for (history, grams), (_, log_marginal) in zip(siblings, marginals):
         log_bow = lm.backoffs[k - 1].get(history, 0.0)
         num, den, lowers = leftover_masses(lm, k, grams)
         h_marginal = 10.0 ** log_marginal

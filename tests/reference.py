@@ -973,12 +973,8 @@ def reference_interpolate_static(lms, weights):
 
     tables = {}
     for k in range(1, order + 1):
-        union = {}
-        for lm in lms:
-            for gram in sorted(lm.tables[k]):
-                union.setdefault(gram)
         tk = {}
-        for gram in union:
+        for gram in sorted(set().union(*(lm.tables[k] for lm in lms))):
             if gram == (BOS,):
                 tk[gram] = BOS_LOG10_PROB
                 continue

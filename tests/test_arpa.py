@@ -5,8 +5,8 @@ import pytest
 
 from asrlm.cli import main
 from asrlm.mixture import interpolate_static
-from asrlm.ngramcore import ArpaError, BackoffLM, arpa, read_arpa, write_arpa
-from asrlm.pruner import prune_entropy
+from asrlm.ngramcore import ArpaError, BackoffLM, arpa, read_arpa, rebuild_backoffs, write_arpa
+from asrlm.pruner import _entropy_deltas, prune_entropy
 from asrlm.textcorpus import BOS, EOS, Vocabulary, build_vocabulary
 from tests.conftest import corpus_of, random_corpus, traced_peak, train_on
 from tests.reference import reference_arpa_text
@@ -202,13 +202,15 @@ def test_write_arpa_refuses_non_finite_value_past_first_chunk(tmp_path):
 
 
 def test_write_arpa_memory_is_bounded(tmp_path):
-    # Joining every line before the write peaked at about 5.6x the file size.
+    # Joining every line before the write peaked at about 5.6x the file size,
+    # and a sorted key list per table at about 0.3x; one chunk of keys at a
+    # time is about 0.04x (CPython 3.11).
     lm = wide_lm(66_000)
     p = tmp_path / "m.arpa"
     peak = traced_peak(lambda: write_arpa(lm, p))
     size = p.stat().st_size
     assert size >= 2_500_000
-    assert peak < size / 2, (peak, size)
+    assert peak < size / 10, (peak, size)
 
 
 def test_backoff_omitted_for_eos_and_top_order(tmp_path):
@@ -330,6 +332,65 @@ def test_write_arpa_bytes_equal_the_per_line_writer(written_models, kind, tmp_pa
     p = tmp_path / "m.arpa"
     write_arpa(lm, p)
     assert p.read_bytes() == reference_arpa_text(lm, p).encode("utf-8")
+
+
+@pytest.mark.parametrize("kind", ["trained", "merged", "pruned", "read_back", "wide"])
+def test_every_table_is_in_sorted_gram_order(written_models, kind):
+    # Trained, merged, pruned, read and hand-built models, and their clones.
+    lm = written_models[kind]
+    for model in (lm, lm.clone()):
+        for k, table in model.tables.items():
+            assert list(table) == sorted(table), k
+
+
+def test_read_arpa_sorts_sections_written_out_of_order(written_models, tmp_path):
+    # Reading accepts a section's n-grams in any order.
+    p, shuffled = tmp_path / "m.arpa", tmp_path / "shuffled.arpa"
+    write_arpa(written_models["pruned"], p)
+    rng = random.Random(11)
+    blocks = p.read_text(encoding="utf-8").split("\n\n")
+    for i, block in enumerate(blocks[1:-1], start=1):  # each `\k-grams:` section
+        header, *entries = block.split("\n")
+        blocks[i] = "\n".join([header, *rng.sample(entries, len(entries))])
+    shuffled.write_text("\n\n".join(blocks), encoding="utf-8")
+    assert shuffled.read_bytes() != p.read_bytes()
+    in_order, out_of_order = read_arpa(p), read_arpa(shuffled)
+    assert all(list(table) == sorted(table) for table in out_of_order.tables.values())
+    assert {k: list(t.items()) for k, t in out_of_order.tables.items()} == \
+           {k: list(t.items()) for k, t in in_order.tables.items()}
+    assert out_of_order.backoffs == in_order.backoffs
+    write_arpa(out_of_order, shuffled)
+    assert shuffled.read_bytes() == p.read_bytes()
+
+
+@pytest.mark.parametrize("kind", ["merged", "pruned"])
+def test_shuffled_tables_build_the_model_of_sorted_ones(written_models, kind, tmp_path):
+    # The constructor sorts a table that arrives out of order, and keeps one
+    # that arrives sorted: back-off weights, pruning deltas and the ARPA
+    # bytes are then the same, in the same order.
+    lm = written_models[kind]
+    rng = random.Random(13)
+
+    def build(tables):
+        return BackoffLM(order=lm.order, tables=tables, vocab=lm.vocab,
+                         backoffs={k: dict(b) for k, b in lm.backoffs.items()})
+
+    tables = {k: dict(t) for k, t in lm.tables.items()}
+    in_order = build(dict(tables))
+    assert all(in_order.tables[k] is tables[k] for k in tables)
+    shuffled = build({k: dict(rng.sample(list(t.items()), len(t))) for k, t in tables.items()})
+    p = tmp_path / "m.arpa"
+    for model in (in_order, shuffled):
+        write_arpa(model, p)
+        assert p.read_bytes() == reference_arpa_text(lm, p).encode("utf-8")
+    for k in range(2, lm.order + 1):
+        protected = {g[:-1] for g in lm.tables.get(k + 1, {})}
+        assert list(_entropy_deltas(shuffled, k, protected)) == \
+               list(_entropy_deltas(in_order, k, protected))
+    for model in (in_order, shuffled):
+        rebuild_backoffs(model)
+    assert {k: list(b.items()) for k, b in shuffled.backoffs.items()} == \
+           {k: list(b.items()) for k, b in in_order.backoffs.items()}
 
 
 def test_no_chunk_exceeds_the_chunk_size(written_models, monkeypatch):
