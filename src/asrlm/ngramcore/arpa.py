@@ -45,13 +45,14 @@ def _arpa_chunks(lm: BackoffLM, path: str | Path):
     yield "".join(["\\data\\\n", *[f"ngram {k}={len(lm.tables[k])}\n" for k in orders], "\n"])
     for k in orders:
         table = lm.tables[k]
-        # The weights written: none at the top order or on a `</s>`-final gram.
-        bows = {} if k == lm.order else {
-            gram: bow for gram, bow in lm.backoffs[k].items() if gram[-1] != EOS}
-        if not (all(map(math.isfinite, table.values())) and all(map(math.isfinite, bows.values()))):
+        # The weights written: none at the top order or on a `</s>`-final gram,
+        # which each line tests rather than copying the rest.
+        bows = {} if k == lm.order else lm.backoffs[k]
+        if not (all(map(math.isfinite, table.values())) and all(
+                math.isfinite(bow) or gram[-1] == EOS for gram, bow in bows.items())):
             for gram in table:  # the first non-finite value written, in file order
-                for field, value in (("log-prob", table[gram]),
-                                     ("back-off weight", bows.get(gram, 0.0))):
+                for field, value in (("log-prob", table[gram]), ("back-off weight",
+                                     bows.get(gram, 0.0) if gram[-1] != EOS else 0.0)):
                     if not math.isfinite(value):
                         raise ValueError(f"{path}: {k}-gram {' '.join(gram)!r} has non-finite "
                                          f"{field} {value!r}; no file written")
@@ -60,7 +61,7 @@ def _arpa_chunks(lm: BackoffLM, path: str | Path):
         while chunk := list(islice(grams, _CHUNK_LINES)):
             # Adding 0.0 writes -0.0 as "0".
             yield "".join([f"{table[g] + 0.0:.7g}\t{' '.join(g)}\t{bows[g] + 0.0:.7g}\n"
-                           if g in bows else f"{table[g] + 0.0:.7g}\t{' '.join(g)}\n"
+                           if g in bows and g[-1] != EOS else f"{table[g] + 0.0:.7g}\t{' '.join(g)}\n"
                            for g in chunk])
         yield "\n"
     yield "\\end\\\n"

@@ -29,25 +29,26 @@ class PerplexityReport:
 
 def walk_positions(lm: BackoffLM, corpus: Corpus, exclude: bool):
     """Yield log10 p of every scored position of `corpus` (every word plus
-    one `</s>` per sentence) by `lm.walk`. The one place corpus tokens are
-    mapped for the walk: an OOV word is `<unk>`. Each walk starts from the
-    history the last one returned, `(<s>,)` at a sentence start. Under
-    `exclude` an OOV position is skipped, not walked, and the next history
-    is the last one plus `<unk>`, cut to `order - 1` tokens."""
-    walk = lm.walk
+    one `</s>` per sentence) by `lm.walk`, read from `lm.memo` for a gram
+    walked before. The one place corpus tokens are mapped for the walk: an
+    OOV word is `<unk>`. Each walk starts from the history the last one
+    returned, `(<s>,)` at a sentence start. Under `exclude` an OOV position
+    is skipped, not walked, and the next history is the last one plus
+    `<unk>`, cut to `order - 1` tokens."""
+    get, query = lm.memo.get, lm.query
     ids = lm.vocab.ids
     n = lm.order - 1
     for sent in corpus.sentences:
         history = (BOS,)[:n]
-        for tok in sent:
+        for tok in (*sent, EOS):
             if tok not in ids:
                 tok = UNK
                 if exclude:
                     history = (*history, UNK)[-n:] if n else ()
                     continue
-            logp, history = walk(history + (tok,))
+            gram = history + (tok,)
+            logp, history = get(gram) or query(gram)
             yield logp
-        yield walk(history + (EOS,))[0]
 
 
 def position_columns(lms: list[BackoffLM], corpus: Corpus) -> tuple[list[list[float]], list]:

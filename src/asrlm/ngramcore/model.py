@@ -41,7 +41,12 @@ class BackoffLM:
 
     Instances are treated as immutable after construction; concurrent reads
     are safe. A gram added to a table after construction is outside this
-    contract: neither the writer nor the grouping sorts again.
+    contract: neither the writer nor the grouping sorts again. Scoring
+    stores into `memo`, `query`'s cache of `walk` results; a value depends
+    only on the model, so threads racing can only repeat a walk or each
+    store one entry past the bound. A model whose tables or weights change
+    after construction other than through `rebuild_backoffs` must not be
+    scored: its memo would be stale.
     """
 
     order: int
@@ -56,6 +61,14 @@ class BackoffLM:
             if not all(map(operator.lt, table, islice(table, 1, None))):
                 self.tables[k] = {gram: table[gram] for gram in sorted(table)}
             self.backoffs.setdefault(k, {})
+        # An attribute, not a field: `==`, `repr`, `clone` and `replace` ignore it.
+        self.memo: dict[NGram, tuple[float, NGram]] = {}
+        self.clear_memo()
+
+    def clear_memo(self) -> None:
+        """Empty `memo` in place and bound it by the model's n-gram count."""
+        self.memo.clear()
+        self.memo_limit = self.total_ngrams()
 
     def size_by_order(self) -> dict[int, int]:
         return {k: len(self.tables[k]) for k in range(1, self.order + 1)}
@@ -95,6 +108,14 @@ class BackoffLM:
             gram = gram[1:]
             logp = tables[k].get(gram)
         return acc + logp, gram[1:] if k == self.order else gram
+
+    def query(self, gram: NGram) -> tuple[float, NGram]:
+        """`walk(gram)`, stored in `memo` for the next query of `gram`: a
+        full memo is emptied first. Callers read `memo` before calling."""
+        if len(self.memo) >= self.memo_limit:
+            self.memo.clear()
+        found = self.memo[gram] = self.walk(gram)
+        return found
 
     def clone(self) -> "BackoffLM":
         return BackoffLM(
@@ -156,8 +177,9 @@ def rebuild_backoffs(lm: BackoffLM) -> None:
     Processed from short contexts to long ones: the walks for one order's
     weights read only the weights of shorter contexts, which are final. Each
     context's grams are adjacent in the sorted table and sum in sorted gram
-    order.
+    order. Empties the model's memo, which held walks over the old weights.
     """
+    lm.clear_memo()
     for ctx_len in range(1, lm.order):
         ctx_table = lm.tables[ctx_len]
         lm.backoffs[ctx_len] = {

@@ -213,6 +213,18 @@ def test_write_arpa_memory_is_bounded(tmp_path):
     assert peak < size / 10, (peak, size)
 
 
+def test_write_arpa_does_not_copy_the_backoff_weights(tmp_path):
+    # Copying each order's written weights into a dict before writing peaked
+    # at about 0.84x the file size for 66,000 weighted bigrams; testing each
+    # line's final word instead keeps the peak of a chunk (CPython 3.11).
+    lm = wide_lm(66_000)
+    lm.backoffs[2] = dict.fromkeys(lm.tables[2], -0.5)
+    p = tmp_path / "m.arpa"
+    peak = traced_peak(lambda: write_arpa(lm, p))
+    size = p.stat().st_size
+    assert peak < size / 10, (peak, size)
+
+
 def test_backoff_omitted_for_eos_and_top_order(tmp_path):
     lm = train_on(corpus_of("a b a\nb a"), 2)
     p = tmp_path / "m.arpa"

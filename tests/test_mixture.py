@@ -310,7 +310,10 @@ def test_excluded_oov_positions_are_never_scored(opposed_unigram_pair, monkeypat
     monkeypatch.setattr(BackoffLM, "walk", counting_walk)
     report = score(lms, corpus_of("a z b\nz z"))
     assert (report.scored_tokens, report.oov_tokens) == (4, 3)
-    assert words == [w for w in ("a", "b", EOS, EOS) for _ in range(components)]
+    # The second `(</s>,)` is read from each model's memo, not walked again.
+    assert words == [w for w in ("a", "b", EOS) for _ in range(components)]
+    for lm in lms[:components]:
+        assert list(lm.memo) == [("a",), ("b",), (EOS,)]
 
 
 @pytest.mark.parametrize("orders", [(2, 3), (3, 1, 2)], ids=["2-3", "3-1-2"])

@@ -15,10 +15,11 @@ from asrlm.ngramcore import (
     oov_rate,
     perplexity,
     read_arpa,
+    rebuild_backoffs,
     train_mkn,
     write_arpa,
 )
-from asrlm.ngramcore.evaluate import PerplexityReport, walk_positions
+from asrlm.ngramcore.evaluate import OOV_POLICIES, PerplexityReport, walk_positions
 from asrlm.ngramcore.smoothing import closed_form_discounts
 from asrlm.pruner import _log_marginals, prune_entropy
 from asrlm.textcorpus import BOS, EOS, UNK, Corpus, Vocabulary, build_vocabulary
@@ -503,6 +504,136 @@ def test_perplexity_reports_equal_naive_backoff_sum(seeded_models, kind, policy)
                 report.ppl) == naive_perplexity(lms, weights, sents, policy)
         oov += report.oov_tokens
     assert oov > 0 if policy == "exclude" else oov == 0
+
+
+def nbest_hypotheses(rng, ref, words, n):
+    """`n` hypotheses of `ref`, each one to three substitutions, deletions
+    or insertions near its end, as an N-best list has: they share most of
+    their grams."""
+    hyps = []
+    for _ in range(n):
+        hyp = list(ref)
+        for _ in range(rng.randint(1, 3)):
+            i = rng.randint(max(0, len(hyp) - 3), len(hyp))
+            op = rng.choice("sdi")
+            if op == "i" or i == len(hyp):
+                hyp.insert(i, rng.choice(words))
+            elif op == "s":
+                hyp[i] = rng.choice(words)
+            else:
+                del hyp[i]
+        hyps.append(tuple(hyp))
+    return hyps
+
+
+def naive_report(lms, weights, sentences, policy):
+    return PerplexityReport(*naive_perplexity(lms, weights, sentences, policy))
+
+
+@pytest.mark.parametrize("policy", OOV_POLICIES)
+def test_memo_reports_equal_naive_sums_over_nbest_hypotheses(seeded_models, policy,
+                                                             monkeypatch):
+    """Each hypothesis of an N-best list is scored alone, so most of its
+    positions read a gram an earlier hypothesis walked. Every report is
+    float-equal to the table-only oracle, on a first pass from empty memos
+    and on a second pass from warm ones. The merged model's memo holds every
+    gram it walked, so its second pass walks none; the smaller models' memos
+    fill and are emptied on the way."""
+    rng = random.Random(37)
+    lms = [seeded_models[k].clone() for k in ("trained", "merged", "pruned")]
+    lms.append(train_on(random_corpus(random.Random(7), max_vocab=12), 2, lms[0].vocab))
+    weights = [0.4, 0.3, 0.2, 0.1]
+    words = [w for w in lms[0].vocab.words if w not in (BOS, EOS, UNK)] + ["oov1", "oov2"]
+    hyps = [hyp for _ in range(5) for hyp in nbest_hypotheses(
+        rng, [rng.choice(words) for _ in range(rng.randint(4, 12))], words, 8)]
+    assert sum(w not in lms[0].vocab.ids for hyp in hyps for w in hyp) > 5
+    assert not any(lm.memo for lm in lms)
+    walkers = []
+    walk = BackoffLM.walk
+    monkeypatch.setattr(BackoffLM, "walk",
+                        lambda self, gram: walkers.append(self) or walk(self, gram))
+    for first_pass in (True, False):
+        walkers.clear()
+        for hyp in hyps:
+            corpus = Corpus(id="hyp", sentences=(hyp,))
+            for lm in lms:
+                assert perplexity(lm, corpus, policy) == naive_report([lm], None, (hyp,), policy)
+            assert (perplexity_mixture(lms, weights, corpus, policy)
+                    == naive_report(lms, weights, (hyp,), policy))
+        walks = [sum(walker is lm for walker in walkers) for lm in lms]
+        if first_pass:
+            assert walks[1] == len(lms[1].memo) > 0
+            assert any(n > len(lm.memo) for n, lm in zip(walks, lms))
+    assert walks[1] == 0
+
+
+def test_memo_never_holds_more_entries_than_the_model_has_ngrams(monkeypatch):
+    lm = train_on(corpus_of("a b a\nb a"), 2)
+    rng = random.Random(5)
+    corpora = [Corpus(id="s", sentences=(tuple(rng.choice("a b c".split())
+                                              for _ in range(rng.randint(1, 6))),))
+               for _ in range(30)]
+    fresh = [perplexity(lm.clone(), corpus, "as_unk") for corpus in corpora]
+    sizes = []
+    query = BackoffLM.query
+
+    def recording_query(self, gram):
+        found = query(self, gram)
+        sizes.append(len(self.memo))
+        return found
+
+    monkeypatch.setattr(BackoffLM, "query", recording_query)
+    assert [perplexity(lm, corpus, "as_unk") for corpus in corpora] == fresh
+    assert max(sizes) == lm.memo_limit == lm.total_ngrams()
+    assert sizes.count(1) > 1  # emptied when full, and filled again
+
+
+def test_rebuild_backoffs_empties_the_memo_of_a_pruned_model(seeded_models, tmp_path):
+    """Deleting grams as the pruner does, then rebuilding the weights, leaves
+    an empty memo: the next report reads the new weights, not walks over the
+    old ones."""
+    lm = seeded_models["merged"].clone()
+    rng = random.Random(43)
+    words = [w for w in lm.vocab.words if w not in (BOS, EOS, UNK)] + ["oov1"]
+    corpus = Corpus(id="eval", sentences=tuple(
+        tuple(rng.choice(words) for _ in range(rng.randint(1, 12))) for _ in range(30)))
+    before = perplexity(lm, corpus, "as_unk")
+    assert lm.memo
+    top = lm.tables[lm.order]
+    for gram in list(top)[::2]:
+        del top[gram]
+    rebuild_backoffs(lm)
+    assert lm.memo == {} and lm.memo_limit == lm.total_ngrams()
+    after = perplexity(lm, corpus, "as_unk")
+    assert after != before
+    assert after == perplexity(lm.clone(), corpus, "as_unk")
+    assert after == naive_report([lm], None, corpus.sentences, "as_unk")
+    # Written at 7 significant digits and read back, the model scores alike.
+    write_arpa(lm, tmp_path / "m.arpa")
+    again = perplexity(read_arpa(tmp_path / "m.arpa"), corpus, "as_unk")
+    assert again.scored_tokens == after.scored_tokens
+    assert again.log10_prob_sum == pytest.approx(after.log10_prob_sum, rel=1e-6)
+
+
+def test_models_made_from_a_scored_model_start_with_an_empty_memo(seeded_models, tmp_path):
+    """The memo is no field: `==` and `repr` ignore it, and `clone`,
+    `dataclasses.replace`, `read_arpa`, the merge and the pruner give a new
+    model an empty one. The merge and the pruner call `walk` directly, so
+    they leave their input's memo as it was."""
+    lm = seeded_models["trained"].clone()
+    unscored = lm.clone()
+    perplexity(lm, random_corpus(random.Random(3), max_vocab=12), "as_unk")
+    memo = dict(lm.memo)
+    assert memo and lm == unscored and repr(lm) == repr(unscored)
+    write_arpa(lm, tmp_path / "m.arpa")
+    with pytest.warns(UserWarning):
+        unpruned = prune_entropy(lm, -1.0)[0]
+    made = [lm.clone(), dataclasses.replace(lm), read_arpa(tmp_path / "m.arpa"),
+            interpolate_static([lm], [1.0]), interpolate_static([lm, seeded_models["merged"]],
+                                                                [0.5, 0.5]),
+            prune_entropy(lm, 1e-3)[0], unpruned]
+    assert all(m.memo == {} and m.memo_limit == m.total_ngrams() for m in made)
+    assert lm.memo == memo
 
 
 def test_perplexity_report_is_a_frozen_slotted_value():
